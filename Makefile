@@ -59,9 +59,8 @@ bench-csv:
 #   BENCH_PR9.json — work-stealing vs fixed-chunk modelled makespan
 #                    (host-independent cost units) + warm-start
 #                    payment probe counts
-#   BENCH_PR10.json — delta-stepping (2-domain pool) vs sequential
-#                    Dijkstra on RMAT + packed-vs-wide adjacency
-#                    latency and footprint rows
+#   BENCH_PR10.json — sequential Dijkstra on RMAT + packed-vs-wide
+#                    adjacency latency and footprint rows
 bench-json:
 	dune exec bench/main.exe -- --json BENCH_PR5.json
 	dune exec bench/main.exe -- --json-pr6 BENCH_PR6.json

@@ -29,8 +29,7 @@
                                               # cost units) + warm-start
                                               # payment probe counts
      dune exec bench/main.exe -- --json-pr10 F # PR 10 SSSP artifact only:
-                                              # delta-stepping (2-domain pool)
-                                              # vs sequential Dijkstra on RMAT
+                                              # sequential Dijkstra on RMAT
                                               # + packed-vs-wide adjacency
                                               # latency and footprint rows
                                               # (honours --quick) *)
@@ -671,16 +670,10 @@ let run_bench_json_pr9 path =
     !worst
   in
   let pool = Ufp_par.Pool.create ~domains:2 () in
-  let dynamic_units, static_s, dynamic_s =
+  let dynamic_units, dynamic_s =
     Fun.protect
       ~finally:(fun () -> Ufp_par.Pool.shutdown pool)
       (fun () ->
-        reset ();
-        let (), static_s =
-          Harness.time_it (fun () ->
-              Ufp_par.Pool.parallel_for_static ~pool:(`Pool pool) ~chunk ~n
-                body)
-        in
         let best = ref max_int in
         let dynamic_s = ref 0.0 in
         for _rep = 1 to 5 do
@@ -694,13 +687,13 @@ let run_bench_json_pr9 path =
           let m = makespan () in
           if m < !best then best := m
         done;
-        (!best, static_s, !dynamic_s /. 5.0))
+        (!best, !dynamic_s /. 5.0))
   in
   let gain = float_of_int static_units /. float_of_int dynamic_units in
   Printf.printf
-    "  %d tasks, one %dx: static chunk-%d makespan %d units (%.3fs), \
-     dynamic best-of-5 %d units (%.3fs avg), gain %.2fx\n"
-    n mult chunk static_units static_s dynamic_units dynamic_s gain;
+    "  %d tasks, one %dx: static chunk-%d makespan %d units, dynamic \
+     best-of-5 %d units (%.3fs avg), gain %.2fx\n"
+    n mult chunk static_units dynamic_units dynamic_s gain;
   print_string "### BENCH-JSON-PR9: warm-started payment probes\n";
   let pay_inst =
     Harness.grid_instance ~seed:6 ~rows:3 ~cols:3 ~capacity:12.0 ~count:8
@@ -762,22 +755,14 @@ let run_bench_json_pr9 path =
 
 (* --- the PR 10 SSSP-kernel artifact: BENCH_PR10.json ---
 
-   Two claims, self-describing rows for ufp-bench-diff:
-
-   1. The bucketed delta-stepping kernel (relaxation phases fanned
-      over a 2-domain pool) beats the binary-heap Dijkstra it is
-      byte-equivalent to.  The win is structural, not core-count
-      bound: the bucket loop replaces O(log n) heap traffic per
-      improvement with O(1) bucket pushes, so it holds even on a
-      single-core host.  Every timed pair is asserted byte-identical
-      (dist by Float.compare, parents by =) before its row is
-      emitted — a fast-but-wrong kernel fails the emitter, not just
-      the gate.
-
-   2. The 32-bit packed adjacency halves the traversal footprint
-      (8-byte cells vs two 8-byte ints per slot); the latency rows
-      time the same Dijkstra over both layouts of the same graph and
-      the byte rows pin the exact footprints.
+   Self-describing rows for ufp-bench-diff: the sequential Dijkstra
+   tree on RMAT graphs, and the 32-bit packed adjacency against the
+   wide one.  Packing halves the traversal footprint (8-byte cells vs
+   two 8-byte ints per slot); the latency rows time the same Dijkstra
+   over both layouts of the same graph and the byte rows pin the exact
+   footprints.  Every layout run is asserted byte-identical to the
+   default-view tree (dist by Float.compare, parents by =) before its
+   row is emitted.
 
    [--quick] keeps only the scale-14 configuration, so the CI gate
    joins the committed artifact on the scale-14 ids and reports the
@@ -785,9 +770,8 @@ let run_bench_json_pr9 path =
    a full run.  Best-of-k wall times absorb scheduler noise. *)
 
 let run_bench_json_pr10 ~quick path =
-  let module Delta = Ufp_graph.Delta_stepping in
   let module Snapshot = Ufp_graph.Weight_snapshot in
-  print_string "### BENCH-JSON-PR10: delta-stepping vs Dijkstra on RMAT\n";
+  print_string "### BENCH-JSON-PR10: Dijkstra and adjacency layouts on RMAT\n";
   let configs = if quick then [ (14, 16) ] else [ (14, 16); (18, 10) ] in
   let time_best ~reps f =
     let best = ref infinity in
@@ -845,22 +829,8 @@ let run_bench_json_pr10 ~quick path =
                 ~dist ~parent_edge:parent)
         in
         let ref_dist = Array.copy dist and ref_parent = Array.copy parent in
-        let delta_ws = Delta.create_workspace g in
-        let pool = Ufp_par.Pool.create ~domains:2 () in
-        let delta_s =
-          Fun.protect
-            ~finally:(fun () -> Ufp_par.Pool.shutdown pool)
-            (fun () ->
-              time_best ~reps (fun () ->
-                  Delta.shortest_tree_snapshot_into ~pool:(`Pool pool)
-                    delta_ws g ~snapshot ~src ~dist ~parent_edge:parent))
-        in
-        assert_same_tree ~what:(Printf.sprintf "scale-%d delta-j2" scale)
-          ref_dist ref_parent dist parent;
-        let speedup = dij_s /. Float.max delta_s Float_tol.div_guard in
-        Printf.printf
-          "  scale %2d ef %2d: dijkstra %.4fs delta-j2 %.4fs speedup %.2fx\n%!"
-          scale edge_factor dij_s delta_s speedup;
+        Printf.printf "  scale %2d ef %2d: dijkstra %.4fs\n%!" scale
+          edge_factor dij_s;
         (* Packed-vs-wide: the same sequential Dijkstra over both
            layouts of the same adjacency, plus the exact footprints. *)
         let wide_v = Graph.Csr.wide_view csr in
@@ -888,8 +858,6 @@ let run_bench_json_pr10 ~quick path =
         let id fmt = Printf.sprintf fmt scale in
         [
           (id "sssp-rmat-s%d-dijkstra-seq", "s", "lower", dij_s);
-          (id "sssp-rmat-s%d-delta-j2", "s", "lower", delta_s);
-          (id "sssp-rmat-s%d-delta-speedup", "ratio", "higher", speedup);
           (id "dijkstra-rmat-s%d-wide", "s", "lower", wide_s);
           (id "dijkstra-rmat-s%d-packed", "s", "lower", packed_s);
           (id "adjacency-rmat-s%d-wide-bytes", "bytes", "lower", wide_bytes);

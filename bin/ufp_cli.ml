@@ -258,25 +258,13 @@ let jobs_arg =
            runtime's recommended domain count. Results are bitwise \
            identical at any job count. Defaults to \\$UFP_JOBS when set.")
 
-let sssp_arg =
-  Arg.(
-    value
-    & opt (enum [ ("dijkstra", `Dijkstra); ("delta", `Delta) ]) `Dijkstra
-    & info [ "sssp" ] ~docv:"KERNEL"
-        ~doc:
-          "Shortest-path-tree kernel for selector rebuilds: \
-           $(b,dijkstra) (sequential binary heap, the default) or \
-           $(b,delta) (bucketed delta-stepping, which parallelises \
-           $(i,inside) each tree over the $(b,--jobs) pool instead of \
-           across trees). The two produce byte-identical solutions.")
-
-let pick_algo name eps seed pool sssp =
+let pick_algo name eps seed pool =
   match name with
-  | "bounded-ufp" -> fun inst -> Bounded_ufp.solve ~eps ~pool ~sssp inst
-  | "repeat" -> fun inst -> Repeat.solve ~eps ~pool ~sssp inst
+  | "bounded-ufp" -> fun inst -> Bounded_ufp.solve ~eps ~pool inst
+  | "repeat" -> fun inst -> Repeat.solve ~eps ~pool inst
   | "greedy-density" -> Baselines.greedy_by_density
   | "greedy-value" -> Baselines.greedy_by_value
-  | "threshold-pd" -> fun inst -> Baselines.threshold_pd ~eps ~pool ~sssp inst
+  | "threshold-pd" -> fun inst -> Baselines.threshold_pd ~eps ~pool inst
   | "rounding" -> Baselines.randomized_rounding ~eps:(Float.min eps 0.5) ~seed
   | "exact" -> (fun inst -> Exact.solve inst)
   | other ->
@@ -295,12 +283,12 @@ let warn_premise inst ~eps =
       (Instance.bound inst)
       (log (float_of_int (Graph.n_edges (Instance.graph inst))) /. (eps *. eps))
 
-let solve path algo_name eps seed jobs sssp verbose audit out metrics
+let solve path algo_name eps seed jobs verbose audit out metrics
     metrics_out trace profile =
   let inst = Instance.normalize (load_instance path) in
   warn_premise inst ~eps;
   Pool.with_jobs jobs @@ fun pool ->
-  let algo = pick_algo algo_name eps seed pool sssp in
+  let algo = pick_algo algo_name eps seed pool in
   let sol, elapsed =
     try
       with_observability ~metrics ~metrics_out ~trace ~profile (fun () ->
@@ -321,7 +309,7 @@ let solve path algo_name eps seed jobs sssp verbose audit out metrics
   Printf.printf "feasible  : %b\n" (Solution.is_feasible ~repetitions inst sol);
   Printf.printf "time      : %.3fs\n" elapsed;
   if algo_name = "bounded-ufp" then begin
-    let run = Bounded_ufp.run ~eps ~pool ~sssp inst in
+    let run = Bounded_ufp.run ~eps ~pool inst in
     Printf.printf "certified OPT upper bound: %.6g (ratio <= %.4f)\n"
       run.Bounded_ufp.certified_upper_bound
       (if value > 0.0 then run.Bounded_ufp.certified_upper_bound /. value
@@ -331,7 +319,7 @@ let solve path algo_name eps seed jobs sssp verbose audit out metrics
     if algo_name <> "bounded-ufp" then
       Printf.printf "note: --audit applies to bounded-ufp only\n"
     else begin
-      let run = Bounded_ufp.run ~eps ~pool ~sssp inst in
+      let run = Bounded_ufp.run ~eps ~pool inst in
       Format.printf "%a" Ufp_core.Audit.pp (Ufp_core.Audit.bounded_ufp_run inst run)
     end
   end;
@@ -367,8 +355,8 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc)
     Term.(
       const solve $ file_arg $ algo_arg $ eps_arg $ seed_arg $ jobs_arg
-      $ sssp_arg $ verbose_arg $ audit_arg $ out_arg $ metrics_arg
-      $ metrics_out_arg $ trace_arg $ profile_arg)
+      $ verbose_arg $ audit_arg $ out_arg $ metrics_arg $ metrics_out_arg
+      $ trace_arg $ profile_arg)
 
 (* --- payments --- *)
 
@@ -477,7 +465,7 @@ let export_dot path algo_name eps seed out =
     match algo_name with
     | None -> Ufp_instance.Dot.instance inst
     | Some name ->
-      let sol = pick_algo name eps seed `Seq `Dijkstra inst in
+      let sol = pick_algo name eps seed `Seq inst in
       Ufp_instance.Dot.solution inst sol
   in
   (match out with

@@ -45,7 +45,6 @@ val run :
   ?eps:float ->
   ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
-  ?sssp:Selector.sssp ->
   Ufp_instance.Instance.t ->
   run
 (** Execute the algorithm. [eps] defaults to [0.1] and must lie in
@@ -63,15 +62,12 @@ val run :
 
     [pool] (default [`Seq]) fans the selector's stale-tree rebuilds
     out across an {!Ufp_par.Pool}; decisions are bitwise identical
-    either way (see {!Selector}). [sssp] (default [`Dijkstra]) picks
-    the tree kernel — [`Delta] parallelises inside each rebuild
-    instead of across rebuilds, again with identical decisions. *)
+    either way (see {!Selector}). *)
 
 val solve :
   ?eps:float ->
   ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
-  ?sssp:Selector.sssp ->
   Ufp_instance.Instance.t ->
   Ufp_instance.Solution.t
 (** Just the allocation of {!run}. *)

@@ -30,7 +30,7 @@ type run = {
 
 let theorem_ratio ~eps = 1.0 +. (6.0 *. eps)
 
-let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) ?sssp inst =
+let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
   if not (eps > 0.0 && eps <= 1.0) then
     invalid_arg "Bounded_ufp_repeat: eps must be in (0, 1]";
   if Instance.n_requests inst = 0 then
@@ -51,7 +51,7 @@ let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) ?sssp inst =
   (* Every request stays live forever (the with-repetitions problem),
      so the selector pool is never shrunk. *)
   let sel =
-    Selector.create ~kind:selector ~pool ?sssp
+    Selector.create ~kind:selector ~pool
       ~weights:(Selector.Uniform (fun e -> y.(e)))
       inst
   in
@@ -96,5 +96,4 @@ let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) ?sssp inst =
   in
   { solution; final_y = y; certified_upper_bound; iterations = !iterations }
 
-let solve ?eps ?selector ?pool ?sssp inst =
-  (run ?eps ?selector ?pool ?sssp inst).solution
+let solve ?eps ?selector ?pool inst = (run ?eps ?selector ?pool inst).solution

@@ -78,7 +78,7 @@ type run = {
 }
 
 let execute ?(max_iterations = 1_000_000) ?(selector = `Incremental)
-    ?(pool = `Seq) ?sssp config inst =
+    ?(pool = `Seq) config inst =
   if not (config.eps > 0.0 && config.eps <= 1.0) then
     invalid_arg "Pd_engine: eps must be in (0, 1]";
   if not (Instance.is_normalized inst) then
@@ -110,7 +110,7 @@ let execute ?(max_iterations = 1_000_000) ?(selector = `Incremental)
     else (Selector.Uniform (fun e -> y.(e)), fun _ _ -> ())
   in
   let weights, consume_residual = weights in
-  let sel = Selector.create ~kind:selector ~pool ?sssp ~weights inst in
+  let sel = Selector.create ~kind:selector ~pool ~weights inst in
   let d1 = ref (float_of_int m) in
   let solution = ref [] in
   let iterations = ref 0 in

@@ -70,7 +70,6 @@ val execute :
   ?max_iterations:int ->
   ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
-  ?sssp:Selector.sssp ->
   config ->
   Ufp_instance.Instance.t ->
   run

@@ -1,14 +1,11 @@
 module Graph = Ufp_graph.Graph
 module Dijkstra = Ufp_graph.Dijkstra
-module Delta_stepping = Ufp_graph.Delta_stepping
 module Weight_snapshot = Ufp_graph.Weight_snapshot
 module Instance = Ufp_instance.Instance
 module Request = Ufp_instance.Request
 module Pool = Ufp_par.Pool
 
 type kind = [ `Naive | `Incremental ]
-
-type sssp = [ `Dijkstra | `Delta ]
 
 (* Cache-economics accounting (docs/OBSERVABILITY.md): the naive engine
    shows up as pure tree_rebuilds, the incremental one as a mix of
@@ -60,11 +57,6 @@ type t = {
   inst : Instance.t;
   kind : kind;
   pool : Pool.choice;
-  sssp : sssp;
-  (* Scratch for the delta-stepping kernel (allocated eagerly — it is
-     a handful of length-n arrays — so the [`Delta] hot path never
-     branches on an option). *)
-  dws : Delta_stepping.workspace;
   uniform : bool;  (* all groups share one weight function *)
   groups : group array;  (* in order of first appearance by request *)
   group_of : group array;  (* request index -> its group *)
@@ -162,8 +154,7 @@ let heap_pop t =
 
 (* --- construction --- *)
 
-let create ?(kind = `Incremental) ?(pool = `Seq) ?(sssp = `Dijkstra) ~weights
-    inst =
+let create ?(kind = `Incremental) ?(pool = `Seq) ~weights inst =
   let graph = Instance.graph inst in
   let n = Graph.n_vertices graph in
   let m = Graph.n_edges graph in
@@ -217,10 +208,9 @@ let create ?(kind = `Incremental) ?(pool = `Seq) ?(sssp = `Dijkstra) ~weights
     end
   in
   (* Force the CSR build and the layout view on this domain now:
-     pooled rebuilds (and delta-stepping phase workers) must only ever
-     read the frozen view, and the graph.csr_builds /
-     graph.packed_builds counts stay the same whether or not a pool is
-     attached. *)
+     pooled rebuilds must only ever read the frozen view, and the
+     graph.csr_builds / graph.packed_builds counts stay the same
+     whether or not a pool is attached. *)
   ignore (Graph.csr_view graph);
   let t =
     {
@@ -228,8 +218,6 @@ let create ?(kind = `Incremental) ?(pool = `Seq) ?(sssp = `Dijkstra) ~weights
       inst;
       kind;
       pool;
-      sssp;
-      dws = Delta_stepping.create_workspace graph;
       uniform = (match weights with Uniform _ -> true | Per_demand _ -> false);
       groups;
       group_of;
@@ -298,18 +286,8 @@ let rebuild_tree t grp ws =
      the rebuild — the tracer is domain-safe. *)
   Ufp_obs.Trace.with_span "selector.rebuild" @@ fun () ->
   let snapshot = snapshot_for t grp in
-  match t.sssp with
-  | `Dijkstra ->
-    Dijkstra.shortest_tree_snapshot_into ws t.graph ~snapshot ~src:grp.src
-      ~dist:grp.dist ~parent_edge:grp.parent_edge
-  | `Delta ->
-    (* The delta kernel is byte-equivalent to Dijkstra (see
-       Ufp_graph.Delta_stepping) and parallelises {e inside} the tree,
-       so it gets the selector's pool directly — it always runs on the
-       submitting domain (never from rebuild_parallel's closures,
-       which would nest pool submissions). *)
-    Delta_stepping.shortest_tree_snapshot_into ~pool:t.pool t.dws t.graph
-      ~snapshot ~src:grp.src ~dist:grp.dist ~parent_edge:grp.parent_edge
+  Dijkstra.shortest_tree_snapshot_into ws t.graph ~snapshot ~src:grp.src
+    ~dist:grp.dist ~parent_edge:grp.parent_edge
 
 let commit_rebuild t grp =
   Ufp_obs.Metrics.incr m_rebuilds;
@@ -339,20 +317,13 @@ let rebuild_parallel t p stale =
   let n = Array.length stale in
   if n > 0 then begin
     if t.uniform then ignore (snapshot_for t stale.(0));
-    (match t.sssp with
-    | `Delta ->
-      (* The delta kernel submits its own phase jobs to the pool, and
-         nested submission is illegal (Ufp_par.Pool): groups rebuild
-         sequentially here, each tree parallelised internally. *)
-      Array.iter (fun grp -> rebuild_tree t grp t.ws) stale
-    | `Dijkstra ->
-      (* grain 1: stale-tree costs are skewed (hub sources carry far
-         larger frontiers), so every tree should be stealable on its
-         own rather than riding a range with a hub. *)
-      Pool.parallel_for_dynamic ~pool:(`Pool p) ~grain:1 ~n (fun i ->
-          let grp = stale.(i) in
-          let ws = Dijkstra.create_workspace t.graph in
-          rebuild_tree t grp ws));
+    (* grain 1: stale-tree costs are skewed (hub sources carry far
+       larger frontiers), so every tree should be stealable on its own
+       rather than riding a range with a hub. *)
+    Pool.parallel_for_dynamic ~pool:(`Pool p) ~grain:1 ~n (fun i ->
+        let grp = stale.(i) in
+        let ws = Dijkstra.create_workspace t.graph in
+        rebuild_tree t grp ws);
     Array.iter
       (fun grp ->
         Ufp_obs.Metrics.incr m_par_rebuilds;

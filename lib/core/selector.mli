@@ -66,17 +66,6 @@
 
 type kind = [ `Naive | `Incremental ]
 
-type sssp = [ `Dijkstra | `Delta ]
-(** Which shortest-path-tree kernel rebuilds use: the sequential
-    binary-heap {!Ufp_graph.Dijkstra} (default) or the bucketed
-    {!Ufp_graph.Delta_stepping}, which parallelises {e inside} each
-    tree. The two return byte-identical trees (a QCheck law), so the
-    selection trace — and everything the truthfulness argument rests
-    on — is independent of the choice. With [`Delta] and a pool,
-    groups rebuild sequentially and the pool accelerates each kernel's
-    relaxation phases instead (nested pool submission is illegal);
-    with [`Dijkstra] the pool fans distinct groups out as before. *)
-
 type weights =
   | Uniform of (int -> float)
       (** request-independent weights (Algorithm 1 / 3: [fun e -> y.(e)]);
@@ -96,15 +85,13 @@ type t
 val create :
   ?kind:kind ->
   ?pool:Ufp_par.Pool.choice ->
-  ?sssp:sssp ->
   weights:weights ->
   Ufp_instance.Instance.t ->
   t
 (** A selector over all requests of the instance, all initially
     pending. [kind] defaults to [`Incremental]; [pool] (default
     [`Seq]) fans stale-tree rebuilds out across domains, with
-    bitwise-identical trees (see the module preamble); [sssp]
-    (default [`Dijkstra]) picks the tree kernel. The weight
+    bitwise-identical trees (see the module preamble). The weight
     functions are read lazily at (re)computation time — materialised
     into a {!Ufp_graph.Weight_snapshot} once per weight epoch — so
     passing closures over the solver's mutable dual array is the

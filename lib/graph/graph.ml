@@ -4,11 +4,10 @@ module Csr = struct
   type t = { row_start : int array; nbr : int array; eid : int array }
 
   (* The monomorphic accessor layer shared by every adjacency hot loop
-     (Dijkstra, Delta_stepping, the Dinic residual): a flat sequence of
-     (fst, snd) int pairs stored either as two plain int arrays (16
-     bytes per slot on 64-bit) or packed into one 8-byte cell per slot
-     — two 32-bit halves read back with a single unaligned 64-bit
-     load. The layout is a single well-predicted branch per accessor,
+     (Dijkstra, the Dinic residual): a flat sequence of (fst, snd) int
+     pairs stored either as two plain int arrays (16 bytes per slot on
+     64-bit) or packed into one 8-byte cell per slot — two 32-bit
+     halves read back with a single unaligned 64-bit load. The layout is a single well-predicted branch per accessor,
      not a functor or a closure, so the relaxation loops stay
      monomorphic and allocation-free under either layout. *)
   module Cells = struct

@@ -46,11 +46,10 @@ module Csr : sig
       until the next {!add_edge}. *)
 
   (** The monomorphic accessor layer every adjacency hot loop reads
-      through ({!Dijkstra}, {!Delta_stepping}, the Dinic residual of
-      {!Maxflow}): a frozen sequence of [(fst, snd)] int pairs stored
-      either as two plain int arrays (16 bytes per slot on 64-bit) or
-      packed two 32-bit halves to an 8-byte cell, read back with one
-      unaligned 64-bit load. Layout dispatch is a single
+      through ({!Dijkstra}, the Dinic residual of {!Maxflow}): a frozen
+      sequence of [(fst, snd)] int pairs stored either as two plain int
+      arrays (16 bytes per slot on 64-bit) or packed two 32-bit halves
+      to an 8-byte cell, read back with one unaligned 64-bit load. Layout dispatch is a single
       well-predicted branch inside each [@inline] accessor — no
       functor, no closure, no allocation — so one relaxation loop
       serves both layouts. *)

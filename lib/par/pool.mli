@@ -95,16 +95,6 @@ val parallel_for : ?pool:choice -> ?chunk:int -> n:int -> (int -> unit) -> unit
     entry point, kept so every existing call site reads unchanged;
     [chunk] now sets the leaf grain instead of a cursor claim size. *)
 
-val parallel_for_static :
-  ?pool:choice -> ?chunk:int -> n:int -> (int -> unit) -> unit
-(** The pre-work-stealing scheduler, kept as a measurable baseline:
-    executors claim fixed [chunk]-sized ranges from one shared Atomic
-    cursor, so a single expensive index strands the rest of its chunk
-    on whichever executor claimed it (the pathology the skewed-probe
-    row in [bench --json-pr9] pins). Same exactly-once, exception and
-    [`Seq] semantics as {!parallel_for_dynamic}. Not deprecated —
-    it is the honest comparison point, not an API for new call sites. *)
-
 val submit : ?pool:choice -> (unit -> unit) array -> unit
 (** [submit ~pool tasks] runs every thunk exactly once on the
     work-stealing scheduler ([grain] 1) and returns when all have

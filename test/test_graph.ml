@@ -1,4 +1,5 @@
-(* Tests for Ufp_graph: graph, dijkstra, path, enumerate, generators. *)
+(* Tests for Ufp_graph: graph, packed CSR cells, dijkstra and its
+   property oracle, path, enumerate, generators. *)
 
 module Graph = Ufp_graph.Graph
 module Dijkstra = Ufp_graph.Dijkstra
@@ -929,6 +930,282 @@ let test_edge_prob_validation () =
                ~capacity_lo:1.0 ~capacity_hi:2.0)))
     [ -0.1; 1.5; nan ]
 
+(* --- packed CSR cells: the 32-bit builder guard --- *)
+
+let test_pack_rejects_oversized () =
+  Alcotest.check_raises "value above 2^31-1 is rejected"
+    (Invalid_argument "Graph.Csr.Cells.pack: value out of 32-bit range at slot 1")
+    (fun () ->
+      ignore (Graph.Csr.Cells.pack [| 0; Graph.Csr.Cells.max_packed + 1 |] [| 0; 0 |]))
+
+let test_pack_rejects_negative () =
+  Alcotest.check_raises "negative value is rejected"
+    (Invalid_argument "Graph.Csr.Cells.pack: value out of 32-bit range at slot 0")
+    (fun () -> ignore (Graph.Csr.Cells.pack [| -1 |] [| 0 |]))
+
+let test_packed_fits_bound () =
+  Alcotest.(check bool) "max_packed fits" true
+    (Graph.Csr.Packed.fits ~n:Graph.Csr.Cells.max_packed
+       ~m:Graph.Csr.Cells.max_packed);
+  Alcotest.(check bool) "max_packed + 1 does not" false
+    (Graph.Csr.Packed.fits ~n:(Graph.Csr.Cells.max_packed + 1) ~m:1)
+
+let test_pack_roundtrip_boundary () =
+  let a = [| 0; Graph.Csr.Cells.max_packed; 7 |] in
+  let b = [| Graph.Csr.Cells.max_packed; 0; 123456789 |] in
+  let c = Graph.Csr.Cells.pack a b in
+  Alcotest.(check bool) "packed layout" true (Graph.Csr.Cells.is_packed c);
+  for k = 0 to 2 do
+    Alcotest.(check int) "fst" a.(k) (Graph.Csr.Cells.fst c k);
+    Alcotest.(check int) "snd" b.(k) (Graph.Csr.Cells.snd c k)
+  done
+
+(* --- shortest-path tree oracle ---
+
+   Dijkstra is the only tree kernel, so its trees are checked against
+   properties rather than against a second implementation (the style
+   of toysolver's isValidPath laws). For a tree (dist, parent_edge)
+   from [src] under weights [w]:
+   - dist.(v) is finite exactly when a BFS over finite-weight edges
+     reaches v;
+   - every parent edge enters its vertex and is tight bit for bit:
+     dist v = dist u +. w e;
+   - no edge relaxes any vertex further;
+   - following parents from any reached vertex ends at [src], which
+     has distance 0 and no parent;
+   - the wide and packed CSR layouts return byte-identical trees.
+   The arcs the oracle walks come from [Graph.fold_edges], not from
+   the CSR view under test. *)
+
+(* Every traversable (tail, head, edge id) arc: undirected edges both
+   ways. *)
+let arcs g =
+  Graph.fold_edges
+    (fun e acc ->
+      let acc = (e.Graph.u, e.Graph.v, e.Graph.id) :: acc in
+      if Graph.is_directed g then acc else (e.Graph.v, e.Graph.u, e.Graph.id) :: acc)
+    g []
+
+let finite_reachable ~n arcs w ~src =
+  let out = Array.make n [] in
+  List.iter
+    (fun (u, v, e) -> if Float.is_finite w.(e) then out.(u) <- v :: out.(u))
+    arcs;
+  let seen = Array.make n false in
+  let queue = Queue.create () in
+  seen.(src) <- true;
+  Queue.add src queue;
+  while not (Queue.is_empty queue) do
+    List.iter
+      (fun v ->
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          Queue.add v queue
+        end)
+      out.(Queue.pop queue)
+  done;
+  seen
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The first oracle property the tree breaks, or [None]. *)
+let tree_violation g w ~src (dist, parent) =
+  let n = Graph.n_vertices g in
+  let arcs = arcs g in
+  let reach = finite_reachable ~n arcs w ~src in
+  let fail fmt = Printf.ksprintf Option.some fmt in
+  let vertex v =
+    if reach.(v) <> Float.is_finite dist.(v) then
+      fail "vertex %d: reached by BFS = %b, dist = %h" v reach.(v) dist.(v)
+    else if v = src then
+      if same_bits dist.(v) 0.0 && parent.(v) = -1 then None
+      else fail "source %d: dist %h, parent %d" v dist.(v) parent.(v)
+    else if not reach.(v) then
+      if parent.(v) = -1 then None
+      else fail "unreached vertex %d has parent %d" v parent.(v)
+    else begin
+      let e = parent.(v) in
+      if e < 0 || e >= Graph.n_edges g then
+        fail "reached vertex %d has parent %d" v e
+      else begin
+        let edge = Graph.edge g e in
+        let enters =
+          edge.Graph.v = v || ((not (Graph.is_directed g)) && edge.Graph.u = v)
+        in
+        if not enters then fail "parent edge %d does not enter vertex %d" e v
+        else begin
+          let u = Graph.other_endpoint g e v in
+          if same_bits dist.(v) (dist.(u) +. w.(e)) then None
+          else
+            fail "parent edge %d of vertex %d is not tight: %h <> %h +. %h" e v
+              dist.(v) dist.(u) w.(e)
+        end
+      end
+    end
+  in
+  (* An acyclic parent chain has at most n - 1 edges, so a longer walk
+     has found a cycle. *)
+  let rooted v =
+    let rec walk cur steps =
+      if cur = src then None
+      else if steps > n then fail "parent walk from %d cycles" v
+      else
+        match parent.(cur) with
+        | -1 -> fail "parent walk from %d stops at %d, not the source" v cur
+        | e -> walk (Graph.other_endpoint g e cur) (steps + 1)
+    in
+    if Float.is_finite dist.(v) then walk v 0 else None
+  in
+  let relaxes (u, v, e) =
+    if Float.is_finite dist.(u) && Float.compare (dist.(u) +. w.(e)) dist.(v) < 0
+    then fail "edge %d (%d -> %d) still relaxes its head" e u v
+    else None
+  in
+  let rec first_vertex check v =
+    if v = n then None
+    else match check v with None -> first_vertex check (v + 1) | bad -> bad
+  in
+  match first_vertex vertex 0 with
+  | Some _ as bad -> bad
+  | None -> (
+    match List.find_map relaxes arcs with
+    | Some _ as bad -> bad
+    | None -> first_vertex rooted 0)
+
+let tree_on_view g snapshot ~src view =
+  let n = Graph.n_vertices g in
+  let dist = Array.make n nan and parent = Array.make n min_int in
+  Dijkstra.shortest_tree_snapshot_into ~view (Dijkstra.create_workspace g) g
+    ~snapshot ~src ~dist ~parent_edge:parent;
+  (dist, parent)
+
+(* The Dijkstra tree over both layouts of [g], each checked against
+   the oracle, then against each other; the wide tree on success. *)
+let oracle_tree g w ~src =
+  let snapshot = Weight_snapshot.build g ~weight:(fun e -> w.(e)) in
+  let csr = Graph.csr g in
+  let wide = tree_on_view g snapshot ~src (Graph.Csr.wide_view csr) in
+  let packed =
+    tree_on_view g snapshot ~src
+      (Graph.Csr.packed_view (Graph.Csr.Packed.of_csr csr))
+  in
+  let checked layout tree =
+    Option.map (fun msg -> layout ^ ": " ^ msg) (tree_violation g w ~src tree)
+  in
+  match checked "wide" wide with
+  | Some msg -> Error msg
+  | None -> (
+    match checked "packed" packed with
+    | Some msg -> Error msg
+    | None ->
+      let (wd, wp), (pd, pp) = (wide, packed) in
+      if Array.for_all2 same_bits wd pd && wp = pp then Ok wide
+      else Error "wide and packed trees differ")
+
+let check_oracle msg g w ~src =
+  match oracle_tree g w ~src with
+  | Ok tree -> tree
+  | Error why -> Alcotest.failf "%s: %s" msg why
+
+(* A random graph and weight vector built to sit on float boundaries.
+   [n] starts at 1, so the one-vertex graph is a regular case; edges
+   may be parallel. Each weight is drawn from one class:
+   - 0 and [infinity] (an edge priced out by a residual filter);
+   - subnormals;
+   - exact multiples [k*d] of a per-graph unit [d], and their
+     [Float.pred]/[Float.succ] neighbours, where equal-distance ties
+     and one-ulp rounding disagreements live;
+   - [d * 10^j], spanning ratios up to 1e12;
+   - the cap [max_float / n]: no path has more than n - 1 edges, so no
+     path sum overflows to infinity and finiteness stays a pure
+     reachability question. *)
+let boundary_instance seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 12 in
+  let g = Graph.create ~directed:(Rng.bool rng) ~n in
+  for _ = 1 to Rng.int rng ((3 * n) + 1) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then ignore (Graph.add_edge g ~u ~v ~capacity:1.0)
+  done;
+  let d = Rng.float_in rng 0.5 2.0 in
+  let multiple () =
+    float_of_int (1 + Rng.int rng (if Rng.bool rng then 4 else 1000)) *. d
+  in
+  let w =
+    Array.init (Graph.n_edges g) (fun _ ->
+        match Rng.int rng 8 with
+        | 0 -> 0.0
+        | 1 -> infinity
+        | 2 -> Float.ldexp (float_of_int (1 + Rng.int rng 1024)) (-1074)
+        | 3 -> multiple ()
+        | 4 -> Float.pred (multiple ())
+        | 5 -> Float.succ (multiple ())
+        | 6 -> d *. (10.0 ** float_of_int (Rng.int rng 13))
+        | _ -> Float.max_float /. float_of_int n)
+  in
+  (g, w, Rng.int rng n)
+
+let qcheck_dijkstra_oracle =
+  QCheck.Test.make ~name:"dijkstra on both layouts" ~count:300
+    (QCheck.int_bound 0x3FFFFFFF) (fun seed ->
+      let g, w, src = boundary_instance seed in
+      match oracle_tree g w ~src with
+      | Ok _ -> true
+      | Error why ->
+        QCheck.Test.fail_reportf "n = %d, m = %d, src = %d: %s"
+          (Graph.n_vertices g) (Graph.n_edges g) src why)
+
+let line_graph weights =
+  let g = Graph.create ~directed:true ~n:(Array.length weights + 1) in
+  Array.iteri
+    (fun i _ -> ignore (Graph.add_edge g ~u:i ~v:(i + 1) ~capacity:1.0))
+    weights;
+  g
+
+(* 536.1837079465389 is fl(743 * 0.72164698243141179): the bucket index
+   [w /. d] rounds to 742 while the bucket's own range test rejects the
+   value, which made a bucketed kernel drop vertex 1 (and with it 3).
+   Dijkstra must reach both. *)
+let test_oracle_bucket_boundary () =
+  let g = Graph.create ~directed:true ~n:4 in
+  let e01 = Graph.add_edge g ~u:0 ~v:1 ~capacity:1.0 in
+  let e02 = Graph.add_edge g ~u:0 ~v:2 ~capacity:1.0 in
+  let e13 = Graph.add_edge g ~u:1 ~v:3 ~capacity:1.0 in
+  let w = Array.make 3 0.0 in
+  w.(e01) <- 536.1837079465389;
+  w.(e02) <- 0.72164698243141179;
+  w.(e13) <- 1.0;
+  let dist, _ = check_oracle "bucket boundary" g w ~src:0 in
+  Alcotest.(check bool) "v1" true (same_bits dist.(1) 536.1837079465389);
+  Alcotest.(check bool) "v3" true (same_bits dist.(3) 537.1837079465389)
+
+let test_oracle_zero_weight_chain () =
+  let w = [| 0.0; 0.0; 1.0; 0.0 |] in
+  let dist, _ = check_oracle "zero-weight chain" (line_graph w) w ~src:0 in
+  Alcotest.(check (float 0.0)) "dist through zeros" 1.0 dist.(4)
+
+let test_oracle_unreachable_component () =
+  let g = Graph.create ~directed:true ~n:5 in
+  ignore (Graph.add_edge g ~u:0 ~v:1 ~capacity:1.0);
+  ignore (Graph.add_edge g ~u:3 ~v:4 ~capacity:1.0);
+  let dist, parent =
+    check_oracle "unreachable component" g [| 1.0; 1.0 |] ~src:0
+  in
+  Alcotest.(check bool) "2 unreachable" true (Float.equal dist.(2) infinity);
+  Alcotest.(check bool) "4 unreachable" true (Float.equal dist.(4) infinity);
+  Alcotest.(check int) "no parent at 4" (-1) parent.(4)
+
+let test_oracle_infinite_weight_cut () =
+  let w = [| 1.0; infinity; 1.0 |] in
+  let dist, _ = check_oracle "infinite cut" (line_graph w) w ~src:0 in
+  Alcotest.(check bool) "beyond the cut" true (Float.equal dist.(2) infinity)
+
+let test_oracle_single_vertex () =
+  let g = Graph.create ~directed:false ~n:1 in
+  let dist, parent = check_oracle "single vertex" g [||] ~src:0 in
+  Alcotest.(check (float 0.0)) "src dist" 0.0 dist.(0);
+  Alcotest.(check int) "src parent" (-1) parent.(0)
+
 let () =
   Alcotest.run "graph"
     [
@@ -1028,6 +1305,28 @@ let () =
           Alcotest.test_case "validation" `Quick test_maxflow_validation;
           Alcotest.test_case "multi staircase" `Quick test_maxflow_multi_staircase;
           Alcotest.test_case "multi validation" `Quick test_maxflow_multi_validation;
+        ] );
+      ( "packed",
+        [
+          Alcotest.test_case "pack rejects oversized" `Quick
+            test_pack_rejects_oversized;
+          Alcotest.test_case "pack rejects negative" `Quick
+            test_pack_rejects_negative;
+          Alcotest.test_case "fits bound" `Quick test_packed_fits_bound;
+          Alcotest.test_case "pack boundary roundtrip" `Quick
+            test_pack_roundtrip_boundary;
+        ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest qcheck_dijkstra_oracle;
+          Alcotest.test_case "bucket boundary" `Quick test_oracle_bucket_boundary;
+          Alcotest.test_case "zero-weight chain" `Quick
+            test_oracle_zero_weight_chain;
+          Alcotest.test_case "unreachable component" `Quick
+            test_oracle_unreachable_component;
+          Alcotest.test_case "infinite weight cut" `Quick
+            test_oracle_infinite_weight_cut;
+          Alcotest.test_case "single vertex" `Quick test_oracle_single_vertex;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
