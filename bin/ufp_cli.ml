@@ -258,15 +258,23 @@ let jobs_arg =
            runtime's recommended domain count. Results are bitwise \
            identical at any job count. Defaults to \\$UFP_JOBS when set.")
 
+(* The solver behind --algo. Bounded-UFP also hands back its run
+   record, so [solve] prints the certified bound and audits the very
+   run it reports instead of solving again. *)
 let pick_algo name eps seed pool =
+  let plain solve inst = (solve inst, None) in
   match name with
-  | "bounded-ufp" -> fun inst -> Bounded_ufp.solve ~eps ~pool inst
-  | "repeat" -> fun inst -> Repeat.solve ~eps ~pool inst
-  | "greedy-density" -> Baselines.greedy_by_density
-  | "greedy-value" -> Baselines.greedy_by_value
-  | "threshold-pd" -> fun inst -> Baselines.threshold_pd ~eps ~pool inst
-  | "rounding" -> Baselines.randomized_rounding ~eps:(Float.min eps 0.5) ~seed
-  | "exact" -> (fun inst -> Exact.solve inst)
+  | "bounded-ufp" ->
+    fun inst ->
+      let run = Bounded_ufp.run ~eps ~pool inst in
+      (run.Bounded_ufp.solution, Some run)
+  | "repeat" -> plain (Repeat.solve ~eps ~pool)
+  | "greedy-density" -> plain Baselines.greedy_by_density
+  | "greedy-value" -> plain Baselines.greedy_by_value
+  | "threshold-pd" -> plain (Baselines.threshold_pd ~eps ~pool)
+  | "rounding" ->
+    plain (Baselines.randomized_rounding ~eps:(Float.min eps 0.5) ~seed)
+  | "exact" -> plain (fun inst -> Exact.solve inst)
   | other ->
     Printf.eprintf
       "error: unknown algorithm %S (bounded-ufp|repeat|greedy-density|\
@@ -289,7 +297,7 @@ let solve path algo_name eps seed jobs verbose audit out metrics
   warn_premise inst ~eps;
   Pool.with_jobs jobs @@ fun pool ->
   let algo = pick_algo algo_name eps seed pool in
-  let sol, elapsed =
+  let (sol, bounded_run), elapsed =
     try
       with_observability ~metrics ~metrics_out ~trace ~profile (fun () ->
           Ufp_experiments.Harness.time_it (fun () -> algo inst))
@@ -308,28 +316,34 @@ let solve path algo_name eps seed jobs verbose audit out metrics
   Printf.printf "value     : %.6g\n" value;
   Printf.printf "feasible  : %b\n" (Solution.is_feasible ~repetitions inst sol);
   Printf.printf "time      : %.3fs\n" elapsed;
-  if algo_name = "bounded-ufp" then begin
-    let run = Bounded_ufp.run ~eps ~pool inst in
-    Printf.printf "certified OPT upper bound: %.6g (ratio <= %.4f)\n"
-      run.Bounded_ufp.certified_upper_bound
-      (if value > 0.0 then run.Bounded_ufp.certified_upper_bound /. value
-       else infinity)
-  end;
-  if audit then begin
-    if algo_name <> "bounded-ufp" then
-      Printf.printf "note: --audit applies to bounded-ufp only\n"
-    else begin
-      let run = Bounded_ufp.run ~eps ~pool inst in
-      Format.printf "%a" Ufp_core.Audit.pp (Ufp_core.Audit.bounded_ufp_run inst run)
-    end
-  end;
+  Option.iter
+    (fun run ->
+      Printf.printf "certified OPT upper bound: %.6g (ratio <= %.4f)\n"
+        run.Bounded_ufp.certified_upper_bound
+        (if value > 0.0 then run.Bounded_ufp.certified_upper_bound /. value
+         else infinity))
+    bounded_run;
+  (* A failed audit finding fails the command, so scripts and CI gate
+     on the paper's certificates, not just on the printed report. *)
+  let audit_passed =
+    (not audit)
+    ||
+    match bounded_run with
+    | None ->
+      Printf.printf "note: --audit applies to bounded-ufp only\n";
+      true
+    | Some run ->
+      let report = Ufp_core.Audit.bounded_ufp_run inst run in
+      Format.printf "%a" Ufp_core.Audit.pp report;
+      report.Ufp_core.Audit.all_passed
+  in
   (match out with
   | Some out_path ->
     Io.save_solution out_path sol;
     Printf.printf "solution written to %s\n" out_path
   | None -> ());
   if verbose then Format.printf "%a@." Solution.pp sol;
-  0
+  if audit_passed then 0 else 1
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -348,7 +362,8 @@ let verbose_arg =
 let audit_arg =
   Arg.(value & flag & info [ "audit" ]
          ~doc:"Audit the run: feasibility, trace consistency, weak duality, \
-               scaled-dual feasibility (bounded-ufp only).")
+               scaled-dual feasibility (bounded-ufp only). Exits 1 when a \
+               check fails.")
 
 let solve_cmd =
   let doc = "solve a UFP instance" in
@@ -465,7 +480,7 @@ let export_dot path algo_name eps seed out =
     match algo_name with
     | None -> Ufp_instance.Dot.instance inst
     | Some name ->
-      let sol = pick_algo name eps seed `Seq inst in
+      let sol, _ = pick_algo name eps seed `Seq inst in
       Ufp_instance.Dot.solution inst sol
   in
   (match out with
@@ -544,7 +559,8 @@ let experiment_cmd =
 (* --- main --- *)
 
 (* Solver tracing: UFP_LOG=info or UFP_LOG=debug enables the Logs
-   sources (ufp.bounded-ufp, ufp.bounded-ufp-repeat, ufp.mcf). *)
+   sources (ufp.pd-engine for the per-iteration lines, ufp.bounded-ufp,
+   ufp.bounded-ufp-repeat, ufp.mcf). *)
 let setup_logs () =
   match Sys.getenv_opt "UFP_LOG" with
   | Some level ->

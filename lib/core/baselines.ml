@@ -4,25 +4,9 @@ module Instance = Ufp_instance.Instance
 module Request = Ufp_instance.Request
 module Solution = Ufp_instance.Solution
 module Rng = Ufp_prelude.Rng
-module Metrics = Ufp_obs.Metrics
 module Trace = Ufp_obs.Trace
 
 let capacity_slack = Ufp_prelude.Float_tol.capacity_slack
-
-(* Shared pd.* catalogue — see Pd_engine. *)
-let m_runs = Metrics.counter "pd.runs"
-
-let m_iterations = Metrics.counter "pd.iterations"
-
-let m_dual_updates = Metrics.counter "pd.dual_updates"
-
-(* Rejection counting moved from pd.* to selector.*: since weight
-   snapshots, the closure below runs once per edge per snapshot build
-   (selector cache economics), not once per Dijkstra relaxation, so
-   its count is no longer selection-engine-invariant. *)
-let m_residual_rejections = Metrics.counter "selector.residual_rejections"
-
-let h_path_edges = Metrics.histogram "pd.path_edges"
 
 (* Route requests one by one, in the given index order, each on a
    fewest-hop path among edges with residual capacity for its demand. *)
@@ -65,50 +49,14 @@ let threshold_pd ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
     invalid_arg "Baselines.threshold_pd: eps must be in (0, 1]";
   if not (Instance.is_normalized inst) then
     invalid_arg "Baselines.threshold_pd: instance must be normalised";
-  let g = Instance.graph inst in
-  let b = Graph.min_capacity g in
+  let b = Graph.min_capacity (Instance.graph inst) in
   if b < 1.0 then invalid_arg "Baselines.threshold_pd: requires B >= 1";
-  Metrics.incr m_runs;
   Trace.with_span "baselines.threshold_pd" @@ fun () ->
-  let m = Graph.n_edges g in
-  let y = Array.init m (fun e -> 1.0 /. Graph.capacity g e) in
-  let residual = Array.init m (fun e -> Graph.capacity g e) in
-  let sel =
-    Selector.create ~kind:selector ~pool
-      ~weights:
-        (Selector.Per_demand
-           (fun ~demand e ->
-             if residual.(e) +. capacity_slack < demand then begin
-               Metrics.incr m_residual_rejections;
-               infinity
-             end
-             else y.(e)))
-      inst
-  in
-  let solution = ref [] in
-  let continue = ref true in
-  while !continue do
-    if Selector.is_empty sel then continue := false
-    else begin
-      match Selector.select sel with
-      | Some { Selector.request = i; path; alpha } when alpha <= 1.0 ->
-        Metrics.incr m_iterations;
-        Metrics.observe h_path_edges (float_of_int (List.length path));
-        let r = Instance.request inst i in
-        List.iter
-          (fun e ->
-            Metrics.incr m_dual_updates;
-            residual.(e) <- residual.(e) -. r.Request.demand;
-            y.(e) <-
-              y.(e) *. exp (eps *. b *. r.Request.demand /. Graph.capacity g e))
-          path;
-        Selector.update_path sel path;
-        Selector.remove sel i;
-        solution := { Solution.request = i; path } :: !solution
-      | Some _ | None -> continue := false
-    end
-  done;
-  List.rev !solution
+  (* Selected requests leave the pool, so at most |R| iterations: the
+     engine's guard is lifted. *)
+  (Pd_engine.execute ~max_iterations:max_int ~selector ~pool
+     (Pd_engine.threshold_rule ~eps ~b) inst)
+    .Pd_engine.solution
 
 let randomized_rounding ?(eps = 0.1) ~seed inst =
   if not (eps >= 0.0 && eps < 1.0) then

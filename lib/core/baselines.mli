@@ -9,6 +9,9 @@
       its normalised path length is below 1 and the loop carries no
       global budget; its guarantee approaches [e] rather than
       [e/(e-1)]. Monotone, so it also induces a truthful mechanism.
+      A thin wrapper over {!Pd_engine.execute} with
+      {!Pd_engine.threshold_rule}, inside a [baselines.threshold_pd]
+      trace span.
     - {!randomized_rounding}: the classic non-truthful benchmark
       [17, 16, 18] — solve the fractional relaxation, round each
       request independently, then drop violating allocations. Its

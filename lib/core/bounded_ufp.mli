@@ -8,6 +8,13 @@
     [(d_r / v_r) * sum_{e in p_r} y_e], routes it on that path, and
     inflates the duals along the path by [exp(eps B d_r / c_e)].
 
+    A thin wrapper over {!Pd_engine.execute} with
+    {!Pd_engine.algorithm_1}: the loop, its [pd.*] counters and its
+    [pd.select] trace instants live in the engine; this module adds
+    the argument checks, the [bounded_ufp.run] trace span, and the
+    result record below ([final_z] and the certified bound are derived
+    from the engine's trace).
+
     Guarantees (Theorem 3.1): for instances with
     [B >= ln m / eps^2], the output is feasible, the value is within
     [(1 + 6 eps) e/(e-1)] of optimal, and the allocation is monotone
@@ -19,7 +26,7 @@
     rule preserves monotonicity for the {e strict} improvements of
     Definition 2.1). *)
 
-type trace_entry = {
+type trace_entry = Pd_engine.trace_entry = {
   iteration : int;  (** 1-based iteration number *)
   selected : int;  (** request chosen in this iteration *)
   path : int list;  (** path the request was routed on *)

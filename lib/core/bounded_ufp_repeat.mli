@@ -11,7 +11,12 @@
     The iteration count is bounded by [m * c_max / d_min]
     (each selection inflates some edge dual by at least
     [exp(eps B d_min / c_max)]; see the proof of Theorem 5.1), so the
-    running time is polynomial in [m] and [c_max / d_min]. *)
+    running time is polynomial in [m] and [c_max / d_min].
+
+    A thin wrapper over {!Pd_engine.execute} with
+    {!Pd_engine.algorithm_3} and no iteration cap: this module adds
+    the argument checks, the [bounded_ufp_repeat.run] trace span, and
+    the Claim 5.2 bound taken from the engine's trace. *)
 
 type run = {
   solution : Ufp_instance.Solution.t;  (** may repeat request indices *)

@@ -1,5 +1,10 @@
+let log_src = Logs.Src.create "ufp.pd-engine" ~doc:"Primal-dual loop tracing"
+
+module Log = (val Logs.src_log log_src)
+
 module Graph = Ufp_graph.Graph
 module Instance = Ufp_instance.Instance
+module Request = Ufp_instance.Request
 module Solution = Ufp_instance.Solution
 
 module Metrics = Ufp_obs.Metrics
@@ -35,11 +40,11 @@ let () =
    "fits" means the same thing everywhere. *)
 let capacity_slack = Ufp_prelude.Float_tol.capacity_slack
 
-(* Algorithm-level work counters, shared by name with Bounded_ufp,
-   Bounded_ufp_repeat and Baselines.threshold_pd: every primal-dual
-   loop reports into the same catalogue (docs/OBSERVABILITY.md), and
-   they are selection-engine-invariant — `Naive and `Incremental runs
-   produce identical values (a test_obs.ml law). *)
+(* The algorithm-level work counters (docs/OBSERVABILITY.md). This is
+   their only registration site: every primal-dual run in the library
+   goes through [execute], so the values are pure functions of the
+   selection trace and identical across selector engines and pool
+   modes (a test_obs.ml law). *)
 let m_runs = Metrics.counter "pd.runs"
 
 let m_iterations = Metrics.counter "pd.iterations"
@@ -71,10 +76,21 @@ let algorithm_3 ~eps ~b =
 let threshold_rule ~eps ~b =
   { (algorithm_1 ~eps ~b) with stop = Threshold 1.0; respect_residual = true }
 
+type trace_entry = {
+  iteration : int;
+  selected : int;
+  path : int list;
+  alpha : float;
+  d1 : float;
+  dual_bound : float;
+}
+
 type run = {
   solution : Solution.t;
+  trace : trace_entry list;
   iterations : int;
   final_y : float array;
+  budget_exhausted : bool;
 }
 
 let execute ?(max_iterations = 1_000_000) ?(selector = `Incremental)
@@ -88,13 +104,12 @@ let execute ?(max_iterations = 1_000_000) ?(selector = `Incremental)
   let b = Graph.min_capacity g in
   if b < 1.0 then invalid_arg "Pd_engine: requires B >= 1";
   Metrics.incr m_runs;
-  Trace.with_span "pd.execute" @@ fun () ->
   let m = Graph.n_edges g in
   let y = Array.init m (fun e -> 1.0 /. Graph.capacity g e) in
   (* The residual array exists (and is maintained) only when the config
      actually filters paths by it; Budget-mode runs skip the dead
      bookkeeping entirely. *)
-  let weights =
+  let weights, consume_residual =
     if config.respect_residual then begin
       let residual = Array.init m (fun e -> Graph.capacity g e) in
       ( Selector.Per_demand
@@ -109,65 +124,84 @@ let execute ?(max_iterations = 1_000_000) ?(selector = `Incremental)
     end
     else (Selector.Uniform (fun e -> y.(e)), fun _ _ -> ())
   in
-  let weights, consume_residual = weights in
   let sel = Selector.create ~kind:selector ~pool ~weights inst in
-  let d1 = ref (float_of_int m) in
-  let solution = ref [] in
+  let d1 = ref (float_of_int m) (* sum_e c_e / c_e *) in
+  (* D2 = sum of z_r = v_r over the selected requests; it stays 0 in
+     the with-repetitions problem, whose dual (Figure 5) has no z. *)
+  let d2 = ref 0.0 in
+  let trace = ref [] in
   let iterations = ref 0 in
+  let budget_exhausted = ref false in
   let continue = ref true in
   while !continue do
     if Selector.is_empty sel then continue := false
+    else if
+      match config.stop with Budget bound -> !d1 > bound | Threshold _ -> false
+    then begin
+      budget_exhausted := true;
+      continue := false
+    end
     else begin
-      (match config.stop with
-      | Budget bound -> if !d1 > bound then continue := false
-      | Threshold _ -> ());
-      if !continue then begin
-        match Selector.select sel with
-        | None -> continue := false
-        | Some { Selector.request = i; path; alpha } ->
-          let accept =
-            match config.stop with
-            | Budget _ -> true
-            | Threshold bound -> alpha <= bound
-          in
-          if not accept then continue := false
-          else begin
-            incr iterations;
-            Metrics.incr m_iterations;
-            (* Defensive budget: each no-repetition iteration permanently
-               allocates one request, so this fires only on a
-               non-terminating (repetitions) configuration. The
-               exception carries the loop state so the caller can see
-               how far the duals got. *)
-            if !iterations > max_iterations then
-              raise
-                (Iteration_limit
-                   { iterations = !iterations; d1 = !d1; stop = config.stop });
-            if Trace.is_on () then
-              Trace.instant "pd.select"
-                ~args:
-                  [ ("request", Trace.Int i); ("alpha", Trace.Float alpha) ];
-            let r = Instance.request inst i in
-            let d1_before = !d1 in
-            List.iter
-              (fun e ->
-                Metrics.incr m_dual_updates;
-                let c = Graph.capacity g e in
-                let old = y.(e) in
-                y.(e) <-
-                  old
-                  *. config.inflation ~b ~demand:r.Ufp_instance.Request.demand
-                       ~capacity:c;
-                d1 := !d1 +. (c *. (y.(e) -. old)))
-              path;
-            Metrics.gauge_add g_d1_growth (!d1 -. d1_before);
-            Metrics.observe h_path_edges (float_of_int (List.length path));
-            consume_residual r.Ufp_instance.Request.demand path;
-            Selector.update_path sel path;
-            if config.remove_selected then Selector.remove sel i;
-            solution := { Solution.request = i; path } :: !solution
-          end
-      end
+      match Selector.select sel with
+      | Some { Selector.request = i; path; alpha }
+        when match config.stop with
+             | Budget _ -> true
+             | Threshold bound -> alpha <= bound ->
+        incr iterations;
+        Metrics.incr m_iterations;
+        (* Defensive budget: each no-repetition iteration permanently
+           allocates one request, so this fires only on a
+           non-terminating (repetitions) configuration. The exception
+           carries the loop state so the caller can see how far the
+           duals got. *)
+        if !iterations > max_iterations then
+          raise
+            (Iteration_limit
+               { iterations = !iterations; d1 = !d1; stop = config.stop });
+        Log.debug (fun m ->
+            m "iteration %d: select request %d (alpha %.6g, %d edges)"
+              !iterations i alpha (List.length path));
+        if Trace.is_on () then
+          Trace.instant "pd.select"
+            ~args:[ ("request", Trace.Int i); ("alpha", Trace.Float alpha) ];
+        let r = Instance.request inst i in
+        (* Claim 3.6 certificate (Claim 5.2's D/alpha when D2 = 0),
+           using the duals before the update. *)
+        let dual_bound =
+          if alpha > 0.0 then (!d1 /. alpha) +. !d2 else infinity
+        in
+        let d1_before = !d1 in
+        List.iter
+          (fun e ->
+            Metrics.incr m_dual_updates;
+            let c = Graph.capacity g e in
+            let old = y.(e) in
+            y.(e) <-
+              old *. config.inflation ~b ~demand:r.Request.demand ~capacity:c;
+            d1 := !d1 +. (c *. (y.(e) -. old)))
+          path;
+        Metrics.gauge_add g_d1_growth (!d1 -. d1_before);
+        Metrics.observe h_path_edges (float_of_int (List.length path));
+        consume_residual r.Request.demand path;
+        Selector.update_path sel path;
+        if config.remove_selected then begin
+          d2 := !d2 +. r.Request.value;
+          Selector.remove sel i
+        end;
+        trace :=
+          { iteration = !iterations; selected = i; path; alpha; d1 = !d1;
+            dual_bound }
+          :: !trace
+      | Some _ | None ->
+        (* No pending request is routable, or the threshold rejects
+           the cheapest one. *)
+        continue := false
     end
   done;
-  { solution = List.rev !solution; iterations = !iterations; final_y = y }
+  let solution =
+    List.rev_map
+      (fun t -> { Solution.request = t.selected; path = t.path })
+      !trace
+  in
+  { solution; trace = List.rev !trace; iterations = !iterations; final_y = y;
+    budget_exhausted = !budget_exhausted }

@@ -1,6 +1,6 @@
-(** A configurable primal-dual iterative path minimizer — the design
-    space that Algorithm 1, Algorithm 3 and the BKV-style threshold
-    rule all live in.
+(** The primal-dual iterative path minimizer: the one loop behind
+    Algorithm 1, Algorithm 3, the BKV-style threshold rule and the
+    EXP-ABLATION variants.
 
     Each iteration selects the pending request minimising the
     normalised shortest-path length [(d_r/v_r) sum_{e in p} y_e] under
@@ -9,12 +9,11 @@
     rule, whether a selected request leaves the pool (no-repetitions)
     and whether paths are filtered by residual capacity.
 
-    Purpose: (1) a differential-testing oracle — the test suite checks
-    that instantiating the paper's parameters reproduces
-    {!Bounded_ufp} and {!Bounded_ufp_repeat} decision-for-decision
-    (those modules remain literal transcriptions of the paper's
-    pseudo-code); (2) an API for exploring variants (the EXP-ABLATION
-    experiments are points of this space). *)
+    {!Bounded_ufp}, {!Bounded_ufp_repeat} and
+    {!Baselines.threshold_pd} are thin wrappers over {!execute}. The
+    engine is checked against a literal transcription of the loop in
+    [test/test_core.ml] (a fresh Dijkstra per pending request, no
+    {!Selector}) by a bitwise QCheck law. *)
 
 type stop_rule =
   | Budget of float
@@ -46,10 +45,24 @@ val threshold_rule : eps:float -> b:float -> config
 (** The BKV-style acceptance-threshold rule of
     {!Baselines.threshold_pd}. *)
 
+type trace_entry = {
+  iteration : int;  (** 1-based iteration number *)
+  selected : int;  (** request chosen in this iteration *)
+  path : int list;  (** path the request was routed on *)
+  alpha : float;  (** normalised length [(d/v)|p|] at selection time — the paper's [alpha(i)] *)
+  d1 : float;  (** [sum_e c_e y_e] after the dual update *)
+  dual_bound : float;
+      (** [D1/alpha + D2] under the duals before the update ([infinity]
+          if [alpha = 0]); [D2] sums the values selected so far when
+          [remove_selected], and is 0 otherwise *)
+}
+
 type run = {
   solution : Ufp_instance.Solution.t;
+  trace : trace_entry list;  (** one entry per allocation, in order *)
   iterations : int;
-  final_y : float array;
+  final_y : float array;  (** dual edge weights at termination *)
+  budget_exhausted : bool;  (** the loop ended on a [Budget] stop *)
 }
 
 exception
@@ -77,21 +90,24 @@ val execute :
     (raises [Invalid_argument] otherwise). [max_iterations] (default
     [1_000_000]) guards non-terminating configurations; exceeding it
     raises {!Iteration_limit} with the loop state. Ties break towards
-    the lowest request index, matching {!Bounded_ufp}.
+    the lowest request index.
+
+    [dual_bound] certifies OPT only for [Budget] configs without
+    residual filtering: it is Claim 3.6's certificate for
+    {!algorithm_1} and Claim 5.2's [D/alpha] for {!algorithm_3}.
 
     [selector] picks the {!Selector} engine (default [`Incremental];
     both engines make identical decisions); [pool] (default [`Seq])
     fans the selector's stale-tree rebuilds out across an
-    {!Ufp_par.Pool} with bitwise-identical decisions. Residual
-    bookkeeping is only maintained when [respect_residual] is set —
-    Budget-mode runs carry no residual state at all.
+    {!Ufp_par.Pool} with bitwise-identical decisions.
 
-    Work accounting: each run increments the [pd.*] metrics of
-    {!Ufp_obs.Metrics} (iterations, per-edge dual updates, [D1]
-    growth, a path-length histogram) and, when {!Ufp_obs.Trace} is
-    enabled, emits a [pd.execute] span with one [pd.select] instant
-    per iteration. The [pd.*] values are pure functions of the
-    selection trace, hence identical across selector engines, pool
-    modes, and repeated runs (see docs/OBSERVABILITY.md); residual
-    rejections are counted per snapshot build under
-    [selector.residual_rejections] — cache economics, not pd.*. *)
+    Work accounting: this is the only registration site of the [pd.*]
+    metrics of {!Ufp_obs.Metrics} (runs, iterations, per-edge dual
+    updates, [D1] growth, a path-length histogram). They are pure
+    functions of the selection trace, hence identical across selector
+    engines, pool modes, and repeated runs (see
+    docs/OBSERVABILITY.md); residual rejections are counted per
+    snapshot build under [selector.residual_rejections]. With
+    {!Ufp_obs.Trace} on, each iteration emits a [pd.select] instant;
+    the engine opens no span, so the loop's time is the self time of
+    the caller's span ([bounded_ufp.run], ...). *)

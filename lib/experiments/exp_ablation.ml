@@ -1,62 +1,27 @@
 module Table = Ufp_prelude.Table
 module Graph = Ufp_graph.Graph
-module Dijkstra = Ufp_graph.Dijkstra
 module Gen = Ufp_graph.Generators
 module Instance = Ufp_instance.Instance
-module Request = Ufp_instance.Request
 module Solution = Ufp_instance.Solution
 module Workloads = Ufp_instance.Workloads
+module Pd_engine = Ufp_core.Pd_engine
 module Reasonable = Ufp_core.Reasonable
 
-(* A compact parameterised re-implementation of the Algorithm 1 loop:
-   [update] maps eps*B*d/c to the multiplicative dual inflation, and
-   the stopping budget is scaled by [budget_scale]. With
-   [update = exp] and [budget_scale = 1] this is exactly Bounded-UFP. *)
+(* An Algorithm 1 variant on the primal-dual engine: [update] maps
+   eps*B*d/c to the multiplicative dual inflation, and the stopping
+   budget is scaled by [budget_scale]. With [update = exp] and
+   [budget_scale = 1] this is exactly Bounded-UFP. *)
 let pd_variant ~eps ~update ~budget_scale inst =
-  let g = Instance.graph inst in
-  let b = Graph.min_capacity g in
-  let m = Graph.n_edges g in
-  let budget = exp (eps *. (b -. 1.0) *. budget_scale) in
-  let y = Array.init m (fun e -> 1.0 /. Graph.capacity g e) in
-  let d1 = ref (float_of_int m) in
-  let pending = ref (List.init (Instance.n_requests inst) Fun.id) in
-  let solution = ref [] in
-  let continue = ref true in
-  while !continue do
-    if !pending = [] || !d1 > budget then continue := false
-    else begin
-      let best = ref None in
-      List.iter
-        (fun i ->
-          let r = Instance.request inst i in
-          match
-            Dijkstra.shortest_path g
-              ~weight:(fun e -> y.(e))
-              ~src:r.Request.src ~dst:r.Request.dst
-          with
-          | Some (dist, path) -> (
-            let alpha = Request.density r *. dist in
-            match !best with
-            | Some (a, _, _) when a <= alpha -> ()
-            | _ -> best := Some (alpha, i, path))
-          | None -> ())
-        !pending;
-      match !best with
-      | None -> continue := false
-      | Some (_, i, path) ->
-        let r = Instance.request inst i in
-        List.iter
-          (fun e ->
-            let c = Graph.capacity g e in
-            let old = y.(e) in
-            y.(e) <- old *. update (eps *. b *. r.Request.demand /. c);
-            d1 := !d1 +. (c *. (y.(e) -. old)))
-          path;
-        pending := List.filter (fun j -> j <> i) !pending;
-        solution := { Solution.request = i; path } :: !solution
-    end
-  done;
-  List.rev !solution
+  let b = Graph.min_capacity (Instance.graph inst) in
+  let config =
+    {
+      (Pd_engine.algorithm_1 ~eps ~b) with
+      Pd_engine.inflation =
+        (fun ~b ~demand ~capacity -> update (eps *. b *. demand /. capacity));
+      stop = Pd_engine.Budget (exp (eps *. (b -. 1.0) *. budget_scale));
+    }
+  in
+  (Pd_engine.execute config inst).Pd_engine.solution
 
 let update_rule_table ~quick =
   let table =

@@ -26,9 +26,9 @@
       whenever the summands are (integer probe counts observed as
       floats are). See docs/PARALLELISM.md.
     + {b Registration is idempotent by name}: [counter "pd.iterations"]
-      returns the same slot from every module, so independent solvers
-      (Bounded-UFP, Pd_engine, the threshold baseline) share one
-      catalogue without a central declaration file.
+      returns the same slot from every module, so each layer declares
+      its own catalogue where it does the work (the [pd.*] counters in
+      [Pd_engine], the one primal-dual loop) with no central file.
     + {b Snapshots are pure data, sorted by name} — two runs of a
       deterministic algorithm produce structurally equal snapshots
       (test_obs.ml enforces this as a law; the fixed shard-list fold

@@ -1,7 +1,7 @@
 module Table = Ufp_prelude.Table
 
 (* Fold the span stream into a per-phase profile. A phase is a span
-   name (pd.execute, selector rebuilds, payment bisections, VCG
+   name (bounded_ufp.run, selector rebuilds, payment bisections, VCG
    counterfactuals, ...); the stream is replayed per tid with an
    explicit frame stack, so nested spans attribute self time the way
    a sampling profiler would: a frame's self time is its duration

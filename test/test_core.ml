@@ -536,59 +536,225 @@ let test_online_rejects_worthless () =
   Alcotest.(check (list int)) "rejected" []
     (Solution.selected (Online.solve ~eps:0.5 inst))
 
-(* --- Pd_engine: differential testing against the transcriptions --- *)
+(* --- Pd_engine: differential testing against a literal transcription --- *)
 
 module Pd_engine = Ufp_core.Pd_engine
+module Dijkstra = Ufp_graph.Dijkstra
+
+(* The primal-dual loop written out as on the page, sharing nothing
+   with the engine but the graph: each iteration runs a fresh
+   Dijkstra.shortest_path for every pending request and never touches
+   Selector. [update] maps eps*B*d/c to the dual inflation, so
+   [update = exp] is Algorithm 1 with its exp(eps(B-1)) budget.
+   [repeat] keeps selected requests pending (Algorithm 3).
+   [threshold] filters edges by residual capacity and, instead of the
+   budget, stops at the first minimum alpha above 1 (the BKV-style
+   rule). Returns the (request, path, alpha, d1 after the update)
+   sequence and the final duals. *)
+let pd_oracle ?(repeat = false) ?(threshold = false) ~eps ~update inst =
+  let g = Instance.graph inst in
+  let b = Graph.min_capacity g in
+  let m = Graph.n_edges g in
+  let budget = exp (eps *. (b -. 1.0)) in
+  let y = Array.init m (fun e -> 1.0 /. Graph.capacity g e) in
+  let residual = Array.init m (fun e -> Graph.capacity g e) in
+  let d1 = ref (float_of_int m) in
+  let pending = ref (List.init (Instance.n_requests inst) Fun.id) in
+  let trace = ref [] in
+  let continue = ref true in
+  while !continue do
+    if !pending = [] || ((not threshold) && !d1 > budget) then
+      continue := false
+    else begin
+      let best = ref None in
+      List.iter
+        (fun i ->
+          let r = Instance.request inst i in
+          let weight e =
+            if
+              threshold
+              && residual.(e) +. Pd_engine.capacity_slack < r.Request.demand
+            then infinity
+            else y.(e)
+          in
+          match
+            Dijkstra.shortest_path g ~weight ~src:r.Request.src
+              ~dst:r.Request.dst
+          with
+          | Some (dist, path) when dist < infinity -> (
+            let alpha = Request.density r *. dist in
+            match !best with
+            | Some (a, _, _) when a <= alpha -> ()
+            | _ -> best := Some (alpha, i, path))
+          | Some _ | None -> ())
+        !pending;
+      match !best with
+      | Some (alpha, i, path) when (not threshold) || alpha <= 1.0 ->
+        let r = Instance.request inst i in
+        List.iter
+          (fun e ->
+            let c = Graph.capacity g e in
+            let old = y.(e) in
+            y.(e) <- old *. update (eps *. b *. r.Request.demand /. c);
+            residual.(e) <- residual.(e) -. r.Request.demand;
+            d1 := !d1 +. (c *. (y.(e) -. old)))
+          path;
+        if not repeat then pending := List.filter (fun j -> j <> i) !pending;
+        trace := (i, path, alpha, !d1) :: !trace
+      | Some _ | None -> continue := false
+    end
+  done;
+  (List.rev !trace, y)
+
+let oracle_allocations trace =
+  List.map (fun (i, path, _, _) -> { Solution.request = i; path }) trace
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* The oracle's step tuples against an engine trace, floats bitwise. *)
+let same_steps oracle (trace : Pd_engine.trace_entry list) =
+  List.equal
+    (fun (i, path, alpha, d1) (i', path', alpha', d1') ->
+      i = i' && path = path' && same_bits alpha alpha' && same_bits d1 d1')
+    oracle
+    (List.map
+       (fun (t : Pd_engine.trace_entry) -> (t.selected, t.path, t.alpha, t.d1))
+       trace)
+
+let check_same_duals what expected actual =
+  Alcotest.(check bool) what true (Array.for_all2 same_bits expected actual)
 
 let test_engine_reproduces_bounded_ufp () =
-  (* The engine instantiated with the paper's parameters must make
-     decision-for-decision the same run as the literal Algorithm 1
-     transcription — an independent implementation agreeing on every
-     seed is strong evidence both are the algorithm on the page. *)
+  (* Bounded_ufp.run (the engine with Algorithm 1's parameters) must
+     make decision-for-decision the oracle's run, bit for bit: an
+     independent implementation agreeing on every seed is strong
+     evidence both are the algorithm on the page. *)
   for seed = 1 to 8 do
     let inst = grid_instance ~rows:3 ~cols:3 ~capacity:14.0 ~count:25 seed in
     let eps = 0.3 in
-    let b = Graph.min_capacity (Instance.graph inst) in
-    let direct = Bounded_ufp.run ~eps inst in
-    let engine = Pd_engine.execute (Pd_engine.algorithm_1 ~eps ~b) inst in
-    Alcotest.(check (list int))
-      (Printf.sprintf "same selection seed %d" seed)
-      (Solution.selected direct.Bounded_ufp.solution)
-      (Solution.selected engine.Pd_engine.solution);
-    Alcotest.(check int) "same iterations" direct.Bounded_ufp.iterations
-      engine.Pd_engine.iterations;
-    Array.iteri
-      (fun e ye ->
-        Alcotest.(check (float Float_tol.check_eps)) "same final duals" ye
-          engine.Pd_engine.final_y.(e))
-      direct.Bounded_ufp.final_y
+    let run = Bounded_ufp.run ~eps inst in
+    let trace, y = pd_oracle ~eps ~update:exp inst in
+    Alcotest.(check bool)
+      (Printf.sprintf "same (request, path, alpha, d1) seed %d" seed)
+      true
+      (same_steps trace run.Bounded_ufp.trace);
+    Alcotest.(check int) "same iterations" (List.length trace)
+      run.Bounded_ufp.iterations;
+    check_same_duals "same final duals" y run.Bounded_ufp.final_y
   done
 
 let test_engine_reproduces_repeat () =
   for seed = 1 to 4 do
     let inst = grid_instance ~rows:3 ~cols:3 ~capacity:12.0 ~count:6 seed in
     let eps = 0.3 in
-    let b = Graph.min_capacity (Instance.graph inst) in
-    let direct = Repeat.run ~eps inst in
-    let engine = Pd_engine.execute (Pd_engine.algorithm_3 ~eps ~b) inst in
-    Alcotest.(check (list int))
-      (Printf.sprintf "same repeat selection seed %d" seed)
-      (Solution.selected direct.Repeat.solution)
-      (Solution.selected engine.Pd_engine.solution)
+    let run = Repeat.run ~eps inst in
+    let trace, y =
+      pd_oracle ~repeat:true ~eps ~update:exp inst
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "same repeat allocations seed %d" seed)
+      true
+      (oracle_allocations trace = run.Repeat.solution);
+    check_same_duals "same final duals" y run.Repeat.final_y
   done
 
 let test_engine_reproduces_threshold_pd () =
   for seed = 1 to 5 do
     let inst = grid_instance ~rows:3 ~cols:3 ~capacity:12.0 ~count:15 seed in
-    let eps = 0.3 in
-    let b = Graph.min_capacity (Instance.graph inst) in
-    let direct = Baselines.threshold_pd ~eps inst in
-    let engine = Pd_engine.execute (Pd_engine.threshold_rule ~eps ~b) inst in
-    Alcotest.(check (list int))
-      (Printf.sprintf "same threshold selection seed %d" seed)
-      (Solution.selected direct)
-      (Solution.selected engine.Pd_engine.solution)
+    let trace, _ =
+      pd_oracle ~threshold:true ~eps:0.3 ~update:exp inst
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "same threshold allocations seed %d" seed)
+      true
+      (oracle_allocations trace = Baselines.threshold_pd ~eps:0.3 inst)
   done
+
+(* The engine law: for every loop in the library (Algorithms 1 and 3,
+   the threshold rule) and the first-order EXP-ABLATION update, the
+   engine's (request, path, alpha, d1) sequence and final duals equal
+   the oracle's bit for bit, sequentially and on a 2-domain pool.
+   Instances are random grids plus the Figure 2 staircase and the
+   Figure 3 gadget with their paper request sets, at capacities
+   meeting B >= ln m / eps^2 (below it the budget can trip before the
+   first iteration, and the law would compare two empty runs). One
+   kind of grid has B in 1..3 instead: at large B the threshold rule
+   stops on alpha > 1 long before an edge fills up, so only tight
+   capacities exercise its residual filter. *)
+let law_instance (kind, seed, count) eps =
+  let premise m = Float.ceil (log (float_of_int m) /. (eps *. eps)) in
+  match kind with
+  | 0 ->
+    let levels = 2 + (seed mod 3) in
+    let b = premise (levels + (levels * (levels + 1) / 2)) in
+    let sc = Gen.staircase ~levels ~capacity:b in
+    Instance.create sc.Gen.graph
+      (Workloads.staircase_requests sc ~per_source:(int_of_float b))
+  | 1 ->
+    let b = premise 8 in
+    Instance.create (Gen.gadget7 ~capacity:b)
+      (Workloads.gadget7_requests ~per_pair:(int_of_float b))
+  | _ ->
+    let rows = 2 + (seed mod 3) and cols = 2 + (seed / 3 mod 3) in
+    let m = (rows * (cols - 1)) + (cols * (rows - 1)) in
+    let capacity =
+      if kind = 2 then float_of_int (1 + (seed mod 3)) else premise m
+    in
+    grid_instance ~rows ~cols ~capacity ~count seed
+
+let qcheck_engine_matches_oracle pool =
+  QCheck.Test.make ~count:200
+    ~name:"engine matches the literal transcription bit for bit"
+    QCheck.(
+      pair
+        (triple (int_range 0 5) (int_range 0 1000) (int_range 2 12))
+        (oneofl ~print:string_of_float [ 0.3; 0.5 ]))
+    (fun (shape, eps) ->
+      let inst = law_instance shape eps in
+      let b = Graph.min_capacity (Instance.graph inst) in
+      let first_order a = 1.0 +. a in
+      List.for_all
+        (fun (label, config, oracle) ->
+          let trace, y = oracle () in
+          List.for_all
+            (fun (pool_label, pool) ->
+              let run = Pd_engine.execute ~pool config inst in
+              let same =
+                same_steps trace run.Pd_engine.trace
+                && Array.for_all2 same_bits y run.Pd_engine.final_y
+              in
+              if not same then
+                QCheck.Test.fail_reportf "%s diverges from the oracle (%s)"
+                  label pool_label;
+              true)
+            [ ("seq", `Seq); ("2-domain pool", pool) ])
+        [
+          ( "algorithm_1",
+            Pd_engine.algorithm_1 ~eps ~b,
+            fun () -> pd_oracle ~eps ~update:exp inst );
+          ( "algorithm_3",
+            Pd_engine.algorithm_3 ~eps ~b,
+            fun () ->
+              pd_oracle ~repeat:true ~eps ~update:exp inst );
+          ( "threshold_rule",
+            Pd_engine.threshold_rule ~eps ~b,
+            fun () ->
+              pd_oracle ~threshold:true ~eps ~update:exp inst
+          );
+          ( "1 + a ablation",
+            {
+              (Pd_engine.algorithm_1 ~eps ~b) with
+              Pd_engine.inflation =
+                (fun ~b ~demand ~capacity ->
+                  first_order (eps *. b *. demand /. capacity));
+            },
+            fun () -> pd_oracle ~eps ~update:first_order inst
+          );
+        ])
+
+let test_engine_matches_oracle () =
+  Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
+      QCheck.Test.check_exn (qcheck_engine_matches_oracle pool))
 
 let test_engine_validation () =
   let inst = grid_instance ~rows:3 ~cols:3 ~capacity:12.0 ~count:4 1 in
@@ -922,6 +1088,8 @@ let () =
             test_engine_reproduces_threshold_pd;
           Alcotest.test_case "validation" `Quick test_engine_validation;
           Alcotest.test_case "iteration guard" `Quick test_engine_iteration_guard;
+          Alcotest.test_case "matches the literal transcription" `Quick
+            test_engine_matches_oracle;
         ] );
       ( "selector",
         [

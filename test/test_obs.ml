@@ -23,6 +23,9 @@ module Request = Ufp_instance.Request
 module Gen = Ufp_graph.Generators
 module Workloads = Ufp_instance.Workloads
 module Pd_engine = Ufp_core.Pd_engine
+module Bounded_ufp = Ufp_core.Bounded_ufp
+module Repeat = Ufp_core.Bounded_ufp_repeat
+module Baselines = Ufp_core.Baselines
 module Rng = Ufp_prelude.Rng
 module Float_tol = Ufp_prelude.Float_tol
 
@@ -471,6 +474,40 @@ let test_metrics_deterministic () =
     (r1.Pd_engine.solution = r2.Pd_engine.solution);
   Alcotest.(check bool) "identical snapshots" true (s1 = s2)
 
+(* --- wrapper spans: the engine records inside its caller's span --- *)
+
+(* A traced run of a primal-dual wrapper records exactly one span of
+   its own, every pd.select instant of the engine lies inside it, and
+   the engine opens no pd.execute span: profile self time lands on the
+   wrapper span (the layer row perfbench reads as bounded_ufp.self_s). *)
+let test_wrapper_span span solve () =
+  let inst = grid_instance ~rows:3 ~cols:3 ~capacity:20.0 ~count:12 5 in
+  Trace.start ();
+  solve inst;
+  Trace.stop ();
+  let spans = ref [] and opened = ref None in
+  let selects = ref [] and engine_spans = ref 0 in
+  Trace.iter_events (fun ev ->
+      let name = ev.Trace.ev_name in
+      if name = "pd.execute" then incr engine_spans
+      else if name = "pd.select" then selects := ev.Trace.ev_ts :: !selects
+      else if name = span then
+        match (ev.Trace.ev_ph, !opened) with
+        | 'B', _ -> opened := Some ev.Trace.ev_ts
+        | 'E', Some b ->
+          spans := (b, ev.Trace.ev_ts) :: !spans;
+          opened := None
+        | _ -> ());
+  Trace.clear ();
+  Alcotest.(check int) ("one " ^ span ^ " span") 1 (List.length !spans);
+  Alcotest.(check int) "no pd.execute span" 0 !engine_spans;
+  Alcotest.(check bool) "the run selected something" true (!selects <> []);
+  let b, e = List.hd !spans in
+  Alcotest.(check bool) "every pd.select inside the span" true
+    (List.for_all
+       (fun ts -> Int64.compare b ts <= 0 && Int64.compare ts e <= 0)
+       !selects)
+
 (* --- the engine-invariance law (QCheck) --- *)
 
 (* pd.* is decided by the algorithm; selector.* is cache economics and
@@ -585,6 +622,17 @@ let () =
             test_trace_spans_balance;
           Alcotest.test_case "ring overflow stays balanced" `Quick
             test_trace_ring_overflow_stays_balanced;
+          Alcotest.test_case "bounded_ufp.run span encloses the loop" `Quick
+            (test_wrapper_span "bounded_ufp.run" (fun inst ->
+                 ignore (Bounded_ufp.run ~eps:0.3 inst)));
+          Alcotest.test_case "bounded_ufp_repeat.run span encloses the loop"
+            `Quick
+            (test_wrapper_span "bounded_ufp_repeat.run" (fun inst ->
+                 ignore (Repeat.run ~eps:0.3 inst)));
+          Alcotest.test_case "baselines.threshold_pd span encloses the loop"
+            `Quick
+            (test_wrapper_span "baselines.threshold_pd" (fun inst ->
+                 ignore (Baselines.threshold_pd ~eps:0.3 inst)));
         ] );
       ( "profile",
         [
