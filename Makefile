@@ -51,7 +51,6 @@ bench-csv:
 	dune exec bench/main.exe -- --csv results
 
 # Perf artifacts (schemas in EXPERIMENTS.md):
-#   BENCH_PR5.json — list-vs-CSR Dijkstra micros + EXP-SCALE-SELECTOR
 #   BENCH_PR6.json — RMAT TEPS trials (up to scale 18, ~2.6M edges) +
 #                    end-to-end RMAT solves, seq vs 2-domain pool
 #   BENCH_PR8.json — telemetry hot-path micros + CI-sized end-to-end
@@ -62,7 +61,6 @@ bench-csv:
 #   BENCH_PR10.json — sequential Dijkstra on RMAT + packed-vs-wide
 #                    adjacency latency and footprint rows
 bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR5.json
 	dune exec bench/main.exe -- --json-pr6 BENCH_PR6.json
 	dune exec bench/main.exe -- --json-pr8 BENCH_PR8.json
 	dune exec bench/main.exe -- --json-pr9 BENCH_PR9.json

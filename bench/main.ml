@@ -10,10 +10,6 @@
      dune exec bench/main.exe -- --no-micro   # skip bechamel section
      dune exec bench/main.exe -- --csv DIR    # also save tables as CSV
      dune exec bench/main.exe -- --markdown F # also save a markdown report
-     dune exec bench/main.exe -- --json F     # PR 5 perf artifact only:
-                                              # list-vs-CSR Dijkstra micros +
-                                              # EXP-SCALE-SELECTOR wall times
-                                              # (schema in EXPERIMENTS.md)
      dune exec bench/main.exe -- --json-pr6 F # PR 6 scale artifact only:
                                               # RMAT TEPS trials + end-to-end
                                               # RMAT solves, seq vs pool
@@ -195,20 +191,13 @@ let micro_tests () =
       (Staged.stage (fun () ->
            ignore (Dijkstra.shortest_tree grid ~weight:(fun e -> weights.(e)) ~src:0)))
   in
-  (* Full Bounded-UFP solve (Theorem 3.1 instance), once per selection
-     engine — the EXP-SCALE-SELECTOR comparison at micro scale. *)
+  (* Full Bounded-UFP solve (Theorem 3.1 instance). *)
   let eps = 0.3 in
   let capacity = Harness.capacity_for ~m:24 ~eps in
   let ufp_inst = Harness.grid_instance ~seed:2 ~rows:4 ~cols:4 ~capacity ~count:60 in
   let bounded_ufp =
-    Test.make ~name:"bounded-ufp-naive-4x4-60req"
-      (Staged.stage (fun () ->
-           ignore (Bounded_ufp.solve ~eps ~selector:`Naive ufp_inst)))
-  in
-  let bounded_ufp_incr =
     Test.make ~name:"bounded-ufp-incremental-4x4-60req"
-      (Staged.stage (fun () ->
-           ignore (Bounded_ufp.solve ~eps ~selector:`Incremental ufp_inst)))
+      (Staged.stage (fun () -> ignore (Bounded_ufp.solve ~eps ufp_inst)))
   in
   (* Bounded-MUCA solve. *)
   let auction =
@@ -282,7 +271,7 @@ let micro_tests () =
   in
   (dijkstra :: dijkstra_trio)
   @ [
-      bounded_ufp; bounded_ufp_incr; bounded_muca; staircase; mcf; colgen;
+      bounded_ufp; bounded_muca; staircase; mcf; colgen;
       maxflow; payment; payments_seq; payments_par;
     ]
   @ obs_tests ()
@@ -332,11 +321,7 @@ let run_micro () =
     (ols_rows (micro_tests ()));
   Ufp_prelude.Table.print table
 
-(* --- the PR 5 perf artifact: BENCH_PR5.json ---
-
-   `make bench-json` runs only what the CSR change claims to speed up —
-   the list-vs-CSR Dijkstra trio and the EXP-SCALE-SELECTOR end-to-end
-   wall times — and writes them as JSON (schema in EXPERIMENTS.md). *)
+(* --- shared by the BENCH_*.json emitters --- *)
 
 let json_float = function
   | Some x when Float.is_finite x -> Printf.sprintf "%.6g" x
@@ -360,71 +345,9 @@ let provenance_json () =
     git_rev Sys.ocaml_version
     (Domain.recommended_domain_count ())
 
-let run_bench_json path =
-  let _grid, trio = dijkstra_compare_tests () in
-  print_string "### BENCH-JSON: list-vs-CSR Dijkstra micros\n";
-  let micro_rows = ols_rows trio in
-  List.iter
-    (fun (name, est, _) ->
-      Printf.printf "  %-34s %s ns/run\n" name (json_float est))
-    micro_rows;
-  print_string "### BENCH-JSON: EXP-SCALE-SELECTOR end-to-end\n";
-  let eps = 0.3 in
-  let exp_rows =
-    List.map
-      (fun (rows, cols, count) ->
-        let m = (rows * (cols - 1)) + (cols * (rows - 1)) in
-        let capacity = Harness.capacity_for ~m ~eps in
-        let inst = Harness.grid_instance ~seed:1 ~rows ~cols ~capacity ~count in
-        let naive, t_naive =
-          Harness.time_it (fun () -> Bounded_ufp.run ~eps ~selector:`Naive inst)
-        in
-        let incr, t_incr =
-          Harness.time_it (fun () ->
-              Bounded_ufp.run ~eps ~selector:`Incremental inst)
-        in
-        let equal = naive.Bounded_ufp.trace = incr.Bounded_ufp.trace in
-        Printf.printf "  %dx%d %d req: naive %.3fs incremental %.3fs equal %b\n"
-          rows cols count t_naive t_incr equal;
-        (rows, cols, count, m, t_naive, t_incr, equal))
-      [ (6, 6, 200); (8, 8, 400) ]
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr5/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"dijkstra_micro\": [\n";
-  List.iteri
-    (fun i (name, est, r2) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"kernel\": %S, \"ns_per_run\": %s, \"r_square\": %s }%s\n"
-           name (json_float est) (json_float r2)
-           (if i = List.length micro_rows - 1 then "" else ",")))
-    micro_rows;
-  Buffer.add_string buf "  ],\n  \"selector_end_to_end\": [\n";
-  List.iteri
-    (fun i (rows, cols, count, m, t_naive, t_incr, equal) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"grid\": \"%dx%d\", \"edges\": %d, \"requests\": %d, \
-            \"naive_s\": %.6f, \"incremental_s\": %.6f, \"speedup\": %.4f, \
-            \"traces_equal\": %b }%s\n"
-           rows cols m count t_naive t_incr
-           (t_naive /. Float.max t_incr Float_tol.div_guard)
-           equal
-           (if i = List.length exp_rows - 1 then "" else ",")))
-    exp_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "wrote %s\n" path
-
 (* --- the PR 6 scale artifact: BENCH_PR6.json ---
 
-   `make bench-json` also runs the million-edge-scale certification:
+   `make bench-json` runs the million-edge-scale certification:
    RMAT TEPS trials through the streaming CSR builder (the full sweep
    tops out at scale 18 — ~2.6M edges) plus an end-to-end Bounded-UFP
    solve over an RMAT instance with hub-laid requests, sequential vs
@@ -561,10 +484,7 @@ let run_bench_json_pr8 path =
   let m = (6 * 5) + (6 * 5) in
   let capacity = Harness.capacity_for ~m ~eps in
   let inst = Harness.grid_instance ~seed:1 ~rows:6 ~cols:6 ~capacity ~count:200 in
-  let _, solve_s =
-    Harness.time_it (fun () ->
-        ignore (Bounded_ufp.run ~eps ~selector:`Incremental inst))
-  in
+  let _, solve_s = Harness.time_it (fun () -> ignore (Bounded_ufp.run ~eps inst)) in
   Printf.printf "  bounded-ufp-incremental-6x6-200req %.3f s\n" solve_s;
   let pay_inst = Harness.grid_instance ~seed:6 ~rows:3 ~cols:3 ~capacity:12.0 ~count:8 in
   let pay_model = Ufp_mech.Ufp_mechanism.model (Bounded_ufp.solve ~eps:0.3) in
@@ -904,11 +824,6 @@ let () =
   let only = flag_value "--only" in
   let csv_dir = flag_value "--csv" in
   let markdown_path = flag_value "--markdown" in
-  (match flag_value "--json" with
-  | Some path ->
-    run_bench_json path;
-    exit 0
-  | None -> ());
   (match flag_value "--json-pr6" with
   | Some path ->
     run_bench_json_pr6 ~quick path;

@@ -308,9 +308,14 @@ let solve path algo_name eps seed jobs verbose audit out metrics
   let repetitions = algo_name = "repeat" in
   let value = Solution.value inst sol in
   Printf.printf "algorithm : %s\n" algo_name;
+  (* Only the primal-dual rules build a Selector, so only they have
+     tree rebuilds for --jobs to fan out. *)
+  let has_selector =
+    List.mem algo_name [ "bounded-ufp"; "repeat"; "threshold-pd" ]
+  in
   (match pool_description jobs with
-  | None -> ()
-  | Some d -> Printf.printf "selector rebuilds: %s\n" d);
+  | Some d when has_selector -> Printf.printf "selector rebuilds: %s\n" d
+  | Some _ | None -> ());
   Printf.printf "allocated : %d / %d requests\n" (List.length sol)
     (Instance.n_requests inst);
   Printf.printf "value     : %.6g\n" value;

@@ -44,7 +44,7 @@ let greedy_by_value inst =
   let by_value a b = Float.compare b.Request.value a.Request.value in
   route_in_order inst (sorted_indices inst by_value)
 
-let threshold_pd ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
+let threshold_pd ?(eps = 0.1) ?(pool = `Seq) inst =
   if not (eps > 0.0 && eps <= 1.0) then
     invalid_arg "Baselines.threshold_pd: eps must be in (0, 1]";
   if not (Instance.is_normalized inst) then
@@ -54,7 +54,7 @@ let threshold_pd ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
   Trace.with_span "baselines.threshold_pd" @@ fun () ->
   (* Selected requests leave the pool, so at most |R| iterations: the
      engine's guard is lifted. *)
-  (Pd_engine.execute ~max_iterations:max_int ~selector ~pool
+  (Pd_engine.execute ~max_iterations:max_int ~pool
      (Pd_engine.threshold_rule ~eps ~b) inst)
     .Pd_engine.solution
 

@@ -31,7 +31,6 @@ val greedy_by_value : Ufp_instance.Instance.t -> Ufp_instance.Solution.t
 
 val threshold_pd :
   ?eps:float ->
-  ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
   Ufp_instance.Instance.t ->
   Ufp_instance.Solution.t
@@ -40,9 +39,8 @@ val threshold_pd :
     the pending request minimising the normalised residual-feasible
     path length is accepted while that length is at most 1. Requires a
     normalised instance with [B >= 1]; [eps] defaults to [0.1].
-    [selector] picks the {!Selector} engine (default [`Incremental];
-    both engines make identical decisions); [pool] (default [`Seq])
-    fans stale-tree rebuilds out with bitwise-identical decisions. *)
+    [pool] (default [`Seq]) fans the {!Selector}'s stale-tree rebuilds
+    out with bitwise-identical decisions. *)
 
 val randomized_rounding :
   ?eps:float -> seed:int -> Ufp_instance.Instance.t ->

@@ -45,13 +45,13 @@ let validate inst ~eps =
   if b < 1.0 then invalid_arg "Bounded_ufp: requires B = min capacity >= 1";
   b
 
-let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
+let run ?(eps = 0.1) ?(pool = `Seq) inst =
   let b = validate inst ~eps in
   Trace.with_span "bounded_ufp.run" @@ fun () ->
   (* Each iteration allocates one request for good, so the loop ends
      after at most |R| iterations: the engine's guard is lifted. *)
   let { Pd_engine.solution; trace; iterations; final_y; budget_exhausted } =
-    Pd_engine.execute ~max_iterations:max_int ~selector ~pool
+    Pd_engine.execute ~max_iterations:max_int ~pool
       (Pd_engine.algorithm_1 ~eps ~b) inst
   in
   let value = Solution.value inst solution in
@@ -81,4 +81,4 @@ let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
   { solution; trace; final_y; final_z; budget_exhausted; certified_upper_bound;
     iterations }
 
-let solve ?eps ?selector ?pool inst = (run ?eps ?selector ?pool inst).solution
+let solve ?eps ?pool inst = (run ?eps ?pool inst).solution

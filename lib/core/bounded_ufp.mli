@@ -50,7 +50,6 @@ val budget : eps:float -> b:float -> float
 
 val run :
   ?eps:float ->
-  ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
   Ufp_instance.Instance.t ->
   run
@@ -59,21 +58,15 @@ val run :
     see {!Ufp_instance.Instance.normalize}) and have [B = min_e c_e >= 1];
     raises [Invalid_argument] otherwise.
 
-    [selector] picks the selection engine (default [`Incremental]);
-    the two engines produce byte-identical traces (see {!Selector}),
-    so the switch only affects running time. With [`Naive] the cost is
-    [O(|R| * (|R| + sources * (m + n log n)))] — one Dijkstra per
-    distinct pending source per iteration; with [`Incremental] only
-    the trees invalidated by the previous dual update are recomputed,
-    and only when a stale candidate surfaces at the heap top.
-
-    [pool] (default [`Seq]) fans the selector's stale-tree rebuilds
-    out across an {!Ufp_par.Pool}; decisions are bitwise identical
-    either way (see {!Selector}). *)
+    Selection runs on the cached {!Selector}: only the trees
+    invalidated by the previous dual update are recomputed, and only
+    when a stale candidate surfaces at the heap top. [pool] (default
+    [`Seq]) fans the selector's stale-tree rebuilds out across an
+    {!Ufp_par.Pool}; decisions are bitwise identical either way (see
+    {!Selector}). *)
 
 val solve :
   ?eps:float ->
-  ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
   Ufp_instance.Instance.t ->
   Ufp_instance.Solution.t

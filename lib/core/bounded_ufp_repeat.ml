@@ -17,7 +17,7 @@ type run = {
 
 let theorem_ratio ~eps = 1.0 +. (6.0 *. eps)
 
-let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
+let run ?(eps = 0.1) ?(pool = `Seq) inst =
   if not (eps > 0.0 && eps <= 1.0) then
     invalid_arg "Bounded_ufp_repeat: eps must be in (0, 1]";
   if Instance.n_requests inst = 0 then
@@ -32,7 +32,7 @@ let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
   (* The dual budget alone ends the loop (within m c_max / d_min
      iterations, see the .mli), so the engine's guard is lifted. *)
   let { Pd_engine.solution; trace; iterations; final_y; _ } =
-    Pd_engine.execute ~max_iterations:max_int ~selector ~pool
+    Pd_engine.execute ~max_iterations:max_int ~pool
       (Pd_engine.algorithm_3 ~eps ~b) inst
   in
   Log.info (fun m -> m "done: %d iterations (with repetitions)" iterations);
@@ -49,4 +49,4 @@ let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
   in
   { solution; final_y; certified_upper_bound; iterations }
 
-let solve ?eps ?selector ?pool inst = (run ?eps ?selector ?pool inst).solution
+let solve ?eps ?pool inst = (run ?eps ?pool inst).solution

@@ -27,19 +27,16 @@ type run = {
 
 val run :
   ?eps:float ->
-  ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
   Ufp_instance.Instance.t ->
   run
 (** Same preconditions as {!Bounded_ufp.run}: normalised instance,
-    [B >= 1], [eps] in (0, 1] (default [0.1]). [selector] picks the
-    {!Selector} engine (default [`Incremental]; both engines make
-    identical decisions); [pool] (default [`Seq]) fans stale-tree
-    rebuilds out with bitwise-identical decisions. *)
+    [B >= 1], [eps] in (0, 1] (default [0.1]). [pool] (default
+    [`Seq]) fans the {!Selector}'s stale-tree rebuilds out with
+    bitwise-identical decisions. *)
 
 val solve :
   ?eps:float ->
-  ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
   Ufp_instance.Instance.t ->
   Ufp_instance.Solution.t

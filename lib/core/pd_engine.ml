@@ -43,8 +43,8 @@ let capacity_slack = Ufp_prelude.Float_tol.capacity_slack
 (* The algorithm-level work counters (docs/OBSERVABILITY.md). This is
    their only registration site: every primal-dual run in the library
    goes through [execute], so the values are pure functions of the
-   selection trace and identical across selector engines and pool
-   modes (a test_obs.ml law). *)
+   selection trace and identical across pool modes (a test_obs.ml
+   law). *)
 let m_runs = Metrics.counter "pd.runs"
 
 let m_iterations = Metrics.counter "pd.iterations"
@@ -53,8 +53,8 @@ let m_dual_updates = Metrics.counter "pd.dual_updates"
 
 (* Not pd.*: since weight snapshots, a rejection is counted once per
    edge per snapshot build — how often snapshots are built is selector
-   cache economics (it differs across engines and pool modes), so the
-   counter lives with the other selector.* counters. *)
+   cache economics (it differs across pool modes), so the counter
+   lives with the other selector.* counters. *)
 let m_residual_rejections = Metrics.counter "selector.residual_rejections"
 
 let g_d1_growth = Metrics.gauge "pd.d1_growth"
@@ -93,8 +93,7 @@ type run = {
   budget_exhausted : bool;
 }
 
-let execute ?(max_iterations = 1_000_000) ?(selector = `Incremental)
-    ?(pool = `Seq) config inst =
+let execute ?(max_iterations = 1_000_000) ?(pool = `Seq) config inst =
   if not (config.eps > 0.0 && config.eps <= 1.0) then
     invalid_arg "Pd_engine: eps must be in (0, 1]";
   if not (Instance.is_normalized inst) then
@@ -124,7 +123,7 @@ let execute ?(max_iterations = 1_000_000) ?(selector = `Incremental)
     end
     else (Selector.Uniform (fun e -> y.(e)), fun _ _ -> ())
   in
-  let sel = Selector.create ~kind:selector ~pool ~weights inst in
+  let sel = Selector.create ~pool ~weights inst in
   let d1 = ref (float_of_int m) (* sum_e c_e / c_e *) in
   (* D2 = sum of z_r = v_r over the selected requests; it stays 0 in
      the with-repetitions problem, whose dual (Figure 5) has no z. *)

@@ -81,7 +81,6 @@ val capacity_slack : float
 
 val execute :
   ?max_iterations:int ->
-  ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
   config ->
   Ufp_instance.Instance.t ->
@@ -96,16 +95,14 @@ val execute :
     residual filtering: it is Claim 3.6's certificate for
     {!algorithm_1} and Claim 5.2's [D/alpha] for {!algorithm_3}.
 
-    [selector] picks the {!Selector} engine (default [`Incremental];
-    both engines make identical decisions); [pool] (default [`Seq])
-    fans the selector's stale-tree rebuilds out across an
-    {!Ufp_par.Pool} with bitwise-identical decisions.
+    [pool] (default [`Seq]) fans the {!Selector}'s stale-tree rebuilds
+    out across an {!Ufp_par.Pool} with bitwise-identical decisions.
 
     Work accounting: this is the only registration site of the [pd.*]
     metrics of {!Ufp_obs.Metrics} (runs, iterations, per-edge dual
     updates, [D1] growth, a path-length histogram). They are pure
-    functions of the selection trace, hence identical across selector
-    engines, pool modes, and repeated runs (see
+    functions of the selection trace, hence identical across pool
+    modes and repeated runs (see
     docs/OBSERVABILITY.md); residual rejections are counted per
     snapshot build under [selector.residual_rejections]. With
     {!Ufp_obs.Trace} on, each iteration emits a [pd.select] instant;

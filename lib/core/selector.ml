@@ -5,13 +5,10 @@ module Instance = Ufp_instance.Instance
 module Request = Ufp_instance.Request
 module Pool = Ufp_par.Pool
 
-type kind = [ `Naive | `Incremental ]
-
-(* Cache-economics accounting (docs/OBSERVABILITY.md): the naive engine
-   shows up as pure tree_rebuilds, the incremental one as a mix of
-   cache_hits / stale_pops / rebuilds plus heap traffic — the two are
-   directly comparable because the algorithm-level counters (owned by
-   the callers) are identical across engines. *)
+(* Cache-economics accounting (docs/OBSERVABILITY.md): cache_hits /
+   stale_pops / rebuilds plus heap traffic. They may differ between
+   `Seq and `Pool runs; the algorithm-level counters (owned by the
+   caller) may not. *)
 let m_rebuilds = Ufp_obs.Metrics.counter "selector.tree_rebuilds"
 
 let m_par_rebuilds = Ufp_obs.Metrics.counter "selector.par_rebuilds"
@@ -55,7 +52,6 @@ type group = {
 type t = {
   graph : Graph.t;
   inst : Instance.t;
-  kind : kind;
   pool : Pool.choice;
   uniform : bool;  (* all groups share one weight function *)
   groups : group array;  (* in order of first appearance by request *)
@@ -154,7 +150,7 @@ let heap_pop t =
 
 (* --- construction --- *)
 
-let create ?(kind = `Incremental) ?(pool = `Seq) ~weights inst =
+let create ?(pool = `Seq) ~weights inst =
   let graph = Instance.graph inst in
   let n = Graph.n_vertices graph in
   let m = Graph.n_edges graph in
@@ -216,7 +212,6 @@ let create ?(kind = `Incremental) ?(pool = `Seq) ~weights inst =
     {
       graph;
       inst;
-      kind;
       pool;
       uniform = (match weights with Uniform _ -> true | Per_demand _ -> false);
       groups;
@@ -237,10 +232,9 @@ let create ?(kind = `Incremental) ?(pool = `Seq) ~weights inst =
   (* Seed the lazy heap: every request re-scores on its first pop
      (neg_infinity sorts before any real score; version -1 never
      matches, forcing the re-score). *)
-  if kind = `Incremental then
-    for i = 0 to n_req - 1 do
-      heap_push t neg_infinity i (-1)
-    done;
+  for i = 0 to n_req - 1 do
+    heap_push t neg_infinity i (-1)
+  done;
   t
 
 let n_pending t = t.n_pending
@@ -294,11 +288,10 @@ let commit_rebuild t grp =
   grp.version <- grp.version + 1;
   grp.fresh <- true;
   (* Index every tree edge so a dual update on it invalidates this
-     tree. Only the incremental kind consults the index. *)
-  if t.kind = `Incremental then
-    Array.iter
-      (fun e -> if e >= 0 then t.deps.(e) <- (grp, grp.version) :: t.deps.(e))
-      grp.parent_edge
+     tree. *)
+  Array.iter
+    (fun e -> if e >= 0 then t.deps.(e) <- (grp, grp.version) :: t.deps.(e))
+    grp.parent_edge
 
 let rebuild t grp =
   rebuild_tree t grp t.ws;
@@ -372,46 +365,7 @@ let path_for t grp i =
        { Dijkstra.dist = grp.dist; parent_edge = grp.parent_edge }
        ~src:grp.src ~dst:r.Request.dst)
 
-(* Recompute every group with a pending member, scan every pending
-   request — the reference implementation the incremental selector is
-   proven (and property-tested) equivalent to. With a pool, the same
-   set of rebuilds runs fanned out (scheduling changes, counts and
-   trees do not). *)
-let select_naive t =
-  (match t.pool with
-  | `Seq -> Array.iter (fun grp -> if grp.members <> [] then rebuild t grp) t.groups
-  | `Pool p ->
-    let live =
-      Array.of_list
-        (List.filter
-           (fun grp -> grp.members <> [])
-           (Array.to_list t.groups))
-    in
-    rebuild_parallel t p live);
-  let best = ref None in
-  Array.iter
-    (fun grp ->
-      if grp.members <> [] then
-        List.iter
-          (fun i ->
-            let alpha = score t grp i in
-            if alpha < infinity then begin
-              let better =
-                match !best with
-                | None -> true
-                | Some (a, j, _) ->
-                  let c = Float.compare alpha a in
-                  c < 0 || (c = 0 && i < j)
-              in
-              if better then best := Some (alpha, i, grp)
-            end)
-          grp.members)
-    t.groups;
-  match !best with
-  | None -> None
-  | Some (alpha, i, grp) -> Some { request = i; path = path_for t grp i; alpha }
-
-let select_incremental t =
+let select t =
   (* With a pool, refresh every stale live tree eagerly and in
      parallel before consulting the heap. This can rebuild trees the
      lazy path would have skipped (selector.tree_rebuilds is cache
@@ -461,8 +415,3 @@ let select_incremental t =
       end
   in
   loop ()
-
-let select t =
-  match t.kind with
-  | `Naive -> select_naive t
-  | `Incremental -> select_incremental t

@@ -9,18 +9,14 @@
     iteration makes a solve
     [O(iterations x sources x (m + n log n))] even though a dual update
     only inflates the few edges of the selected path. This module
-    offers that selection step behind a common interface with two
-    implementations:
-
-    - [`Naive] — the literal recompute-everything reference.
-    - [`Incremental] — cached shortest-path trees with
-      edge -> dependent-group invalidation, plus a lazy-deletion
-      candidate heap.
+    performs that step with cached shortest-path trees, edge ->
+    dependent-group invalidation, and a lazy-deletion candidate heap.
 
     {b Contract: weights must be nondecreasing over time} (duals only
     inflate, residuals only shrink — true for every rule in this
-    repository). Under that contract the two implementations produce
-    {e byte-identical} selection sequences; the argument:
+    repository). Under that contract {!select} returns {e exactly} what
+    a fresh Dijkstra per pending request would: the same request, the
+    same path, a bitwise-equal alpha. The argument:
 
     + {!Ufp_graph.Dijkstra} settles vertices in [(dist, vertex id)]
       order, so a tree is a pure function of the weight vector, and a
@@ -33,14 +29,18 @@
       weights, so a popped entry whose score is current is the true
       minimum; a popped stale entry is re-scored against a fresh tree
       and re-pushed, never skipped.
-    + Both orders break ties by [(Float.compare alpha, request index)],
-      so equal-alpha candidates resolve identically.
+    + Ties break by [(Float.compare alpha, request index)], the order
+      of a scan over the pending requests.
 
-    The equivalence is enforced by a QCheck law in [test/test_laws.ml]
-    (identical (request, path, alpha) traces on random instances), so
-    the Theorem 3.1 approximation and the Lemma 3.4 monotonicity /
-    truthfulness guarantees — which are statements about the selection
-    order — carry over to the incremental engine unchanged.
+    Two QCheck laws in [test/test_core.ml] enforce the contract: a
+    direct law drives {!create}, {!select}, {!update_path} and
+    {!remove} under random weight growth and removals and compares
+    every selection with a fresh-Dijkstra scan, and the engine law
+    holds {!Pd_engine} bitwise equal to [pd_oracle], a literal
+    transcription of the loop that never uses this module. The
+    Theorem 3.1 approximation and the Lemma 3.4 monotonicity /
+    truthfulness guarantees — statements about the selection order —
+    therefore hold for the cached engine.
 
     {b Weight snapshots.} Tree (re)computations run over the
     {!Ufp_graph.Graph.csr} view with a {!Ufp_graph.Weight_snapshot}
@@ -56,15 +56,12 @@
     registration stay on the calling domain, in group order). Trees
     are bitwise identical to sequential rebuilds — Dijkstra is a pure
     function of (CSR view, snapshot, source) — so selections are too;
-    the QCheck laws check all four kind x pool combinations. For
-    [`Naive] the pooled run performs {e exactly} the rebuilds the
-    sequential run would. For [`Incremental] every stale live tree is
-    refreshed eagerly before the heap is consulted, which may rebuild
-    trees the lazy sequential path skips: [selector.tree_rebuilds] is
-    cache economics and may differ from [`Seq]; the selection trace
-    does not. Pooled rebuilds are counted by [selector.par_rebuilds]. *)
-
-type kind = [ `Naive | `Incremental ]
+    both QCheck laws run under [`Seq] and a 2-domain pool. Every stale
+    live tree is refreshed eagerly before the heap is consulted, which
+    may rebuild trees the lazy sequential path skips:
+    [selector.tree_rebuilds] is cache economics and may differ from
+    [`Seq]; the selection does not. Pooled rebuilds are counted by
+    [selector.par_rebuilds]. *)
 
 type weights =
   | Uniform of (int -> float)
@@ -83,16 +80,15 @@ type choice = {
 type t
 
 val create :
-  ?kind:kind ->
   ?pool:Ufp_par.Pool.choice ->
   weights:weights ->
   Ufp_instance.Instance.t ->
   t
 (** A selector over all requests of the instance, all initially
-    pending. [kind] defaults to [`Incremental]; [pool] (default
-    [`Seq]) fans stale-tree rebuilds out across domains, with
-    bitwise-identical trees (see the module preamble). The weight
-    functions are read lazily at (re)computation time — materialised
+    pending. [pool] (default [`Seq]) fans stale-tree rebuilds out
+    across domains, with bitwise-identical trees (see the module
+    preamble). The weight functions are read lazily at
+    (re)computation time — materialised
     into a {!Ufp_graph.Weight_snapshot} once per weight epoch — so
     passing closures over the solver's mutable dual array is the
     intended usage; but every weight change must be announced through

@@ -14,7 +14,7 @@ let run ?(quick = false) () =
   let table =
     Table.create
       ~title:
-        "EXP-OBS-OVERHEAD: Ufp_obs cost on the EXP-SCALE-SELECTOR workload \
+        "EXP-OBS-OVERHEAD: Ufp_obs cost on the EXP-PERF grid workload \
          (counters are always on; tracing off vs on)"
       ~columns:
         [

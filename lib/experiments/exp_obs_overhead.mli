@@ -1,6 +1,6 @@
 (** EXP-OBS-OVERHEAD — what the observability layer costs.
 
-    Runs [Bounded-UFP] on the EXP-SCALE-SELECTOR grid workload twice
+    Runs [Bounded-UFP] on the EXP-PERF grid workload twice
     per size: once with the {!Ufp_obs.Trace} sink off (the production
     default — metric counters still increment, since they are
     unconditional single stores) and once with the ring-buffer tracer

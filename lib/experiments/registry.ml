@@ -86,19 +86,11 @@ let all =
       run = Exp_perf.run;
     };
     {
-      id = "EXP-SCALE-SELECTOR";
-      paper_artifact = "Section 3.2 remark";
-      description =
-        "naive vs incremental request selection: cached Dijkstra trees + lazy \
-         candidate heap, identical traces";
-      run = Exp_scale_selector.run;
-    };
-    {
       id = "EXP-OBS-OVERHEAD";
       paper_artifact = "infrastructure";
       description =
         "observability cost: Bounded-UFP wall time with the Ufp_obs tracer \
-         off vs recording, on the EXP-SCALE-SELECTOR workload";
+         off vs recording, on the EXP-PERF grid workload";
       run = Exp_obs_overhead.run;
     };
     {

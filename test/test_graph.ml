@@ -1107,6 +1107,17 @@ let check_oracle msg g w ~src =
   | Ok tree -> tree
   | Error why -> Alcotest.failf "%s: %s" msg why
 
+(* A random graph on 1..12 vertices, directed or not, whose edges may
+   be parallel. *)
+let small_graph rng ~capacity =
+  let n = 1 + Rng.int rng 12 in
+  let g = Graph.create ~directed:(Rng.bool rng) ~n in
+  for _ = 1 to Rng.int rng ((3 * n) + 1) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then ignore (Graph.add_edge g ~u ~v ~capacity:(capacity ()))
+  done;
+  g
+
 (* A random graph and weight vector built to sit on float boundaries.
    [n] starts at 1, so the one-vertex graph is a regular case; edges
    may be parallel. Each weight is drawn from one class:
@@ -1121,12 +1132,8 @@ let check_oracle msg g w ~src =
      reachability question. *)
 let boundary_instance seed =
   let rng = Rng.create seed in
-  let n = 1 + Rng.int rng 12 in
-  let g = Graph.create ~directed:(Rng.bool rng) ~n in
-  for _ = 1 to Rng.int rng ((3 * n) + 1) do
-    let u = Rng.int rng n and v = Rng.int rng n in
-    if u <> v then ignore (Graph.add_edge g ~u ~v ~capacity:1.0)
-  done;
+  let g = small_graph rng ~capacity:(fun () -> 1.0) in
+  let n = Graph.n_vertices g in
   let d = Rng.float_in rng 0.5 2.0 in
   let multiple () =
     float_of_int (1 + Rng.int rng (if Rng.bool rng then 4 else 1000)) *. d
@@ -1154,6 +1161,43 @@ let qcheck_dijkstra_oracle =
       | Error why ->
         QCheck.Test.fail_reportf "n = %d, m = %d, src = %d: %s"
           (Graph.n_vertices g) (Graph.n_edges g) src why)
+
+(* Dinic checked by a certificate instead of a second solver: the flow
+   is valid, a BFS over the residual arcs the flow implies (a directed
+   edge leaves c - f forward and f backward, an undirected one c - f
+   and c + f) never reaches [dst], and [value] equals the capacity of
+   the cut around what it reaches — max-flow min-cut, with the cut as
+   the proof that no larger flow exists. Capacities are small integers
+   or fractions, so blocking flows tie and split. *)
+let qcheck_maxflow_min_cut =
+  QCheck.Test.make ~name:"dinic flow has a min-cut certificate" ~count:300
+    (QCheck.int_bound 0x3FFFFFFF) (fun seed ->
+      let rng = Rng.create seed in
+      let capacity () =
+        if Rng.bool rng then float_of_int (1 + Rng.int rng 8)
+        else Rng.float_in rng 0.25 8.0
+      in
+      let g = small_graph rng ~capacity in
+      let n = Graph.n_vertices g in
+      if n < 2 then true
+      else begin
+        let src = Rng.int rng n in
+        let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
+        let r = Maxflow.max_flow g ~src ~dst in
+        check_flow_valid g r ~src ~dst;
+        let cut, reached = residual_cut_capacity g r ~src in
+        if reached.(dst) then
+          QCheck.Test.fail_reportf
+            "%d -> %d: the residual graph still reaches %d" src dst dst;
+        if
+          not
+            (Float_tol.approx_eq ~eps:Float_tol.loose_check_eps cut
+               r.Maxflow.value)
+        then
+          QCheck.Test.fail_reportf "%d -> %d: value %h, residual cut %h" src
+            dst r.Maxflow.value cut;
+        true
+      end)
 
 let line_graph weights =
   let g = Graph.create ~directed:true ~n:(Array.length weights + 1) in
@@ -1319,6 +1363,7 @@ let () =
       ( "oracle",
         [
           QCheck_alcotest.to_alcotest qcheck_dijkstra_oracle;
+          QCheck_alcotest.to_alcotest qcheck_maxflow_min_cut;
           Alcotest.test_case "bucket boundary" `Quick test_oracle_bucket_boundary;
           Alcotest.test_case "zero-weight chain" `Quick
             test_oracle_zero_weight_chain;

@@ -12,7 +12,6 @@ module Instance = Ufp_instance.Instance
 module Solution = Ufp_instance.Solution
 module Workloads = Ufp_instance.Workloads
 module Bounded_ufp = Ufp_core.Bounded_ufp
-module Pd_engine = Ufp_core.Pd_engine
 module Baselines = Ufp_core.Baselines
 module Online = Ufp_core.Online
 module Exact = Ufp_lp.Exact
@@ -262,64 +261,6 @@ let qcheck_gk_upper_bound_improves =
       let _, fine = Mcf.fractional_opt_interval ~eps:0.1 inst in
       fine <= coarse +. Float_tol.loose_check_eps)
 
-(* --- Law 11: selection-engine equivalence (the Selector contract).
-
-   The incremental selector (cached Dijkstra trees + lazy-deletion
-   candidate heap) must reproduce the naive recompute-everything
-   selection byte for byte: same request, same path, same alpha, in
-   every iteration — and pooled stale-tree rebuilds (`Pool) must not
-   move a single decision either. Full structural equality of the
-   traces across all four kind x pool combinations — not just the
-   winner sets — so a divergence in tie-breaking, invalidation, or
-   parallel scheduling shows up immediately. *)
-let qcheck_selector_trace_equivalence =
-  QCheck.Test.make ~name:"naive and incremental selectors yield identical traces"
-    ~count:40
-    QCheck.(pair small_int (int_range 5 25))
-    (fun (seed, count) ->
-      let inst = grid_instance ~rows:4 ~cols:4 ~capacity:20.0 ~count (seed + 17) in
-      let reference = Bounded_ufp.run ~eps:0.3 ~selector:`Naive inst in
-      Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
-          List.for_all
-            (fun (selector, pool) ->
-              let run = Bounded_ufp.run ~eps:0.3 ~selector ~pool inst in
-              run.Bounded_ufp.trace = reference.Bounded_ufp.trace
-              && run.Bounded_ufp.final_y = reference.Bounded_ufp.final_y)
-            [
-              (`Naive, pool);
-              (`Incremental, `Seq);
-              (`Incremental, pool);
-            ]))
-
-(* --- Law 12: the same equivalence across the Pd_engine design space,
-   including the residual-filtered (Per_demand weights) threshold rule
-   and the with-repetitions pool — again over kind x pool. *)
-let qcheck_selector_engine_equivalence =
-  QCheck.Test.make
-    ~name:"selector engines agree across the Pd_engine design space" ~count:20
-    QCheck.small_int (fun seed ->
-      let inst = grid_instance ~capacity:12.0 ~count:10 (seed + 41) in
-      let b = Graph.min_capacity (Instance.graph inst) in
-      Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
-          List.for_all
-            (fun config ->
-              let reference = Pd_engine.execute ~selector:`Naive config inst in
-              List.for_all
-                (fun (selector, pool) ->
-                  let run = Pd_engine.execute ~selector ~pool config inst in
-                  run.Pd_engine.solution = reference.Pd_engine.solution
-                  && run.Pd_engine.final_y = reference.Pd_engine.final_y)
-                [
-                  (`Naive, pool);
-                  (`Incremental, `Seq);
-                  (`Incremental, pool);
-                ])
-            [
-              Pd_engine.algorithm_1 ~eps:0.3 ~b;
-              Pd_engine.algorithm_3 ~eps:0.3 ~b;
-              Pd_engine.threshold_rule ~eps:0.3 ~b;
-            ]))
-
 let () =
   Alcotest.run "laws"
     [
@@ -336,7 +277,5 @@ let () =
             qcheck_exact_solvers_agree;
             qcheck_solution_io_preserves_feasibility;
             qcheck_gk_upper_bound_improves;
-            qcheck_selector_trace_equivalence;
-            qcheck_selector_engine_equivalence;
           ] );
     ]

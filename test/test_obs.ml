@@ -7,12 +7,10 @@
    Laws (ISSUE 3):
      - determinism: two runs of Pd_engine.execute on the same instance
        produce structurally equal metric snapshots;
-     - engine invariance (QCheck): `Naive and `Incremental runs, on
-       `Seq and on a `Pool, agree exactly on the algorithm-level pd.*
-       counters and differ only in selector cache/heap accounting; for
-       the naive engine even the rebuild/snapshot counts must match
-       between `Seq and `Pool (pooling it is scheduling-only), with
-       selector.par_rebuilds accounting exactly the pooled share. *)
+     - engine invariance (QCheck): runs on `Seq and on a `Pool agree
+       exactly on the algorithm-level pd.* counters and may differ
+       only in selector cache/heap accounting; selector.par_rebuilds
+       stays zero under `Seq. *)
 
 module Metrics = Ufp_obs.Metrics
 module Trace = Ufp_obs.Trace
@@ -460,9 +458,9 @@ let grid_instance ~rows ~cols ~capacity ~count seed =
   let g = Gen.grid ~rows ~cols ~capacity in
   Instance.create g (Workloads.random_requests rng g ~count ())
 
-let snapshot_of_run ?(selector = `Incremental) ?(pool = `Seq) config inst =
+let snapshot_of_run ?(pool = `Seq) config inst =
   Metrics.reset ();
-  let run = Pd_engine.execute ~selector ~pool config inst in
+  let run = Pd_engine.execute ~pool config inst in
   (Metrics.snapshot (), run)
 
 let test_metrics_deterministic () =
@@ -511,8 +509,8 @@ let test_wrapper_span span solve () =
 (* --- the engine-invariance law (QCheck) --- *)
 
 (* pd.* is decided by the algorithm; selector.* is cache economics and
-   legitimately differs between engines (dijkstra.* differs too: the
-   naive engine recomputes trees it could have cached). *)
+   legitimately differs between `Seq and `Pool (a pooled run refreshes
+   every stale tree eagerly, so dijkstra.* differs too). *)
 let algorithm_level name =
   String.length name >= 3 && String.sub name 0 3 = "pd."
 
@@ -531,70 +529,30 @@ let engine_agreement_law =
       let inst = grid_instance ~rows ~cols ~capacity ~count:25 seed in
       let config = Pd_engine.algorithm_1 ~eps ~b:capacity in
       Pool.with_pool ~domains:2 (fun pool ->
-          let s_naive, r_naive = snapshot_of_run ~selector:`Naive config inst in
-          let s_incr, r_incr =
-            snapshot_of_run ~selector:`Incremental config inst
-          in
-          let s_naive_p, r_naive_p =
-            snapshot_of_run ~selector:`Naive ~pool config inst
-          in
-          let s_incr_p, r_incr_p =
-            snapshot_of_run ~selector:`Incremental ~pool config inst
-          in
+          let s_seq, r_seq = snapshot_of_run config inst in
+          let s_pool, r_pool = snapshot_of_run ~pool config inst in
           let counter name s = List.assoc name s.Metrics.counters in
+          if r_pool.Pd_engine.solution <> r_seq.Pd_engine.solution then
+            QCheck.Test.fail_report "solutions differ";
+          if pd_counters s_pool <> pd_counters s_seq then
+            QCheck.Test.fail_report "pd.* counters differ";
+          if
+            List.assoc "pd.d1_growth" s_pool.Metrics.gauges
+            <> List.assoc "pd.d1_growth" s_seq.Metrics.gauges
+          then QCheck.Test.fail_report "pd.d1_growth differs";
+          if
+            List.assoc "pd.path_edges" s_pool.Metrics.histograms
+            <> List.assoc "pd.path_edges" s_seq.Metrics.histograms
+          then QCheck.Test.fail_report "pd.path_edges differs";
+          (* Selection goes through the candidate heap, pooled or not. *)
           List.iter
             (fun (label, s, r) ->
-              if r.Pd_engine.solution <> r_naive.Pd_engine.solution then
-                QCheck.Test.fail_reportf "solutions differ (%s)" label;
-              if pd_counters s <> pd_counters s_naive then
-                QCheck.Test.fail_reportf "pd.* counters differ (%s)" label;
-              if
-                List.assoc "pd.d1_growth" s.Metrics.gauges
-                <> List.assoc "pd.d1_growth" s_naive.Metrics.gauges
-              then QCheck.Test.fail_reportf "pd.d1_growth differs (%s)" label;
-              if
-                List.assoc "pd.path_edges" s.Metrics.histograms
-                <> List.assoc "pd.path_edges" s_naive.Metrics.histograms
-              then QCheck.Test.fail_reportf "pd.path_edges differs (%s)" label)
-            [
-              ("incremental/seq", s_incr, r_incr);
-              ("naive/pool", s_naive_p, r_naive_p);
-              ("incremental/pool", s_incr_p, r_incr_p);
-            ];
-          (* And the counters that SHOULD differ do: the naive engine never
-             touches the candidate heap, pooled or not. *)
-          let heap s = counter "selector.heap_pops" s in
-          if heap s_naive <> 0 || heap s_naive_p <> 0 then
-            QCheck.Test.fail_report "naive engine used the candidate heap";
-          if r_incr.Pd_engine.iterations > 0 && heap s_incr = 0 then
-            QCheck.Test.fail_report "incremental engine bypassed the heap";
-          (* Pooling the naive engine is scheduling-only: it rebuilds the
-             exact same set of trees (and hence builds the same
-             snapshots) as the sequential run, just on worker domains. *)
-          if
-            counter "selector.tree_rebuilds" s_naive_p
-            <> counter "selector.tree_rebuilds" s_naive
-          then
-            QCheck.Test.fail_report
-              "pooled naive rebuilt a different tree set than seq";
-          if
-            counter "dijkstra.snapshot_builds" s_naive_p
-            <> counter "dijkstra.snapshot_builds" s_naive
-          then
-            QCheck.Test.fail_report
-              "pooled naive built a different snapshot count than seq";
-          (* selector.par_rebuilds accounts exactly the pooled rebuilds:
-             zero in `Seq runs, everything in a pooled naive run. *)
-          if
-            counter "selector.par_rebuilds" s_naive <> 0
-            || counter "selector.par_rebuilds" s_incr <> 0
-          then QCheck.Test.fail_report "seq run counted par_rebuilds";
-          if
-            counter "selector.par_rebuilds" s_naive_p
-            <> counter "selector.tree_rebuilds" s_naive_p
-          then
-            QCheck.Test.fail_report
-              "pooled naive rebuild not fully accounted as par_rebuilds";
+              if r.Pd_engine.iterations > 0 && counter "selector.heap_pops" s = 0
+              then QCheck.Test.fail_reportf "%s run bypassed the heap" label)
+            [ ("seq", s_seq, r_seq); ("pool", s_pool, r_pool) ];
+          (* selector.par_rebuilds accounts only pooled rebuilds. *)
+          if counter "selector.par_rebuilds" s_seq <> 0 then
+            QCheck.Test.fail_report "seq run counted par_rebuilds";
           true))
 
 let () =
