@@ -58,8 +58,8 @@ bench-csv:
 #   BENCH_PR9.json — work-stealing vs fixed-chunk modelled makespan
 #                    (host-independent cost units) + warm-start
 #                    payment probe counts
-#   BENCH_PR10.json — sequential Dijkstra on RMAT + packed-vs-wide
-#                    adjacency latency and footprint rows
+#   BENCH_PR10.json — sequential Dijkstra on RMAT + packed adjacency
+#                    latency and footprint rows
 bench-json:
 	dune exec bench/main.exe -- --json-pr6 BENCH_PR6.json
 	dune exec bench/main.exe -- --json-pr8 BENCH_PR8.json
@@ -87,7 +87,8 @@ bench-trajectory:
 	dune exec bin/bench_diff.exe -- --trajectory docs/BENCH_TRAJECTORY.md BENCH_PR*.json
 
 # Million-edge end-to-end demo: a scale-18 RMAT instance (~2.6M edges)
-# generated, solved with pooled selector rebuilds, and audited.
+# generated, solved with the selector's cold-fill trees built across 2
+# domains (later rebuilds stay sequential), and audited.
 # Capacity 165 satisfies the Theorem 3.1 premise B >= ln m / eps^2 at
 # the default eps = 0.3.
 rmat-demo:

@@ -251,12 +251,15 @@ let jobs_arg =
     & opt int (Pool.jobs_from_env ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Fan the parallel regions — stale selector-tree rebuilds under \
-           $(b,solve), per-winner critical-value bisections under \
-           $(b,payments) — out over $(docv) domains (the Ufp_par pool). \
-           $(b,1) (the default) stays sequential; $(b,0) means the \
-           runtime's recommended domain count. Results are bitwise \
-           identical at any job count. Defaults to \\$UFP_JOBS when set.")
+          "Fan the parallel regions — the selector's cold-fill trees \
+           (its first selection) under $(b,solve), per-winner \
+           critical-value bisections under $(b,payments) — out over \
+           $(docv) domains (the Ufp_par pool); later selector rebuilds \
+           stay sequential. $(b,1) (the default) stays sequential; \
+           $(b,0) means the runtime's recommended domain count. Results \
+           are bitwise identical at any job count, and $(b,solve) does \
+           the same work (every selector and Dijkstra counter but \
+           selector.par_rebuilds). Defaults to \\$UFP_JOBS when set.")
 
 (* The solver behind --algo. Bounded-UFP also hands back its run
    record, so [solve] prints the certified bound and audits the very
@@ -309,7 +312,7 @@ let solve path algo_name eps seed jobs verbose audit out metrics
   let value = Solution.value inst sol in
   Printf.printf "algorithm : %s\n" algo_name;
   (* Only the primal-dual rules build a Selector, so only they have
-     tree rebuilds for --jobs to fan out. *)
+     cold-fill trees for --jobs to fan out. *)
   let has_selector =
     List.mem algo_name [ "bounded-ufp"; "repeat"; "threshold-pd" ]
   in

@@ -39,8 +39,8 @@ val threshold_pd :
     the pending request minimising the normalised residual-feasible
     path length is accepted while that length is at most 1. Requires a
     normalised instance with [B >= 1]; [eps] defaults to [0.1].
-    [pool] (default [`Seq]) fans the {!Selector}'s stale-tree rebuilds
-    out with bitwise-identical decisions. *)
+    [pool] (default [`Seq]) builds the {!Selector}'s cold-fill trees
+    across domains with bitwise-identical decisions and the same work. *)
 
 val randomized_rounding :
   ?eps:float -> seed:int -> Ufp_instance.Instance.t ->

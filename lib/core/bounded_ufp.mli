@@ -61,8 +61,9 @@ val run :
     Selection runs on the cached {!Selector}: only the trees
     invalidated by the previous dual update are recomputed, and only
     when a stale candidate surfaces at the heap top. [pool] (default
-    [`Seq]) fans the selector's stale-tree rebuilds out across an
-    {!Ufp_par.Pool}; decisions are bitwise identical either way (see
+    [`Seq]) builds the selector's cold-fill trees (the first
+    selection's) across an {!Ufp_par.Pool}; decisions are bitwise
+    identical and the work counters equal either way (see
     {!Selector}). *)
 
 val solve :

@@ -32,8 +32,8 @@ val run :
   run
 (** Same preconditions as {!Bounded_ufp.run}: normalised instance,
     [B >= 1], [eps] in (0, 1] (default [0.1]). [pool] (default
-    [`Seq]) fans the {!Selector}'s stale-tree rebuilds out with
-    bitwise-identical decisions. *)
+    [`Seq]) builds the {!Selector}'s cold-fill trees across domains
+    with bitwise-identical decisions and the same work. *)
 
 val solve :
   ?eps:float ->

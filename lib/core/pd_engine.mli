@@ -95,8 +95,9 @@ val execute :
     residual filtering: it is Claim 3.6's certificate for
     {!algorithm_1} and Claim 5.2's [D/alpha] for {!algorithm_3}.
 
-    [pool] (default [`Seq]) fans the {!Selector}'s stale-tree rebuilds
-    out across an {!Ufp_par.Pool} with bitwise-identical decisions.
+    [pool] (default [`Seq]) builds the {!Selector}'s cold-fill trees
+    across an {!Ufp_par.Pool}; decisions and work counters are the
+    same as under [`Seq].
 
     Work accounting: this is the only registration site of the [pd.*]
     metrics of {!Ufp_obs.Metrics} (runs, iterations, per-edge dual
@@ -104,7 +105,8 @@ val execute :
     functions of the selection trace, hence identical across pool
     modes and repeated runs (see
     docs/OBSERVABILITY.md); residual rejections are counted per
-    snapshot build under [selector.residual_rejections]. With
+    snapshot build under [selector.residual_rejections], also the same
+    across pool modes. With
     {!Ufp_obs.Trace} on, each iteration emits a [pd.select] instant;
     the engine opens no span, so the loop's time is the self time of
     the caller's span ([bounded_ufp.run], ...). *)

@@ -6,9 +6,9 @@ module Request = Ufp_instance.Request
 module Pool = Ufp_par.Pool
 
 (* Cache-economics accounting (docs/OBSERVABILITY.md): cache_hits /
-   stale_pops / rebuilds plus heap traffic. They may differ between
-   `Seq and `Pool runs; the algorithm-level counters (owned by the
-   caller) may not. *)
+   stale_pops / rebuilds plus heap traffic. A pool builds only the
+   trees the lazy path would build, so every counter but par_rebuilds
+   is the same under `Seq and `Pool. *)
 let m_rebuilds = Ufp_obs.Metrics.counter "selector.tree_rebuilds"
 
 let m_par_rebuilds = Ufp_obs.Metrics.counter "selector.par_rebuilds"
@@ -53,6 +53,7 @@ type t = {
   graph : Graph.t;
   inst : Instance.t;
   pool : Pool.choice;
+  mutable cold : bool;  (* no select has run yet *)
   uniform : bool;  (* all groups share one weight function *)
   groups : group array;  (* in order of first appearance by request *)
   group_of : group array;  (* request index -> its group *)
@@ -203,8 +204,8 @@ let create ?(pool = `Seq) ~weights inst =
       arr
     end
   in
-  (* Force the CSR build and the layout view on this domain now:
-     pooled rebuilds must only ever read the frozen view, and the
+  (* Force the CSR build and the packed view on this domain now: the
+     pooled cold fill must only ever read the frozen view, and the
      graph.csr_builds / graph.packed_builds counts stay the same
      whether or not a pool is attached. *)
   ignore (Graph.csr_view graph);
@@ -213,6 +214,7 @@ let create ?(pool = `Seq) ~weights inst =
       graph;
       inst;
       pool;
+      cold = true;
       uniform = (match weights with Uniform _ -> true | Per_demand _ -> false);
       groups;
       group_of;
@@ -297,31 +299,39 @@ let rebuild t grp =
   rebuild_tree t grp t.ws;
   commit_rebuild t grp
 
-(* Rebuild every group in [stale] on the pool, then commit on this
-   domain in array order. The trees are bitwise identical to
-   sequential rebuilds: each Dijkstra writes only its own group's
-   arrays (plus its private workspace) from one snapshot built for
-   this epoch, and Dijkstra itself is a pure function of (CSR,
-   snapshot, src) — see docs/PARALLELISM.md. That purity obligation
-   is also machine-checked: ufp-lint's whole-program phase (R7/R8)
-   traces this closure's call graph for shared-state writes and
-   domain-unsafe calls. *)
-let rebuild_parallel t p stale =
-  let n = Array.length stale in
+(* The cold fill on the pool: build the trees the first [select]
+   would build lazily anyway — one per group with a pending request,
+   as no tree exists yet — then commit on this domain in array order.
+   Each tree counts as the cache miss and the rebuild the lazy path
+   counts for it, so every selector.* and dijkstra.* counter but
+   selector.par_rebuilds is the same as under `Seq. The trees are
+   bitwise identical to sequential rebuilds: each Dijkstra writes only
+   its own group's arrays (plus its private workspace) from one
+   snapshot built for this epoch, and Dijkstra itself is a pure
+   function of (CSR, snapshot, src) — see docs/PARALLELISM.md. That
+   purity obligation is also machine-checked: ufp-lint's whole-program
+   phase (R7/R8) traces this closure's call graph for shared-state
+   writes and domain-unsafe calls. *)
+let cold_fill t p =
+  t.cold <- false;
+  let live =
+    Array.of_list
+      (List.filter (fun grp -> grp.members <> []) (Array.to_list t.groups))
+  in
+  let n = Array.length live in
   if n > 0 then begin
-    if t.uniform then ignore (snapshot_for t stale.(0));
-    (* grain 1: stale-tree costs are skewed (hub sources carry far
-       larger frontiers), so every tree should be stealable on its own
-       rather than riding a range with a hub. *)
+    if t.uniform then ignore (snapshot_for t live.(0));
+    (* grain 1: tree costs are skewed (hub sources carry far larger
+       frontiers), so every tree should be stealable on its own rather
+       than riding a range with a hub. *)
     Pool.parallel_for_dynamic ~pool:(`Pool p) ~grain:1 ~n (fun i ->
-        let grp = stale.(i) in
-        let ws = Dijkstra.create_workspace t.graph in
-        rebuild_tree t grp ws);
+        rebuild_tree t live.(i) (Dijkstra.create_workspace t.graph));
     Array.iter
       (fun grp ->
+        Ufp_obs.Metrics.incr m_cache_misses;
         Ufp_obs.Metrics.incr m_par_rebuilds;
         commit_rebuild t grp)
-      stale
+      live
   end
 
 let update_path t path =
@@ -366,23 +376,11 @@ let path_for t grp i =
        ~src:grp.src ~dst:r.Request.dst)
 
 let select t =
-  (* With a pool, refresh every stale live tree eagerly and in
-     parallel before consulting the heap. This can rebuild trees the
-     lazy path would have skipped (selector.tree_rebuilds is cache
-     economics and legitimately differs from `Seq), but the selection
-     itself is unchanged: a fresh tree is a pure function of the
-     current weights, so re-scored candidates pop in the same
-     (alpha, index) order either way. *)
+  (* With a pool, the first select fills the cold cache in parallel;
+     every later rebuild is lazy, on this domain. *)
   (match t.pool with
-  | `Seq -> ()
-  | `Pool p ->
-    let stale =
-      Array.of_list
-        (List.filter
-           (fun grp -> grp.members <> [] && not grp.fresh)
-           (Array.to_list t.groups))
-    in
-    rebuild_parallel t p stale);
+  | `Pool p when t.cold -> cold_fill t p
+  | `Pool _ | `Seq -> ());
   let rec loop () =
     match heap_pop t with
     | None -> None

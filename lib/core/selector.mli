@@ -50,18 +50,19 @@
     snapshot is invalidated by the same announcement that invalidates
     the trees, so stale weights can never leak into a rebuild.
 
-    {b Parallel rebuilds.} With [?pool:(`Pool p)], tree rebuilds for
-    distinct groups fan out on the {!Ufp_par.Pool} (each task gets a
+    {b Parallel cold fill.} With [?pool:(`Pool p)], the first {!select}
+    builds the trees it would build lazily anyway — one per group with
+    a pending request — across the {!Ufp_par.Pool} (each task gets a
     private Dijkstra workspace; version bumps and edge->dependents
-    registration stay on the calling domain, in group order). Trees
-    are bitwise identical to sequential rebuilds — Dijkstra is a pure
-    function of (CSR view, snapshot, source) — so selections are too;
-    both QCheck laws run under [`Seq] and a 2-domain pool. Every stale
-    live tree is refreshed eagerly before the heap is consulted, which
-    may rebuild trees the lazy sequential path skips:
-    [selector.tree_rebuilds] is cache economics and may differ from
-    [`Seq]; the selection does not. Pooled rebuilds are counted by
-    [selector.par_rebuilds]. *)
+    registration stay on the calling domain, in group order). Every
+    later rebuild stays lazy, on the calling domain. Trees are bitwise
+    identical to sequential rebuilds — Dijkstra is a pure function of
+    (CSR view, snapshot, source) — so selections are too; both QCheck
+    laws run under [`Seq] and a 2-domain pool. A pooled run does
+    exactly the sequential work: every [selector.*] and [dijkstra.*]
+    counter is the same as under [`Seq], except
+    [selector.par_rebuilds], which counts the cold-fill trees built on
+    the pool. *)
 
 type weights =
   | Uniform of (int -> float)
@@ -85,9 +86,9 @@ val create :
   Ufp_instance.Instance.t ->
   t
 (** A selector over all requests of the instance, all initially
-    pending. [pool] (default [`Seq]) fans stale-tree rebuilds out
-    across domains, with bitwise-identical trees (see the module
-    preamble). The weight functions are read lazily at
+    pending. [pool] (default [`Seq]) builds the first {!select}'s
+    cold-fill trees across domains, with bitwise-identical trees (see
+    the module preamble). The weight functions are read lazily at
     (re)computation time — materialised
     into a {!Ufp_graph.Weight_snapshot} once per weight epoch — so
     passing closures over the solver's mutable dual array is the

@@ -89,7 +89,7 @@ let heap_pop ws =
     Some (k, v)
   end
 
-let shortest_tree_snapshot_into ?view ws g ~snapshot ~src ~dist ~parent_edge =
+let shortest_tree_snapshot_into ws g ~snapshot ~src ~dist ~parent_edge =
   let n = Graph.n_vertices g in
   if ws.ws_n <> n then
     invalid_arg "Dijkstra.shortest_tree_into: workspace built for another graph";
@@ -99,9 +99,7 @@ let shortest_tree_snapshot_into ?view ws g ~snapshot ~src ~dist ~parent_edge =
     invalid_arg "Dijkstra.shortest_tree_into: output arrays must have length n";
   if Weight_snapshot.length snapshot <> Graph.n_edges g then
     invalid_arg "Dijkstra.shortest_tree_into: snapshot built for another graph";
-  let view = match view with Some v -> v | None -> Graph.csr_view g in
-  if Array.length view.Graph.Csr.view_rows <> n + 1 then
-    invalid_arg "Dijkstra.shortest_tree_into: view built for another graph";
+  let view = Graph.csr_view g in
   Array.fill dist 0 n infinity;
   Array.fill parent_edge 0 n (-1);
   Array.fill ws.ws_settled 0 n false;
@@ -119,9 +117,9 @@ let shortest_tree_snapshot_into ?view ws g ~snapshot ~src ~dist ~parent_edge =
       if not settled.(u) then begin
         settled.(u) <- true;
         Ufp_obs.Metrics.incr m_settled;
-        (* The relaxation inner loop: flat reads through the layout
+        (* The relaxation inner loop: flat reads through the cell
            accessors only — no closure call, no list cell, no validity
-           branch (the snapshot was validated at build time). Packed
+           branch (the snapshot was validated at build time). Slot
            indices are in range by CSR construction. *)
         let hi = row_start.(u + 1) in
         for k = row_start.(u) to hi - 1 do

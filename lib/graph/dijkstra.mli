@@ -36,7 +36,6 @@ val create_workspace : Graph.t -> workspace
     raises [Invalid_argument]. *)
 
 val shortest_tree_snapshot_into :
-  ?view:Graph.Csr.view ->
   workspace ->
   Graph.t ->
   snapshot:Weight_snapshot.t ->
@@ -45,11 +44,9 @@ val shortest_tree_snapshot_into :
   parent_edge:int array ->
   unit
 (** [shortest_tree_snapshot_into ws g ~snapshot ~src ~dist
-    ~parent_edge] runs a full Dijkstra from [src] over the
-    {!Graph.csr_view} adjacency (either layout — [?view] overrides the
-    graph's cached choice, for layout-equivalence tests and packed
-    vs wide benchmarks; the tree is the same bytes under both) and
-    the pre-validated [snapshot], overwriting
+    ~parent_edge] runs a full Dijkstra from [src] over the packed
+    {!Graph.csr_view} adjacency and the pre-validated [snapshot],
+    overwriting
     the caller-provided [dist] and [parent_edge] arrays (both of
     length [n_vertices g]). The relaxation inner loop performs flat
     array reads only — no closure calls, no list traversal, no

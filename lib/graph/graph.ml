@@ -5,34 +5,19 @@ module Csr = struct
 
   (* The monomorphic accessor layer shared by every adjacency hot loop
      (Dijkstra, the Dinic residual): a flat sequence of (fst, snd) int
-     pairs stored either as two plain int arrays (16 bytes per slot on
-     64-bit) or packed into one 8-byte cell per slot — two 32-bit
-     halves read back with a single unaligned 64-bit load. The layout is a single well-predicted branch per accessor,
-     not a functor or a closure, so the relaxation loops stay
-     monomorphic and allocation-free under either layout. *)
+     pairs packed into one 8-byte cell per slot — two 32-bit halves
+     read back with a single unaligned 64-bit load, half the cache
+     traffic of two plain int arrays. No functor, no closure, so the
+     relaxation loops stay monomorphic and allocation-free. *)
   module Cells = struct
     external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-    type t = {
-      len : int;
-      packed : bool;
-      cells : Bytes.t;  (* 8 bytes per slot when [packed] *)
-      wide_a : int array;  (* alias the source arrays otherwise *)
-      wide_b : int array;
-    }
+    type t = Bytes.t  (* 8 bytes per slot *)
 
     (* Largest value a 32-bit half can carry: 2^31 - 1. *)
     let max_packed = 0x7FFFFFFF
 
-    let length c = c.len
-
-    let is_packed c = c.packed
-
-    let wide a b =
-      if Array.length a <> Array.length b then
-        invalid_arg "Graph.Csr.Cells.wide: arrays differ in length";
-      { len = Array.length a; packed = false; cells = Bytes.empty;
-        wide_a = a; wide_b = b }
+    let length c = Bytes.length c / 8
 
     let pack a b =
       let len = Array.length a in
@@ -53,54 +38,26 @@ module Csr = struct
         Bytes.set_int64_ne cells (k * 8)
           (Int64.logor (Int64.of_int x) (Int64.shift_left (Int64.of_int y) 32))
       done;
-      { len; packed = true; cells; wide_a = [||]; wide_b = [||] }
+      cells
 
     (* Both halves are nonnegative and < 2^31, so the low half is bits
        0..30 (bit 31 is zero) and the high half survives the 63-bit
        [Int64.to_int] truncation intact. *)
     let[@inline] unsafe_fst c k =
-      if c.packed then
-        Int64.to_int (unsafe_get64 c.cells (k lsl 3)) land max_packed
-      else Array.unsafe_get c.wide_a k
+      Int64.to_int (unsafe_get64 c (k lsl 3)) land max_packed
 
-    let[@inline] unsafe_snd c k =
-      if c.packed then Int64.to_int (unsafe_get64 c.cells (k lsl 3)) lsr 32
-      else Array.unsafe_get c.wide_b k
+    let[@inline] unsafe_snd c k = Int64.to_int (unsafe_get64 c (k lsl 3)) lsr 32
 
     let fst c k =
-      if k < 0 || k >= c.len then invalid_arg "Graph.Csr.Cells.fst: slot out of range";
+      if k < 0 || k >= length c then invalid_arg "Graph.Csr.Cells.fst: slot out of range";
       unsafe_fst c k
 
     let snd c k =
-      if k < 0 || k >= c.len then invalid_arg "Graph.Csr.Cells.snd: slot out of range";
+      if k < 0 || k >= length c then invalid_arg "Graph.Csr.Cells.snd: slot out of range";
       unsafe_snd c k
   end
 
-  type csr = t
-
-  (* 32-bit packed adjacency: built when every vertex and edge id fits
-     in 31 bits, halving the relaxation loop's per-slot cache traffic
-     (8 bytes per (nbr, eid) pair instead of 16). *)
-  module Packed = struct
-    type t = { row_start : int array; cells : Cells.t }
-
-    let m_packed_builds = Ufp_obs.Metrics.counter "graph.packed_builds"
-
-    let fits ~n ~m =
-      Sys.int_size >= 63 && n <= Cells.max_packed && m <= Cells.max_packed
-
-    let of_csr (c : csr) =
-      Ufp_obs.Metrics.incr m_packed_builds;
-      { row_start = c.row_start; cells = Cells.pack c.nbr c.eid }
-  end
-
   type view = { view_rows : int array; view_cells : Cells.t }
-
-  let wide_view (c : csr) =
-    { view_rows = c.row_start; view_cells = Cells.wide c.nbr c.eid }
-
-  let packed_view (p : Packed.t) =
-    { view_rows = p.Packed.row_start; view_cells = p.Packed.cells }
 end
 
 type t = {
@@ -111,8 +68,8 @@ type t = {
   (* Lazily built flat-array adjacency view; [None] after any
      [add_edge] so traversals never see a stale row. *)
   mutable csr : Csr.t option;
-  (* Lazily chosen layout (packed when the ids fit 31 bits) on top of
-     [csr]; invalidated together with it. *)
+  (* Lazily packed cells on top of [csr]; invalidated together with
+     it. *)
   mutable view : Csr.view option;
 }
 
@@ -122,6 +79,8 @@ type t = {
 let m_csr_builds = Ufp_obs.Metrics.counter "graph.csr_builds"
 
 let m_stream_builds = Ufp_obs.Metrics.counter "graph.stream_builds"
+
+let m_packed_builds = Ufp_obs.Metrics.counter "graph.packed_builds"
 
 let create ~directed ~n =
   if n < 0 then invalid_arg "Graph.create: negative vertex count";
@@ -203,10 +162,10 @@ let csr_view g =
   | Some v -> v
   | None ->
     let c = csr g in
+    Ufp_obs.Metrics.incr m_packed_builds;
     let v =
-      if Csr.Packed.fits ~n:g.n ~m:g.m then
-        Csr.packed_view (Csr.Packed.of_csr c)
-      else Csr.wide_view c
+      { Csr.view_rows = c.Csr.row_start;
+        view_cells = Csr.Cells.pack c.Csr.nbr c.Csr.eid }
     in
     g.view <- Some v;
     v

@@ -47,33 +47,26 @@ module Csr : sig
 
   (** The monomorphic accessor layer every adjacency hot loop reads
       through ({!Dijkstra}, the Dinic residual of {!Maxflow}): a frozen
-      sequence of [(fst, snd)] int pairs stored either as two plain int
-      arrays (16 bytes per slot on 64-bit) or packed two 32-bit halves
-      to an 8-byte cell, read back with one unaligned 64-bit load. Layout dispatch is a single
-      well-predicted branch inside each [@inline] accessor — no
-      functor, no closure, no allocation — so one relaxation loop
-      serves both layouts. *)
+      sequence of [(fst, snd)] int pairs packed two 32-bit halves to
+      an 8-byte cell, read back with one unaligned 64-bit load — half
+      the cache traffic of two plain int arrays at RMAT scale. The
+      accessors are [@inline] — no functor, no closure, no
+      allocation. *)
   module Cells : sig
     type t
 
     val max_packed : int
     (** Largest value a 32-bit half can carry: [2^31 - 1]. *)
 
-    val wide : int array -> int array -> t
-    (** [wide a b] aliases the two arrays as the wide layout (slot [k]
-        is [(a.(k), b.(k))]). Raises [Invalid_argument] when lengths
-        differ. *)
-
     val pack : int array -> int array -> t
-    (** [pack a b] copies the pairs into 8-byte packed cells. Raises
-        [Invalid_argument] — naming the offending slot — when any
-        value lies outside [[0, max_packed]], when lengths differ, or
-        when native ints are narrower than 63 bits (the packed word is
-        reassembled through a 63-bit [int]). *)
+    (** [pack a b] copies the pairs into 8-byte cells (slot [k] is
+        [(a.(k), b.(k))]). Raises [Invalid_argument] — naming the
+        offending slot — when any value lies outside
+        [[0, max_packed]], when lengths differ, or when native ints
+        are narrower than 63 bits (the packed word is reassembled
+        through a 63-bit [int]). *)
 
     val length : t -> int
-
-    val is_packed : t -> bool
 
     val fst : t -> int -> int
     (** Bounds-checked first half of a slot. *)
@@ -88,38 +81,12 @@ module Csr : sig
     val unsafe_snd : t -> int -> int
   end
 
-  type csr = t
-  (** Alias for the record above, usable inside the submodules where
-      [t] is shadowed. *)
-
-  (** 32-bit packed adjacency, built when every vertex and edge id
-      fits in 31 bits: one 8-byte [(nbr, eid)] cell per CSR slot
-      instead of two 8-byte ints, halving the relaxation loop's cache
-      traffic at RMAT scale. Builds are counted by
-      [graph.packed_builds]. *)
-  module Packed : sig
-    type t
-
-    val fits : n:int -> m:int -> bool
-    (** Whether a graph with [n] vertices and [m] edges packs: both
-        below [2^31] on a 64-bit platform. *)
-
-    val of_csr : csr -> t
-    (** Pack a CSR view ([row_start] is shared, [nbr]/[eid] are copied
-        into cells). Raises [Invalid_argument] (from {!Cells.pack})
-        when an id exceeds the 32-bit bound — callers gate on {!fits}. *)
-  end
-
   type view = private {
     view_rows : int array;  (** the [row_start] offsets *)
-    view_cells : Cells.t;  (** [(nbr, eid)] per slot, either layout *)
+    view_cells : Cells.t;  (** packed [(nbr, eid)] per slot *)
   }
-  (** One adjacency view over either layout: what the shortest-path
-      kernels actually traverse. *)
-
-  val wide_view : csr -> view
-
-  val packed_view : Packed.t -> view
+  (** The adjacency the shortest-path kernels traverse: the CSR rows
+      with [nbr]/[eid] packed into {!Cells}. *)
 end
 
 val create : directed:bool -> n:int -> t
@@ -166,10 +133,12 @@ val csr : t -> Csr.t
     traversing, so a solve normally pays for exactly one build. *)
 
 val csr_view : t -> Csr.view
-(** The adjacency view the shortest-path kernels traverse: the packed
-    32-bit layout when {!Csr.Packed.fits} (counted by
-    [graph.packed_builds]), the wide layout otherwise. Built on demand
-    on top of {!csr} and cached until the next {!add_edge}. Callers
+(** The adjacency view the shortest-path kernels traverse: {!csr}'s
+    rows with [(nbr, eid)] packed into 8-byte {!Csr.Cells} (each
+    build counted by [graph.packed_builds]). Built on demand and
+    cached until the next {!add_edge}. Raises [Invalid_argument]
+    (from {!Csr.Cells.pack}) when a vertex or edge id is [2^31] or
+    more, or when native ints are narrower than 63 bits. Callers
     that fan traversals out across domains must force this on the
     submitting domain first (as {!Ufp_core.Selector} does at creation)
     so worker domains only ever read the frozen view. *)

@@ -6,11 +6,9 @@ type result = { value : float; flow : float array }
    Adjacency is CSR-style flat slots (mirroring Graph.Csr): vertex
    [u]'s outgoing arcs occupy slots [adj_start.(u) ..
    adj_start.(u+1) - 1], in arc-insertion order, each slot carrying
-   the (arc index, head vertex) pair through the shared
-   Graph.Csr.Cells accessor layer — packed to 8-byte cells when the
-   arc and vertex counts fit 31 bits, plain int arrays otherwise —
-   so the BFS/DFS hot loops traverse flat slots instead of cons
-   chains, under either layout. *)
+   the (arc index, head vertex) pair packed to an 8-byte cell through
+   the shared Graph.Csr.Cells accessor layer, so the BFS/DFS hot
+   loops traverse flat slots instead of cons chains. *)
 type residual = {
   n : int;
   mutable cap : float array;
@@ -75,14 +73,7 @@ let build g ~extra_vertices ~extra_arcs =
       adj_arc.(cursor.(v)) <- a + 1;
       adj_head.(cursor.(v)) <- u;
       cursor.(v) <- cursor.(v) + 1);
-  (* Same layout rule as Graph.csr_view: packed (arc, head) cells when
-     both halves fit 31 bits, the wide int arrays otherwise. *)
-  let adj =
-    if Graph.Csr.Packed.fits ~n ~m:n_arcs then
-      Graph.Csr.Cells.pack adj_arc adj_head
-    else Graph.Csr.Cells.wide adj_arc adj_head
-  in
-  { n; cap; adj_start; adj; orig }
+  { n; cap; adj_start; adj = Graph.Csr.Cells.pack adj_arc adj_head; orig }
 
 let bfs_levels r ~src ~dst =
   let levels = Array.make r.n (-1) in

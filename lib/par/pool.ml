@@ -371,10 +371,6 @@ let parallel_for_dynamic ?(pool = `Seq) ?(grain = 1) ~n f =
 let parallel_for ?pool ?(chunk = 1) ~n f =
   parallel_for_dynamic ?pool ~grain:chunk ~n f
 
-let submit ?pool tasks =
-  parallel_for_dynamic ?pool ~grain:1 ~n:(Array.length tasks) (fun i ->
-      tasks.(i) ())
-
 type choice = [ `Seq | `Pool of t ]
 
 let parallel_mapi ?(pool = `Seq) ?chunk ~n f =

@@ -95,12 +95,6 @@ val parallel_for : ?pool:choice -> ?chunk:int -> n:int -> (int -> unit) -> unit
     entry point, kept so every existing call site reads unchanged;
     [chunk] now sets the leaf grain instead of a cursor claim size. *)
 
-val submit : ?pool:choice -> (unit -> unit) array -> unit
-(** [submit ~pool tasks] runs every thunk exactly once on the
-    work-stealing scheduler ([grain] 1) and returns when all have
-    completed; exceptions propagate as in {!parallel_for_dynamic}.
-    For heterogeneous task batches that are not an index range. *)
-
 val parallel_mapi : ?pool:choice -> ?chunk:int -> n:int -> (int -> 'a) -> 'a array
 (** [parallel_mapi ~pool ~n f] is [Array.init n f], fanned out like
     {!parallel_for}. Slot [i] holds [f i]; completion order never

@@ -943,18 +943,10 @@ let test_pack_rejects_negative () =
     (Invalid_argument "Graph.Csr.Cells.pack: value out of 32-bit range at slot 0")
     (fun () -> ignore (Graph.Csr.Cells.pack [| -1 |] [| 0 |]))
 
-let test_packed_fits_bound () =
-  Alcotest.(check bool) "max_packed fits" true
-    (Graph.Csr.Packed.fits ~n:Graph.Csr.Cells.max_packed
-       ~m:Graph.Csr.Cells.max_packed);
-  Alcotest.(check bool) "max_packed + 1 does not" false
-    (Graph.Csr.Packed.fits ~n:(Graph.Csr.Cells.max_packed + 1) ~m:1)
-
 let test_pack_roundtrip_boundary () =
   let a = [| 0; Graph.Csr.Cells.max_packed; 7 |] in
   let b = [| Graph.Csr.Cells.max_packed; 0; 123456789 |] in
   let c = Graph.Csr.Cells.pack a b in
-  Alcotest.(check bool) "packed layout" true (Graph.Csr.Cells.is_packed c);
   for k = 0 to 2 do
     Alcotest.(check int) "fst" a.(k) (Graph.Csr.Cells.fst c k);
     Alcotest.(check int) "snd" b.(k) (Graph.Csr.Cells.snd c k)
@@ -972,8 +964,7 @@ let test_pack_roundtrip_boundary () =
      dist v = dist u +. w e;
    - no edge relaxes any vertex further;
    - following parents from any reached vertex ends at [src], which
-     has distance 0 and no parent;
-   - the wide and packed CSR layouts return byte-identical trees.
+     has distance 0 and no parent.
    The arcs the oracle walks come from [Graph.fold_edges], not from
    the CSR view under test. *)
 
@@ -1072,35 +1063,17 @@ let tree_violation g w ~src (dist, parent) =
     | Some _ as bad -> bad
     | None -> first_vertex rooted 0)
 
-let tree_on_view g snapshot ~src view =
+(* The Dijkstra tree of [g] from [src] under [w], checked against the
+   oracle. *)
+let oracle_tree g w ~src =
   let n = Graph.n_vertices g in
   let dist = Array.make n nan and parent = Array.make n min_int in
-  Dijkstra.shortest_tree_snapshot_into ~view (Dijkstra.create_workspace g) g
-    ~snapshot ~src ~dist ~parent_edge:parent;
-  (dist, parent)
-
-(* The Dijkstra tree over both layouts of [g], each checked against
-   the oracle, then against each other; the wide tree on success. *)
-let oracle_tree g w ~src =
-  let snapshot = Weight_snapshot.build g ~weight:(fun e -> w.(e)) in
-  let csr = Graph.csr g in
-  let wide = tree_on_view g snapshot ~src (Graph.Csr.wide_view csr) in
-  let packed =
-    tree_on_view g snapshot ~src
-      (Graph.Csr.packed_view (Graph.Csr.Packed.of_csr csr))
-  in
-  let checked layout tree =
-    Option.map (fun msg -> layout ^ ": " ^ msg) (tree_violation g w ~src tree)
-  in
-  match checked "wide" wide with
+  Dijkstra.shortest_tree_snapshot_into (Dijkstra.create_workspace g) g
+    ~snapshot:(Weight_snapshot.build g ~weight:(fun e -> w.(e)))
+    ~src ~dist ~parent_edge:parent;
+  match tree_violation g w ~src (dist, parent) with
   | Some msg -> Error msg
-  | None -> (
-    match checked "packed" packed with
-    | Some msg -> Error msg
-    | None ->
-      let (wd, wp), (pd, pp) = (wide, packed) in
-      if Array.for_all2 same_bits wd pd && wp = pp then Ok wide
-      else Error "wide and packed trees differ")
+  | None -> Ok (dist, parent)
 
 let check_oracle msg g w ~src =
   match oracle_tree g w ~src with
@@ -1153,7 +1126,7 @@ let boundary_instance seed =
   (g, w, Rng.int rng n)
 
 let qcheck_dijkstra_oracle =
-  QCheck.Test.make ~name:"dijkstra on both layouts" ~count:300
+  QCheck.Test.make ~name:"dijkstra tree on boundary weights" ~count:300
     (QCheck.int_bound 0x3FFFFFFF) (fun seed ->
       let g, w, src = boundary_instance seed in
       match oracle_tree g w ~src with
@@ -1356,7 +1329,6 @@ let () =
             test_pack_rejects_oversized;
           Alcotest.test_case "pack rejects negative" `Quick
             test_pack_rejects_negative;
-          Alcotest.test_case "fits bound" `Quick test_packed_fits_bound;
           Alcotest.test_case "pack boundary roundtrip" `Quick
             test_pack_roundtrip_boundary;
         ] );

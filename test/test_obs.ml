@@ -8,9 +8,10 @@
      - determinism: two runs of Pd_engine.execute on the same instance
        produce structurally equal metric snapshots;
      - engine invariance (QCheck): runs on `Seq and on a `Pool agree
-       exactly on the algorithm-level pd.* counters and may differ
-       only in selector cache/heap accounting; selector.par_rebuilds
-       stays zero under `Seq. *)
+       exactly on the algorithm-level pd.* counters and on every
+       selector.* and dijkstra.* counter except selector.par_rebuilds,
+       which stays zero under `Seq and counts at most one cold-fill
+       tree per selector group on a `Pool. *)
 
 module Metrics = Ufp_obs.Metrics
 module Trace = Ufp_obs.Trace
@@ -508,51 +509,89 @@ let test_wrapper_span span solve () =
 
 (* --- the engine-invariance law (QCheck) --- *)
 
-(* pd.* is decided by the algorithm; selector.* is cache economics and
-   legitimately differs between `Seq and `Pool (a pooled run refreshes
-   every stale tree eagerly, so dijkstra.* differs too). *)
-let algorithm_level name =
-  String.length name >= 3 && String.sub name 0 3 = "pd."
+(* pd.* is decided by the algorithm. A pool builds only the cold-fill
+   trees the first select would build lazily anyway, so the selector's
+   cache economics and the Dijkstra work are the same too; only
+   selector.par_rebuilds says where the cold fill ran. *)
+let has_prefix p name =
+  String.length name >= String.length p
+  && String.sub name 0 (String.length p) = p
 
-let pd_counters snapshot =
-  List.filter (fun (n, _) -> algorithm_level n) snapshot.Metrics.counters
+let exact_work snapshot =
+  List.filter
+    (fun (n, _) ->
+      (has_prefix "pd." n || has_prefix "selector." n || has_prefix "dijkstra." n)
+      && n <> "selector.par_rebuilds")
+    snapshot.Metrics.counters
+
+(* The number of selector groups: one per source, or per (source,
+   demand) when residual filtering makes weights read the demand. *)
+let n_groups config inst =
+  let key r =
+    ( r.Request.src,
+      if config.Pd_engine.respect_residual then r.Request.demand else 0.0 )
+  in
+  List.length
+    (List.sort_uniq compare (List.map key (Array.to_list (Instance.requests inst))))
 
 let engine_agreement_law =
-  QCheck.Test.make ~count:30
+  QCheck.Test.make ~count:300
     ~name:"engines agree on pd.* metrics across `Seq and `Pool"
+    (* No shrinking: int shrinks leave the 3..5 grid range. *)
     QCheck.(
-      triple (int_range 3 5) (int_range 3 5) (int_range 1 1000))
-    (fun (rows, cols, seed) ->
+      set_shrink Shrink.nil
+        (quad (int_range 3 5) (int_range 3 5) (int_range 1 1000) (int_range 0 2)))
+    (fun (rows, cols, seed, rule) ->
       let m = (rows * (cols - 1)) + (cols * (rows - 1)) in
       let eps = 0.3 in
       let capacity = Float.ceil (log (float_of_int m) /. (eps *. eps)) in
       let inst = grid_instance ~rows ~cols ~capacity ~count:25 seed in
-      let config = Pd_engine.algorithm_1 ~eps ~b:capacity in
+      (* Algorithm 3 stops only on its budget; capping it at 2m (the
+         duals start at D1 = m) keeps the with-repetitions run short. *)
+      let label, config =
+        match rule with
+        | 0 -> ("algorithm_1", Pd_engine.algorithm_1 ~eps ~b:capacity)
+        | 1 -> ("threshold_rule", Pd_engine.threshold_rule ~eps ~b:capacity)
+        | _ ->
+          ( "algorithm_3",
+            {
+              (Pd_engine.algorithm_3 ~eps ~b:capacity) with
+              Pd_engine.stop = Pd_engine.Budget (2.0 *. float_of_int m);
+            } )
+      in
       Pool.with_pool ~domains:2 (fun pool ->
           let s_seq, r_seq = snapshot_of_run config inst in
           let s_pool, r_pool = snapshot_of_run ~pool config inst in
           let counter name s = List.assoc name s.Metrics.counters in
           if r_pool.Pd_engine.solution <> r_seq.Pd_engine.solution then
-            QCheck.Test.fail_report "solutions differ";
-          if pd_counters s_pool <> pd_counters s_seq then
-            QCheck.Test.fail_report "pd.* counters differ";
+            QCheck.Test.fail_reportf "%s: solutions differ" label;
+          List.iter2
+            (fun (name, v_seq) (_, v_pool) ->
+              if v_pool <> v_seq then
+                QCheck.Test.fail_reportf "%s: %s is %d under `Seq, %d on a pool"
+                  label name v_seq v_pool)
+            (exact_work s_seq) (exact_work s_pool);
           if
             List.assoc "pd.d1_growth" s_pool.Metrics.gauges
             <> List.assoc "pd.d1_growth" s_seq.Metrics.gauges
-          then QCheck.Test.fail_report "pd.d1_growth differs";
+          then QCheck.Test.fail_reportf "%s: pd.d1_growth differs" label;
           if
             List.assoc "pd.path_edges" s_pool.Metrics.histograms
             <> List.assoc "pd.path_edges" s_seq.Metrics.histograms
-          then QCheck.Test.fail_report "pd.path_edges differs";
+          then QCheck.Test.fail_reportf "%s: pd.path_edges differs" label;
           (* Selection goes through the candidate heap, pooled or not. *)
           List.iter
-            (fun (label, s, r) ->
+            (fun (mode, s, r) ->
               if r.Pd_engine.iterations > 0 && counter "selector.heap_pops" s = 0
-              then QCheck.Test.fail_reportf "%s run bypassed the heap" label)
+              then QCheck.Test.fail_reportf "%s: %s run bypassed the heap" label mode)
             [ ("seq", s_seq, r_seq); ("pool", s_pool, r_pool) ];
-          (* selector.par_rebuilds accounts only pooled rebuilds. *)
+          (* selector.par_rebuilds accounts only the pooled cold fill. *)
           if counter "selector.par_rebuilds" s_seq <> 0 then
-            QCheck.Test.fail_report "seq run counted par_rebuilds";
+            QCheck.Test.fail_reportf "%s: seq run counted par_rebuilds" label;
+          let par = counter "selector.par_rebuilds" s_pool in
+          if par < 1 || par > n_groups config inst then
+            QCheck.Test.fail_reportf "%s: %d pooled rebuilds for %d groups"
+              label par (n_groups config inst);
           true))
 
 let () =

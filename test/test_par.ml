@@ -6,8 +6,8 @@
    empty jobs, exception propagation with the pool surviving,
    shutdown semantics, the with_jobs/jobs_from_env CLI conveniences,
    deque ordering (owner LIFO, thief FIFO) and a 3-domain
-   exactly-once hammer over [Pool.submit].  The end-to-end bitwise
-   payment laws live in test_mech.ml. *)
+   exactly-once hammer over [Pool.parallel_for_dynamic ~grain:1].
+   The end-to-end bitwise payment laws live in test_mech.ml. *)
 
 module Pool = Ufp_par.Pool
 module Deque = Ufp_par.Deque
@@ -339,27 +339,24 @@ let test_skewed_exactly_once () =
         Alcotest.failf "skewed: index %d ran %d times" i (Atomic.get h))
     hits
 
-(* The 3-domain QCheck hammer: every submitted thunk runs exactly
-   once, witnessed twice over — per-task Atomic slots, and the
+(* The 3-domain QCheck hammer: at grain 1 every index runs exactly
+   once, witnessed twice over — per-index Atomic slots, and the
    domain-safe Ufp_obs counter the tasks hammer concurrently. *)
-let qcheck_submit_exactly_once =
-  QCheck.Test.make ~count:40 ~name:"submit runs every task exactly once"
+let qcheck_grain1_exactly_once =
+  QCheck.Test.make ~count:40 ~name:"grain-1 range runs every index once"
     QCheck.(int_range 1 200)
     (fun n ->
-      let c = Metrics.counter "test.par_submit" in
+      let c = Metrics.counter "test.par_grain1" in
       let before = Metrics.value c in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
-      let tasks =
-        Array.init n (fun i ->
-            fun () ->
-             Metrics.incr c;
-             Atomic.incr hits.(i))
-      in
-      Pool.submit ~pool:(`Pool (Lazy.force pool3)) tasks;
+      Pool.parallel_for_dynamic ~pool:(`Pool (Lazy.force pool3)) ~grain:1 ~n
+        (fun i ->
+          Metrics.incr c;
+          Atomic.incr hits.(i));
       Array.iteri
         (fun i h ->
           if Atomic.get h <> 1 then
-            QCheck.Test.fail_reportf "task %d ran %d times" i (Atomic.get h))
+            QCheck.Test.fail_reportf "index %d ran %d times" i (Atomic.get h))
         hits;
       if Metrics.value c - before <> n then
         QCheck.Test.fail_reportf "counter says %d runs, wanted %d"
@@ -397,7 +394,7 @@ let () =
       ( "work-stealing",
         [
           tc "skewed workload exactly once" `Quick test_skewed_exactly_once;
-          QCheck_alcotest.to_alcotest qcheck_submit_exactly_once;
+          QCheck_alcotest.to_alcotest qcheck_grain1_exactly_once;
         ] );
       ( "conveniences",
         [
