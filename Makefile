@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint bench bench-quick bench-json bench-diff bench-trajectory examples doc clean trace-demo par-demo profile-demo rmat-demo
+.PHONY: all build test lint bench bench-quick bench-csv bench-json bench-diff bench-trajectory examples doc clean trace-demo par-demo profile-demo rmat-demo
 
 all: build
 
@@ -50,16 +50,17 @@ bench-quick:
 bench-csv:
 	dune exec bench/main.exe -- --csv results
 
-# Perf artifacts (schemas in EXPERIMENTS.md):
-#   BENCH_PR6.json — RMAT TEPS trials (up to scale 18, ~2.6M edges) +
-#                    end-to-end RMAT solves, seq vs 2-domain pool
-#   BENCH_PR8.json — telemetry hot-path micros + CI-sized end-to-end
-#                    anchors, self-describing rows for ufp-bench-diff
+# Perf artifacts, all self-describing rows for ufp-bench-diff (row
+# catalogue in EXPERIMENTS.md):
+#   BENCH_PR6.json — end-to-end RMAT solve, seq vs 2-domain pool (no
+#                    TEPS trials; EXP-RMAT and perfbench measure those)
+#   BENCH_PR8.json — telemetry hot-path micros, the CSR Dijkstra pair
+#                    and two CI-sized end-to-end anchors
 #   BENCH_PR9.json — work-stealing vs fixed-chunk modelled makespan
 #                    (host-independent cost units) + warm-start
 #                    payment probe counts
 #   BENCH_PR10.json — sequential Dijkstra on RMAT + packed adjacency
-#                    latency and footprint rows
+#                    footprint rows
 bench-json:
 	dune exec bench/main.exe -- --json-pr6 BENCH_PR6.json
 	dune exec bench/main.exe -- --json-pr8 BENCH_PR8.json
@@ -67,7 +68,8 @@ bench-json:
 	dune exec bench/main.exe -- --json-pr10 BENCH_PR10.json
 
 # Perf-trajectory regression gate (see docs/OBSERVABILITY.md): rerun
-# the PR 8/PR 9 rows and diff against the committed trajectories.
+# the PR 8, PR 9 and PR 10 rows and diff against the committed
+# trajectories.
 # Exits non-zero past the threshold; loosen it for noisy hosts.  The
 # PR 9 rows are deterministic cost-model units and probe counts, so
 # they bear a much tighter threshold than the wall-clock rows.

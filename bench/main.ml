@@ -10,25 +10,11 @@
      dune exec bench/main.exe -- --no-micro   # skip bechamel section
      dune exec bench/main.exe -- --csv DIR    # also save tables as CSV
      dune exec bench/main.exe -- --markdown F # also save a markdown report
-     dune exec bench/main.exe -- --json-pr6 F # PR 6 scale artifact only:
-                                              # RMAT TEPS trials + end-to-end
-                                              # RMAT solves, seq vs pool
-                                              # (honours --quick)
-     dune exec bench/main.exe -- --json-pr8 F # PR 8 telemetry artifact only:
-                                              # metrics hot-path micros +
-                                              # CI-sized end-to-end anchors,
-                                              # self-describing rows for
-                                              # ufp-bench-diff
-     dune exec bench/main.exe -- --json-pr9 F # PR 9 scheduler artifact only:
-                                              # skewed-workload modelled
-                                              # makespan (static vs dynamic,
-                                              # cost units) + warm-start
-                                              # payment probe counts
-     dune exec bench/main.exe -- --json-pr10 F # PR 10 SSSP artifact only:
-                                              # sequential Dijkstra on RMAT
-                                              # + packed adjacency latency
-                                              # and footprint rows
-                                              # (honours --quick) *)
+     dune exec bench/main.exe -- --json-pr8 F # run one BENCH_*.json suite
+                                              # (pr6, pr8, pr9 or pr10; see
+                                              # [suites]) and write its rows
+                                              # to F; pr6 and pr10 honour
+                                              # --quick *)
 
 module Registry = Ufp_experiments.Registry
 module Harness = Ufp_experiments.Harness
@@ -44,67 +30,14 @@ module Rng = Ufp_prelude.Rng
 module Float_tol = Ufp_prelude.Float_tol
 module Metrics = Ufp_obs.Metrics
 
-(* --- the pre-CSR list-based Dijkstra, kept here as the bench baseline ---
-
-   This is the adjacency-list traversal the graph core used before the
-   CSR view: prepend-lists walked with a closure-valued weight and
-   per-relaxation NaN/negative checks. The library no longer contains
-   it, so the list-vs-CSR micro comparison rebuilds it locally from the
-   public edge API. *)
-
-let legacy_adjacency g =
-  let adj = Array.make (Graph.n_vertices g) [] in
-  (* Prepend like the old core did: rows end up in reverse insertion
-     order, which is what the pre-CSR traversals actually walked. *)
-  Graph.fold_edges
-    (fun e () ->
-      adj.(e.Graph.u) <- (e.Graph.id, e.Graph.v) :: adj.(e.Graph.u);
-      if not (Graph.is_directed g) then
-        adj.(e.Graph.v) <- (e.Graph.id, e.Graph.u) :: adj.(e.Graph.v))
-    g ();
-  adj
-
-let legacy_list_dijkstra ~adj ~weight ~src ~dist ~parent_edge ~settled heap =
-  let n = Array.length dist in
-  Array.fill dist 0 n infinity;
-  Array.fill parent_edge 0 n (-1);
-  Array.fill settled 0 n false;
-  Ufp_prelude.Heap.clear heap;
-  dist.(src) <- 0.0;
-  Ufp_prelude.Heap.push heap 0.0 src;
-  let rec loop () =
-    match Ufp_prelude.Heap.pop_min heap with
-    | None -> ()
-    | Some (d, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        List.iter
-          (fun (e, v) ->
-            if not settled.(v) then begin
-              let w = weight e in
-              if Float.is_nan w then invalid_arg "Dijkstra: NaN edge weight";
-              if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-              let d' = d +. w in
-              if d' < dist.(v) then begin
-                dist.(v) <- d';
-                parent_edge.(v) <- e;
-                Ufp_prelude.Heap.push heap d' v
-              end
-            end)
-          adj.(u)
-      end;
-      loop ()
-  in
-  loop ()
-
 (* --- bechamel micro-benchmarks: one per computational kernel --- *)
 
-(* The list-vs-CSR shortest-tree trio on one shared 12x12 grid:
-   the legacy list baseline, the CSR path including its per-call
-   weight-snapshot build, and the CSR inner loop alone against a
-   prebuilt snapshot (the steady-state Selector regime, where the
-   snapshot is cached across rebuilds of the same weight epoch). *)
-let dijkstra_compare_tests () =
+(* The CSR shortest-tree pair on one shared 12x12 grid: the path
+   including its per-call weight-snapshot build, and the inner loop
+   alone against a prebuilt snapshot (the steady-state Selector
+   regime, where the snapshot is cached across rebuilds of the same
+   weight epoch). *)
+let dijkstra_pair_tests () =
   let open Bechamel in
   let grid = Gen.grid ~rows:12 ~cols:12 ~capacity:10.0 in
   let rng = Rng.create 1 in
@@ -112,19 +45,6 @@ let dijkstra_compare_tests () =
     Array.init (Graph.n_edges grid) (fun _ -> Rng.float_in rng 0.1 2.0)
   in
   let n = Graph.n_vertices grid in
-  let adj = legacy_adjacency grid in
-  let l_dist = Array.make n infinity in
-  let l_parent = Array.make n (-1) in
-  let l_settled = Array.make n false in
-  let l_heap = Ufp_prelude.Heap.create ~capacity:n () in
-  let dijkstra_list =
-    Test.make ~name:"dijkstra-list-grid-12x12"
-      (Staged.stage (fun () ->
-           legacy_list_dijkstra ~adj
-             ~weight:(fun e -> weights.(e))
-             ~src:0 ~dist:l_dist ~parent_edge:l_parent ~settled:l_settled
-             l_heap))
-  in
   let ws = Dijkstra.create_workspace grid in
   let dist = Array.make n infinity in
   let parent_edge = Array.make n (-1) in
@@ -144,7 +64,7 @@ let dijkstra_compare_tests () =
            Dijkstra.shortest_tree_snapshot_into ws grid ~snapshot ~src:0 ~dist
              ~parent_edge))
   in
-  (grid, [ dijkstra_list; dijkstra_csr; dijkstra_csr_snapshot ])
+  (grid, weights, [ dijkstra_csr; dijkstra_csr_snapshot ])
 
 (* --- telemetry hot-path micros ---
 
@@ -179,13 +99,9 @@ let obs_tests () =
 
 let micro_tests () =
   let open Bechamel in
-  let grid, dijkstra_trio = dijkstra_compare_tests () in
+  let grid, weights, dijkstra_pair = dijkstra_pair_tests () in
   (* Allocating Dijkstra on the same 12x12 grid (fresh workspace and
      snapshot per call). *)
-  let rng = Rng.create 1 in
-  let weights =
-    Array.init (Graph.n_edges grid) (fun _ -> Rng.float_in rng 0.1 2.0)
-  in
   let dijkstra =
     Test.make ~name:"dijkstra-grid-12x12"
       (Staged.stage (fun () ->
@@ -269,7 +185,7 @@ let micro_tests () =
              (Ufp_mech.Single_param.payments ~rel_tol:Float_tol.coarse_slack
                 ~pool:(`Pool pay_pool) pay_model pay_inst)))
   in
-  (dijkstra :: dijkstra_trio)
+  (dijkstra :: dijkstra_pair)
   @ [
       bounded_ufp; bounded_muca; staircase; mcf; colgen;
       maxflow; payment; payments_seq; payments_par;
@@ -321,11 +237,27 @@ let run_micro () =
     (ols_rows (micro_tests ()));
   Ufp_prelude.Table.print table
 
-(* --- shared by the BENCH_*.json emitters --- *)
+(* --- BENCH_*.json suites ---
 
-let json_float = function
-  | Some x when Float.is_finite x -> Printf.sprintf "%.6g" x
-  | Some _ | None -> "null"
+   [--json-<suite> FILE] runs one suite and writes its rows as
+   self-describing [{ id, unit, better, value }] objects under a
+   provenance stamp.  bin/bench_diff.ml joins two such files by id
+   with no schema knowledge, so a suite keeps its row ids from run to
+   run; EXPERIMENTS.md has the row catalogue. *)
+
+type better = Lower | Higher | Info
+
+type row = { id : string; unit : string; better : better; value : float }
+
+let row better id unit value = { id; unit; better; value }
+
+let json_float x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
+
+(* Write [path] through [f], then say so on stdout. *)
+let with_out path f =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc);
+  Printf.printf "wrote %s\n" path
 
 (* Every BENCH_*.json artifact records where its numbers came from, so
    a bench-diff across trajectories can tell a code regression from a
@@ -345,140 +277,102 @@ let provenance_json () =
     git_rev Sys.ocaml_version
     (Domain.recommended_domain_count ())
 
-(* --- the PR 6 scale artifact: BENCH_PR6.json ---
-
-   `make bench-json` runs the million-edge-scale certification:
-   RMAT TEPS trials through the streaming CSR builder (the full sweep
-   tops out at scale 18 — ~2.6M edges) plus an end-to-end Bounded-UFP
-   solve over an RMAT instance with hub-laid requests, sequential vs
-   2-domain pool with byte-identical traces asserted. [--quick] drops
-   to CI-sized scales. Schema in EXPERIMENTS.md. *)
-
-let run_bench_json_pr6 ~quick path =
-  print_string "### BENCH-JSON-PR6: RMAT many-source Dijkstra TEPS\n";
-  let teps_configs =
-    if quick then [ (12, 16, 4) ] else [ (14, 16, 8); (18, 10, 4) ]
+let write_rows ~schema path rows =
+  let better_name = function
+    | Lower -> "lower"
+    | Higher -> "higher"
+    | Info -> "info"
   in
-  let teps_rows =
-    List.map
-      (fun (scale, edge_factor, trials) ->
-        let t =
-          Ufp_experiments.Exp_rmat.run_trial ~scale ~edge_factor ~trials
-            ~seed:1
-        in
-        Printf.printf
-          "  scale %2d ef %2d: n=%d m=%d gen %.3fs trials %.3fs %.2f MTEPS\n%!"
-          scale edge_factor t.Ufp_experiments.Exp_rmat.vertices
-          t.Ufp_experiments.Exp_rmat.edges t.Ufp_experiments.Exp_rmat.gen_s
-          t.Ufp_experiments.Exp_rmat.trial_s
-          (t.Ufp_experiments.Exp_rmat.teps /. 1e6);
-        t)
-      teps_configs
-  in
+  with_out path (fun oc ->
+      Printf.fprintf oc "{\n  \"schema\": %S,\n  \"provenance\": %s,\n"
+        schema (provenance_json ());
+      output_string oc "  \"rows\": [\n";
+      List.iteri
+        (fun i r ->
+          Printf.fprintf oc
+            "    { \"id\": %S, \"unit\": %S, \"better\": %S, \"value\": %s \
+             }%s\n"
+            r.id r.unit (better_name r.better) (json_float r.value)
+            (if i = List.length rows - 1 then "" else ","))
+        rows;
+      output_string oc "  ]\n}\n")
+
+(* pr6 (BENCH_PR6.json): an end-to-end Bounded-UFP solve over an RMAT
+   instance with hub-laid requests, sequential vs a 2-domain pool.
+   The suite fails instead of writing rows if the two traces differ.
+   [--quick] drops to a CI-sized scale.  Row ids keep the
+   [rmat_solve{...}.field] names the committed artifact carries. *)
+let pr6 ~quick =
   print_string "### BENCH-JSON-PR6: RMAT Bounded-UFP solve, seq vs pool\n";
   let eps = 0.3 in
-  let solve_configs = if quick then [ (10, 8, 100) ] else [ (12, 8, 200) ] in
-  let solve_rows =
+  let configs = if quick then [ (10, 8, 100) ] else [ (12, 8, 200) ] in
+  List.concat_map
+    (fun (scale, edge_factor, count) ->
+      let rng = Rng.create 7 in
+      let m = edge_factor * (1 lsl scale) in
+      let capacity = Harness.capacity_for ~m ~eps in
+      let g =
+        Gen.rmat rng ~scale ~edge_factor ~capacity_lo:capacity
+          ~capacity_hi:(capacity *. 1.5) ()
+      in
+      let inst = Instance.create g (Workloads.hub_requests rng g ~count ()) in
+      let seq, seq_s =
+        Harness.time_it (fun () -> Bounded_ufp.run ~eps ~pool:`Seq inst)
+      in
+      let pool = Ufp_par.Pool.create ~domains:2 () in
+      let par, pool_s =
+        Fun.protect
+          ~finally:(fun () -> Ufp_par.Pool.shutdown pool)
+          (fun () ->
+            Harness.time_it (fun () ->
+                Bounded_ufp.run ~eps ~pool:(`Pool pool) inst))
+      in
+      let equal = seq.Bounded_ufp.trace = par.Bounded_ufp.trace in
+      let accepted = List.length seq.Bounded_ufp.solution in
+      Printf.printf
+        "  scale %2d ef %2d %d req: seq %.3fs pool2 %.3fs accepted %d equal \
+         %b\n\
+         %!"
+        scale edge_factor count seq_s pool_s accepted equal;
+      if not equal then
+        failwith "BENCH-JSON-PR6: seq and pool traces differ on RMAT solve";
+      let id field =
+        Printf.sprintf "rmat_solve{scale=%d,edge_factor=%d,requests=%d}.%s"
+          scale edge_factor count field
+      in
+      [
+        row Info (id "vertices") "" (float_of_int (Graph.n_vertices g));
+        row Info (id "edges") "" (float_of_int (Graph.n_edges g));
+        row Info (id "accepted") "" (float_of_int accepted);
+        row Lower (id "seq_s") "s" seq_s;
+        row Lower (id "pool2_s") "s" pool_s;
+        row Higher (id "speedup") "x"
+          (seq_s /. Float.max pool_s Float_tol.div_guard);
+      ])
+    configs
+
+(* pr8 (BENCH_PR8.json): the telemetry hot-path micros (the
+   sharded-counter claim itself), the CSR Dijkstra pair whose inner
+   loop carries the instrumented increment, and two CI-sized
+   end-to-end anchors — small enough that a fresh run in CI carries
+   identical row ids to the committed artifact. *)
+let pr8 ~quick:_ =
+  let micro_rows title tests =
+    print_string title;
     List.map
-      (fun (scale, edge_factor, count) ->
-        let rng = Rng.create 7 in
-        let m = edge_factor * (1 lsl scale) in
-        let capacity = Harness.capacity_for ~m ~eps in
-        let g =
-          Gen.rmat rng ~scale ~edge_factor ~capacity_lo:capacity
-            ~capacity_hi:(capacity *. 1.5) ()
-        in
-        let inst = Instance.create g (Workloads.hub_requests rng g ~count ()) in
-        let seq, seq_s =
-          Harness.time_it (fun () -> Bounded_ufp.run ~eps ~pool:`Seq inst)
-        in
-        let pool = Ufp_par.Pool.create ~domains:2 () in
-        let par, pool_s =
-          Fun.protect
-            ~finally:(fun () -> Ufp_par.Pool.shutdown pool)
-            (fun () ->
-              Harness.time_it (fun () ->
-                  Bounded_ufp.run ~eps ~pool:(`Pool pool) inst))
-        in
-        let equal = seq.Bounded_ufp.trace = par.Bounded_ufp.trace in
-        let accepted = List.length seq.Bounded_ufp.solution in
-        Printf.printf
-          "  scale %2d ef %2d %d req: seq %.3fs pool2 %.3fs accepted %d equal \
-           %b\n\
-           %!"
-          scale edge_factor count seq_s pool_s accepted equal;
-        if not equal then
-          failwith "BENCH-JSON-PR6: seq and pool traces differ on RMAT solve";
-        (scale, edge_factor, Graph.n_vertices g, Graph.n_edges g, count,
-         accepted, seq_s, pool_s, equal))
-      solve_configs
+      (fun (name, est, _) ->
+        let r = row Lower name "ns" (Option.value est ~default:Float.nan) in
+        Printf.printf "  %-34s %s ns/run\n" name (json_float r.value);
+        r)
+      (ols_rows tests)
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr6/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"rmat_teps\": [\n";
-  List.iteri
-    (fun i (t : Ufp_experiments.Exp_rmat.trial) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"scale\": %d, \"edge_factor\": %d, \"vertices\": %d, \
-            \"edges\": %d, \"trials\": %d, \"gen_s\": %.6f, \"trials_s\": \
-            %.6f, \"relaxations\": %d, \"teps\": %.6g }%s\n"
-           t.Ufp_experiments.Exp_rmat.scale
-           t.Ufp_experiments.Exp_rmat.edge_factor
-           t.Ufp_experiments.Exp_rmat.vertices t.Ufp_experiments.Exp_rmat.edges
-           t.Ufp_experiments.Exp_rmat.trials t.Ufp_experiments.Exp_rmat.gen_s
-           t.Ufp_experiments.Exp_rmat.trial_s
-           t.Ufp_experiments.Exp_rmat.relaxations
-           t.Ufp_experiments.Exp_rmat.teps
-           (if i = List.length teps_rows - 1 then "" else ",")))
-    teps_rows;
-  Buffer.add_string buf "  ],\n  \"rmat_solve\": [\n";
-  List.iteri
-    (fun i (scale, ef, n, m, count, accepted, seq_s, pool_s, equal) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"scale\": %d, \"edge_factor\": %d, \"vertices\": %d, \
-            \"edges\": %d, \"requests\": %d, \"accepted\": %d, \"seq_s\": \
-            %.6f, \"pool2_s\": %.6f, \"speedup\": %.4f, \"traces_equal\": %b \
-            }%s\n"
-           scale ef n m count accepted seq_s pool_s
-           (seq_s /. Float.max pool_s Float_tol.div_guard)
-           equal
-           (if i = List.length solve_rows - 1 then "" else ",")))
-    solve_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "wrote %s\n" path
-
-(* --- the PR 8 telemetry artifact: BENCH_PR8.json ---
-
-   The trajectory the perf-regression gate (bin/bench_diff.ml) joins
-   against: self-describing rows [{ id, unit, better, value }] so the
-   gate needs no schema knowledge.  Contents are the telemetry
-   hot-path micros (the sharded-counter claim itself), the Dijkstra
-   trio whose inner loop carries the instrumented increment, and two
-   CI-sized end-to-end anchors — small enough that a fresh run in CI
-   carries identical row ids to the committed artifact. *)
-
-let run_bench_json_pr8 path =
-  print_string "### BENCH-JSON-PR8: telemetry hot-path micros\n";
-  let obs_rows = ols_rows (obs_tests ()) in
-  List.iter
-    (fun (name, est, _) ->
-      Printf.printf "  %-34s %s ns/run\n" name (json_float est))
-    obs_rows;
-  print_string "### BENCH-JSON-PR8: instrumented Dijkstra trio\n";
-  let _grid, trio = dijkstra_compare_tests () in
-  let trio_rows = ols_rows trio in
-  List.iter
-    (fun (name, est, _) ->
-      Printf.printf "  %-34s %s ns/run\n" name (json_float est))
-    trio_rows;
+  let obs =
+    micro_rows "### BENCH-JSON-PR8: telemetry hot-path micros\n" (obs_tests ())
+  in
+  let _, _, pair = dijkstra_pair_tests () in
+  let dijkstra =
+    micro_rows "### BENCH-JSON-PR8: instrumented Dijkstra pair\n" pair
+  in
   print_string "### BENCH-JSON-PR8: end-to-end anchors\n";
   let eps = 0.3 in
   let m = (6 * 5) + (6 * 5) in
@@ -495,44 +389,18 @@ let run_bench_json_pr8 path =
              pay_model pay_inst))
   in
   Printf.printf "  payments-seq-3x3-8req %.3f s\n" pay_s;
-  let micro_row (name, est, _) = (name, "ns", est) in
-  let rows =
-    List.map micro_row obs_rows
-    @ List.map micro_row trio_rows
-    @ [
-        ("bounded-ufp-incremental-6x6-200req", "s", Some solve_s);
-        ("payments-seq-3x3-8req", "s", Some pay_s);
-      ]
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr8/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (id, unit, value) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"id\": %S, \"unit\": %S, \"better\": \"lower\", \"value\": \
-            %s }%s\n"
-           id unit (json_float value)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "wrote %s\n" path
+  obs @ dijkstra
+  @ [
+      row Lower "bounded-ufp-incremental-6x6-200req" "s" solve_s;
+      row Lower "payments-seq-3x3-8req" "s" pay_s;
+    ]
 
-(* --- the PR 9 work-stealing artifact: BENCH_PR9.json ---
-
-   The fixed-chunk pathology the work-stealing scheduler exists to
-   kill, measured in a host-independent unit.  One task among [n]
-   costs [mult]x the others; with the old static split into two
-   chunks, the executor that draws the expensive task's chunk also
-   drags half the cheap ones behind it, so its assigned work — the
-   modelled makespan, in task-cost units — is [mult + n/2 - 1]
+(* pr9 (BENCH_PR9.json): the fixed-chunk pathology the work-stealing
+   scheduler exists to kill, measured in a host-independent unit.  One
+   task among [n] costs [mult]x the others; with the old static split
+   into two chunks, the executor that draws the expensive task's chunk
+   also drags half the cheap ones behind it, so its assigned work —
+   the modelled makespan, in task-cost units — is [mult + n/2 - 1]
    whatever the host does.  The dynamic rows run the real scheduler
    on a 2-domain pool and charge each task's model cost to the
    executor that actually ran it: stealing should strand the
@@ -546,8 +414,7 @@ let run_bench_json_pr8 path =
    value bracket starts at least 4x tighter than the cold
    [0, 4 * total] ceiling and skips the ceiling probe, so the
    cold/warm ratio is a deterministic >1 gain. *)
-
-let run_bench_json_pr9 path =
+let pr9 ~quick:_ =
   print_string "### BENCH-JSON-PR9: skewed-workload modelled makespan\n";
   let n = 64 in
   let mult = 100 in
@@ -636,58 +503,28 @@ let run_bench_json_pr9 path =
   let warm_gain = float_of_int cold /. float_of_int (max declared 1) in
   Printf.printf "  probes: cold %d, declared %d, hinted %d (gain %.2fx)\n"
     cold declared hinted warm_gain;
-  let rows =
-    [
-      ("skewed-static-makespan-units", "units", "lower",
-       Some (float_of_int static_units));
-      ("skewed-dynamic-makespan-units", "units", "lower",
-       Some (float_of_int dynamic_units));
-      ("skewed-dynamic-gain", "ratio", "higher", Some gain);
-      ("payments-probes-cold-3x3-8req", "probes", "lower",
-       Some (float_of_int cold));
-      ("payments-probes-declared-3x3-8req", "probes", "lower",
-       Some (float_of_int declared));
-      ("payments-probes-hinted-3x3-8req", "probes", "lower",
-       Some (float_of_int hinted));
-      ("payments-warm-start-gain", "ratio", "higher", Some warm_gain);
-    ]
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr9/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (id, unit, better, value) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"id\": %S, \"unit\": %S, \"better\": %S, \"value\": %s \
-            }%s\n"
-           id unit better (json_float value)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "wrote %s\n" path
+  [
+    row Lower "skewed-static-makespan-units" "units"
+      (float_of_int static_units);
+    row Lower "skewed-dynamic-makespan-units" "units"
+      (float_of_int dynamic_units);
+    row Higher "skewed-dynamic-gain" "ratio" gain;
+    row Lower "payments-probes-cold-3x3-8req" "probes" (float_of_int cold);
+    row Lower "payments-probes-declared-3x3-8req" "probes"
+      (float_of_int declared);
+    row Lower "payments-probes-hinted-3x3-8req" "probes" (float_of_int hinted);
+    row Higher "payments-warm-start-gain" "ratio" warm_gain;
+  ]
 
-(* --- the PR 10 SSSP-kernel artifact: BENCH_PR10.json ---
-
-   Self-describing rows for ufp-bench-diff: the sequential Dijkstra
-   tree on RMAT graphs and the footprint of its 32-bit packed
-   adjacency (one 8-byte cell per slot).  Packed CSR is the only
-   layout, so the [dijkstra-rmat-s*-packed] row reports the same
-   default-view timing as [sssp-rmat-s*-dijkstra-seq]; both keep their
-   ids so the trajectory still joins.
+(* pr10 (BENCH_PR10.json): the sequential Dijkstra tree on RMAT
+   graphs and the footprint of its 32-bit packed adjacency (one 8-byte
+   cell per slot).
 
    [--quick] keeps only the scale-14 configuration, so the CI gate
    joins the committed artifact on the scale-14 ids and reports the
    scale-18 rows as baseline-only; the committed artifact comes from
    a full run.  Best-of-k wall times absorb scheduler noise. *)
-
-let run_bench_json_pr10 ~quick path =
+let pr10 ~quick =
   let module Snapshot = Ufp_graph.Weight_snapshot in
   print_string "### BENCH-JSON-PR10: Dijkstra and packed adjacency on RMAT\n";
   let configs = if quick then [ (14, 16) ] else [ (14, 16); (18, 10) ] in
@@ -699,72 +536,58 @@ let run_bench_json_pr10 ~quick path =
     done;
     !best
   in
-  let rows =
-    List.concat_map
-      (fun (scale, edge_factor) ->
-        let rng = Rng.create 11 in
-        let g =
-          Gen.rmat rng ~scale ~edge_factor ~capacity_lo:1.0 ~capacity_hi:4.0 ()
-        in
-        let n = Graph.n_vertices g in
-        let csr = Graph.csr g in
-        let snapshot =
-          Snapshot.build g ~weight:(fun e -> 1.0 /. Graph.capacity g e)
-        in
-        (* First nonzero-out-degree vertex: deterministic and always a
-           real traversal root on an RMAT graph. *)
-        let src = ref 0 in
-        (try
-           for v = 0 to n - 1 do
-             if csr.Graph.Csr.row_start.(v + 1) > csr.Graph.Csr.row_start.(v)
-             then begin
-               src := v;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        let src = !src in
-        let reps = if scale >= 16 then 3 else 5 in
-        let dist = Array.make n infinity in
-        let parent = Array.make n (-1) in
-        let dij_ws = Dijkstra.create_workspace g in
-        let dij_s =
-          time_best ~reps (fun () ->
-              Dijkstra.shortest_tree_snapshot_into dij_ws g ~snapshot ~src
-                ~dist ~parent_edge:parent)
-        in
-        let packed_bytes = float_of_int (8 * Array.length csr.Graph.Csr.nbr) in
-        Printf.printf "  scale %2d ef %2d: dijkstra %.4fs, packed adjacency %.1f MB\n%!"
-          scale edge_factor dij_s (packed_bytes /. 1e6);
-        let id fmt = Printf.sprintf fmt scale in
-        [
-          (id "sssp-rmat-s%d-dijkstra-seq", "s", "lower", dij_s);
-          (id "dijkstra-rmat-s%d-packed", "s", "lower", dij_s);
-          (id "adjacency-rmat-s%d-packed-bytes", "bytes", "lower", packed_bytes);
-        ])
-      configs
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr10/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (id, unit, better, value) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"id\": %S, \"unit\": %S, \"better\": %S, \"value\": %s \
-            }%s\n"
-           id unit better
-           (json_float (Some value))
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "wrote %s\n" path
+  List.concat_map
+    (fun (scale, edge_factor) ->
+      let rng = Rng.create 11 in
+      let g =
+        Gen.rmat rng ~scale ~edge_factor ~capacity_lo:1.0 ~capacity_hi:4.0 ()
+      in
+      let n = Graph.n_vertices g in
+      let csr = Graph.csr g in
+      let snapshot =
+        Snapshot.build g ~weight:(fun e -> 1.0 /. Graph.capacity g e)
+      in
+      (* First nonzero-out-degree vertex: deterministic and always a
+         real traversal root on an RMAT graph. *)
+      let src = ref 0 in
+      (try
+         for v = 0 to n - 1 do
+           if csr.Graph.Csr.row_start.(v + 1) > csr.Graph.Csr.row_start.(v)
+           then begin
+             src := v;
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      let src = !src in
+      let reps = if scale >= 16 then 3 else 5 in
+      let dist = Array.make n infinity in
+      let parent = Array.make n (-1) in
+      let dij_ws = Dijkstra.create_workspace g in
+      let dij_s =
+        time_best ~reps (fun () ->
+            Dijkstra.shortest_tree_snapshot_into dij_ws g ~snapshot ~src
+              ~dist ~parent_edge:parent)
+      in
+      let packed_bytes = float_of_int (8 * Array.length csr.Graph.Csr.nbr) in
+      Printf.printf "  scale %2d ef %2d: dijkstra %.4fs, packed adjacency %.1f MB\n%!"
+        scale edge_factor dij_s (packed_bytes /. 1e6);
+      let id fmt = Printf.sprintf fmt scale in
+      [
+        row Lower (id "sssp-rmat-s%d-dijkstra-seq") "s" dij_s;
+        row Lower (id "adjacency-rmat-s%d-packed-bytes") "bytes" packed_bytes;
+      ])
+    configs
+
+(* The suite each [--json-<name> FILE] flag runs, and the schema its
+   file declares (EXPERIMENTS.md documents each version). *)
+let suites =
+  [
+    ("pr6", "ufp-bench-pr6/2", pr6);
+    ("pr8", "ufp-bench-pr8/1", pr8);
+    ("pr9", "ufp-bench-pr9/1", pr9);
+    ("pr10", "ufp-bench-pr10/1", pr10);
+  ]
 
 (* --- driver --- *)
 
@@ -783,26 +606,14 @@ let () =
   let only = flag_value "--only" in
   let csv_dir = flag_value "--csv" in
   let markdown_path = flag_value "--markdown" in
-  (match flag_value "--json-pr6" with
-  | Some path ->
-    run_bench_json_pr6 ~quick path;
-    exit 0
-  | None -> ());
-  (match flag_value "--json-pr8" with
-  | Some path ->
-    run_bench_json_pr8 path;
-    exit 0
-  | None -> ());
-  (match flag_value "--json-pr9" with
-  | Some path ->
-    run_bench_json_pr9 path;
-    exit 0
-  | None -> ());
-  (match flag_value "--json-pr10" with
-  | Some path ->
-    run_bench_json_pr10 ~quick path;
-    exit 0
-  | None -> ());
+  List.iter
+    (fun (name, schema, run) ->
+      match flag_value ("--json-" ^ name) with
+      | Some path ->
+        write_rows ~schema path (run ~quick);
+        exit 0
+      | None -> ())
+    suites;
   let markdown_buf = Buffer.create 4096 in
   (* Run each experiment once; print and optionally persist as CSV. *)
   let emit (entry : Registry.entry) =
@@ -843,11 +654,8 @@ let () =
                  (String.lowercase_ascii entry.Registry.id)
                  k)
           in
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (Ufp_prelude.Table.to_csv table));
-          Printf.printf "wrote %s\n" path)
+          with_out path (fun oc ->
+              output_string oc (Ufp_prelude.Table.to_csv table)))
         tables
   in
   if List.mem "--list" args then begin
@@ -875,15 +683,11 @@ let () =
     if micro then run_micro ());
   (match markdown_path with
   | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
+    with_out path (fun oc ->
         output_string oc
           "# Regenerated experiment tables\n\n(mechanical output of `dune exec \
            bench/main.exe -- --markdown <file>`; see EXPERIMENTS.md for the \
            paper-vs-measured discussion)\n\n";
-        Buffer.output_buffer oc markdown_buf);
-    Printf.printf "wrote %s\n" path
+        Buffer.output_buffer oc markdown_buf)
   | None -> ());
   print_newline ()

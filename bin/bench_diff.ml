@@ -8,18 +8,13 @@
    PR 5: a regression like the one PR 6's stack-overflow fix caught by
    luck now fails CI instead of sailing through.
 
-   Row extraction is schema-aware:
-     - a top-level "rows" array (ufp-bench-pr8/1) is self-describing:
-       {"id": ..., "value": ..., "better": "lower"|"higher", ...};
-     - any other top-level array of objects (the pr5/pr6 schemas) is
-       flattened generically: string fields and small integer identity
-       fields (scale, edge_factor, requests, trials) name the row, and
-       each numeric field becomes a metric whose direction is inferred
-       from its name (`*_s`, `*_ns`, `ns_per_run` are lower-better;
-       `*teps`, `*speedup` are higher-better; anything else is
-       informational and reported but never gated).
-   "schema" and "provenance" fields are skipped (the provenance stamp
-   — git rev, OCaml version, core count — is printed for context).
+   Every artifact carries a top-level "rows" array of self-describing
+   rows {"id": ..., "unit": ..., "better": "lower"|"higher"|"info",
+   "value": ...}: `id` is the join key and `better` the gating
+   direction ("info" rows are reported but never gated).  A file
+   without a "rows" array is rejected.  The "provenance" stamp (git
+   rev, OCaml version, core count), when present, is printed for
+   context.
 
    Usage: bench-diff [--threshold R] BASELINE.json CURRENT.json
      --threshold R   gate at ratio > 1+R (lower-better) or
@@ -39,181 +34,13 @@
    by the number in the file name, so PR10 sorts after PR9) into one
    markdown table — value, unit, better-direction, and a provenance
    footnote per artifact. `make bench-trajectory` regenerates
-   docs/BENCH_TRAJECTORY.md this way.
+   docs/BENCH_TRAJECTORY.md this way, and a runtest rule checks the
+   committed file against it.
 
-   Self-contained (no JSON library), in the spirit of
-   bin/trace_check.ml. *)
+   No JSON library: files go through the small reader in bin/json.ml,
+   which trace-check shares. *)
 
-exception Bad of string
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-(* --- parser (recursive descent over the whole file) --- *)
-
-type cursor = { s : string; mutable i : int }
-
-let peek c = if c.i < String.length c.s then Some c.s.[c.i] else None
-
-let advance c = c.i <- c.i + 1
-
-let skip_ws c =
-  while
-    match peek c with
-    | Some (' ' | '\t' | '\r' | '\n') ->
-      advance c;
-      true
-    | _ -> false
-  do
-    ()
-  done
-
-let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> raise (Bad (Printf.sprintf "expected %c, found %c" ch x))
-  | None -> raise (Bad (Printf.sprintf "expected %c, found end of input" ch))
-
-let literal c word value =
-  let n = String.length word in
-  if c.i + n <= String.length c.s && String.sub c.s c.i n = word then begin
-    c.i <- c.i + n;
-    value
-  end
-  else raise (Bad (Printf.sprintf "bad literal (expected %s)" word))
-
-let parse_string c =
-  expect c '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek c with
-    | None -> raise (Bad "unterminated string")
-    | Some '"' -> advance c
-    | Some '\\' ->
-      advance c;
-      (match peek c with
-      | Some 'n' -> Buffer.add_char buf '\n'
-      | Some 't' -> Buffer.add_char buf '\t'
-      | Some 'r' -> Buffer.add_char buf '\r'
-      | Some 'b' -> Buffer.add_char buf '\b'
-      | Some 'f' -> Buffer.add_char buf '\012'
-      | Some ('"' | '\\' | '/') -> Buffer.add_char buf c.s.[c.i]
-      | Some 'u' ->
-        if c.i + 4 >= String.length c.s then raise (Bad "truncated \\u escape");
-        Buffer.add_string buf ("\\u" ^ String.sub c.s (c.i + 1) 4);
-        c.i <- c.i + 4
-      | _ -> raise (Bad "bad escape"));
-      advance c;
-      loop ()
-    | Some ch ->
-      Buffer.add_char buf ch;
-      advance c;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let parse_number c =
-  let start = c.i in
-  let numchar = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while (match peek c with Some ch -> numchar ch | None -> false) do
-    advance c
-  done;
-  let lit = String.sub c.s start (c.i - start) in
-  match float_of_string_opt lit with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "bad number %S" lit))
-
-let rec parse_value c =
-  skip_ws c;
-  match peek c with
-  | Some '{' -> parse_obj c
-  | Some '[' -> parse_list c
-  | Some '"' -> Str (parse_string c)
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some ('-' | '0' .. '9') -> Num (parse_number c)
-  | Some ch -> raise (Bad (Printf.sprintf "unexpected character %c" ch))
-  | None -> raise (Bad "unexpected end of input")
-
-and parse_obj c =
-  expect c '{';
-  skip_ws c;
-  if peek c = Some '}' then begin
-    advance c;
-    Obj []
-  end
-  else begin
-    let fields = ref [] in
-    let rec loop () =
-      skip_ws c;
-      let key = parse_string c in
-      skip_ws c;
-      expect c ':';
-      let v = parse_value c in
-      fields := (key, v) :: !fields;
-      skip_ws c;
-      match peek c with
-      | Some ',' ->
-        advance c;
-        loop ()
-      | Some '}' -> advance c
-      | _ -> raise (Bad "expected , or } in object")
-    in
-    loop ();
-    Obj (List.rev !fields)
-  end
-
-and parse_list c =
-  expect c '[';
-  skip_ws c;
-  if peek c = Some ']' then begin
-    advance c;
-    List []
-  end
-  else begin
-    let items = ref [] in
-    let rec loop () =
-      let v = parse_value c in
-      items := v :: !items;
-      skip_ws c;
-      match peek c with
-      | Some ',' ->
-        advance c;
-        loop ()
-      | Some ']' -> advance c
-      | _ -> raise (Bad "expected , or ] in array")
-    in
-    loop ();
-    List (List.rev !items)
-  end
-
-let parse_file path =
-  let ic =
-    try open_in path
-    with Sys_error msg ->
-      Printf.eprintf "bench-diff: %s\n" msg;
-      exit 2
-  in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let c = { s; i = 0 } in
-  let v = parse_value c in
-  skip_ws c;
-  if c.i <> String.length s then raise (Bad "trailing garbage after value");
-  v
+open Json
 
 (* --- row extraction --- *)
 
@@ -221,38 +48,10 @@ type direction = Lower | Higher | Info
 
 type row = { r_id : string; r_dir : direction; r_unit : string; r_value : float }
 
-(* Small integer fields that identify a configuration rather than
-   measure it (the pr5/pr6 schemas carry these). *)
-let identity_field = function
-  | "scale" | "edge_factor" | "requests" | "trials" | "domains" -> true
-  | _ -> false
-
-let ends_with suffix s =
-  let ns = String.length s and nx = String.length suffix in
-  ns >= nx && String.sub s (ns - nx) nx = suffix
-
-let infer_direction name =
-  if
-    ends_with "_s" name || ends_with "_ns" name || name = "ns_per_run"
-    || ends_with "_ms" name
-  then Lower
-  else if ends_with "teps" name || ends_with "speedup" name then Higher
-  else Info
-
 let direction_of_string = function
   | "lower" -> Lower
   | "higher" -> Higher
   | _ -> Info
-
-(* Units for generically flattened rows, read off the same naming
-   convention the direction inference uses. *)
-let infer_unit name =
-  if ends_with "_s" name then "s"
-  else if ends_with "_ns" name || name = "ns_per_run" then "ns"
-  else if ends_with "_ms" name then "ms"
-  else if ends_with "teps" name then "TEPS"
-  else if ends_with "speedup" name then "x"
-  else ""
 
 let fields = function Obj f -> f | _ -> []
 
@@ -262,66 +61,25 @@ let str_field o key =
 let num_field o key =
   match List.assoc_opt key (fields o) with Some (Num v) -> Some v | _ -> None
 
-(* ufp-bench-pr8/1 rows carry their own id and direction. *)
-let rows_of_pr8 items =
-  List.filter_map
-    (fun item ->
-      match (str_field item "id", num_field item "value") with
-      | Some id, Some v ->
-        let dir =
-          match str_field item "better" with
-          | Some d -> direction_of_string d
-          | None -> Info
-        in
-        let unit = Option.value (str_field item "unit") ~default:"" in
-        Some { r_id = id; r_dir = dir; r_unit = unit; r_value = v }
-      | _ -> None)
-    items
-
-(* Generic flattening for the pr5/pr6 row shapes. *)
-let rows_of_generic arr_name items =
-  List.concat_map
-    (fun item ->
-      let id_parts =
-        List.filter_map
-          (fun (k, v) ->
-            match v with
-            | Str s -> Some (Printf.sprintf "%s=%s" k s)
-            | Num n when identity_field k && Float.is_integer n ->
-              Some (Printf.sprintf "%s=%d" k (int_of_float n))
-            | _ -> None)
-          (fields item)
-      in
-      let id_base =
-        if id_parts = [] then arr_name
-        else Printf.sprintf "%s{%s}" arr_name (String.concat "," id_parts)
-      in
-      List.filter_map
-        (fun (k, v) ->
-          match v with
-          | Num n when not (identity_field k) ->
-            Some
-              {
-                r_id = id_base ^ "." ^ k;
-                r_dir = infer_direction k;
-                r_unit = infer_unit k;
-                r_value = n;
-              }
-          | _ -> None)
-        (fields item))
-    items
-
+(* A row without a numeric value (a micro-benchmark with no estimate
+   writes null) is skipped. *)
 let extract_rows doc =
-  List.concat_map
-    (fun (key, v) ->
-      match (key, v) with
-      | ("schema" | "provenance"), _ -> []
-      | "rows", List items -> rows_of_pr8 items
-      | _, List items
-        when List.exists (function Obj _ -> true | _ -> false) items ->
-        rows_of_generic key items
-      | _ -> [])
-    (fields doc)
+  match List.assoc_opt "rows" (fields doc) with
+  | Some (List items) ->
+    List.filter_map
+      (fun item ->
+        match (str_field item "id", num_field item "value") with
+        | Some id, Some v ->
+          let dir =
+            match str_field item "better" with
+            | Some d -> direction_of_string d
+            | None -> Info
+          in
+          let unit = Option.value (str_field item "unit") ~default:"" in
+          Some { r_id = id; r_dir = dir; r_unit = unit; r_value = v }
+        | _ -> None)
+      items
+  | _ -> raise (Bad "no top-level \"rows\" array")
 
 let provenance_line doc =
   match List.assoc_opt "provenance" (fields doc) with
@@ -338,6 +96,22 @@ let provenance_line doc =
          (fun s -> s <> "")
          [ part "git_rev"; part "ocaml_version"; part "recommended_domains" ])
   | None -> "(no provenance stamp)"
+
+(* One artifact's rows and provenance line; exit 2 when it cannot be
+   read or parsed. *)
+let load path =
+  let text =
+    try In_channel.with_open_text path In_channel.input_all
+    with Sys_error msg ->
+      Printf.eprintf "bench-diff: %s\n" msg;
+      exit 2
+  in
+  try
+    let doc = parse text in
+    (extract_rows doc, provenance_line doc)
+  with Bad msg ->
+    Printf.eprintf "bench-diff: %s: %s\n" path msg;
+    exit 2
 
 (* --- trajectory rendering --- *)
 
@@ -367,7 +141,7 @@ let direction_label = function
   | Higher -> "higher"
   | Info -> "info"
 
-let write_trajectory out_path files ~load =
+let write_trajectory out_path files =
   let files =
     List.stable_sort
       (fun a b ->
@@ -378,8 +152,8 @@ let write_trajectory out_path files ~load =
   let columns =
     List.map
       (fun path ->
-        let doc = load path in
-        (Filename.basename path, extract_rows doc, provenance_line doc))
+        let rows, prov = load path in
+        (Filename.basename path, rows, prov))
       files
   in
   (* Row order: first appearance across the artifacts in column
@@ -468,12 +242,6 @@ let () =
     | [] -> ()
   in
   parse_args (List.tl (Array.to_list Sys.argv));
-  let load path =
-    try parse_file path
-    with Bad msg ->
-      Printf.eprintf "bench-diff: %s: %s\n" path msg;
-      exit 2
-  in
   (match !trajectory_out with
   | Some out ->
     (match List.rev !paths with
@@ -482,7 +250,7 @@ let () =
         "usage: bench-diff --trajectory OUT.md BENCH_PR*.json...";
       exit 2
     | files ->
-      write_trajectory out files ~load;
+      write_trajectory out files;
       exit 0)
   | None -> ());
   let base_path, cur_path =
@@ -492,10 +260,10 @@ let () =
       prerr_endline "usage: bench-diff [--threshold R] BASELINE.json CURRENT.json";
       exit 2
   in
-  let base_doc = load base_path and cur_doc = load cur_path in
-  let base_rows = extract_rows base_doc and cur_rows = extract_rows cur_doc in
-  Printf.printf "baseline: %s  %s\n" base_path (provenance_line base_doc);
-  Printf.printf "current : %s  %s\n" cur_path (provenance_line cur_doc);
+  let base_rows, base_prov = load base_path in
+  let cur_rows, cur_prov = load cur_path in
+  Printf.printf "baseline: %s  %s\n" base_path base_prov;
+  Printf.printf "current : %s  %s\n" cur_path cur_prov;
   Printf.printf "threshold: %.2fx\n\n" (1.0 +. !threshold);
   Printf.printf "%-58s %14s %14s %8s  %s\n" "benchmark" "baseline" "current"
     "ratio" "verdict";

@@ -11,25 +11,6 @@
     divided by elapsed seconds, i.e. CSR slots actually examined per
     second, not a quotient of nominal edge counts. *)
 
-type trial = {
-  scale : int;          (** graph has [2^scale] vertices *)
-  edge_factor : int;    (** [edge_factor * 2^scale] edges drawn *)
-  vertices : int;
-  edges : int;
-  trials : int;         (** number of Dijkstra source trials *)
-  gen_s : float;        (** generation + streaming CSR build seconds *)
-  trial_s : float;      (** total seconds across all trials *)
-  relaxations : int;    (** [dijkstra.relaxations] delta over the trials *)
-  teps : float;         (** [relaxations /. trial_s] *)
-}
-
-val run_trial :
-  scale:int -> edge_factor:int -> trials:int -> seed:int -> trial
-(** One measured configuration. Deterministic given [seed] (generation,
-    source sampling and traversal order all derive from the one seeded
-    stream). Raises like {!Ufp_graph.Generators.rmat} on bad parameters
-    and [Failure] if distinct nonzero-degree sources cannot be sampled. *)
-
 val run : ?quick:bool -> unit -> Ufp_prelude.Table.t list
 (** Registry entry point: scales 12/14/16 at edge factor 16 (scale 10
     only under [~quick:true]), one row per configuration. *)

@@ -151,18 +151,3 @@ let run_and_print ?quick ?(oc = stdout) entry =
   Printf.fprintf oc "\n### %s — %s\n### %s\n" entry.id entry.paper_artifact
     entry.description;
   List.iter (fun t -> Ufp_prelude.Table.print ~oc t) (entry.run ?quick ())
-
-let run_and_save_csv ?quick ~dir entry =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  List.mapi
-    (fun k table ->
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "%s-%d.csv" (String.lowercase_ascii entry.id) k)
-      in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Ufp_prelude.Table.to_csv table));
-      path)
-    (entry.run ?quick ())

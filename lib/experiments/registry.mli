@@ -16,7 +16,3 @@ val find : string -> entry option
 
 val run_and_print : ?quick:bool -> ?oc:out_channel -> entry -> unit
 (** Run an experiment and print its tables with a header line. *)
-
-val run_and_save_csv : ?quick:bool -> dir:string -> entry -> string list
-(** Run an experiment and write one CSV per table into [dir] (created
-    if missing), named [<id>-<k>.csv]. Returns the file paths. *)
