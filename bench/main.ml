@@ -72,11 +72,13 @@ let dijkstra_pair_tests () =
    shipped: a plain ref (the uninstrumented floor), a shared Atomic
    fetch-and-add (the PR 3-7 registry — what every Dijkstra relaxation
    paid per edge), and the sharded [Metrics.incr] that replaced it
-   (one DLS lookup plus a plain array store).  The Dijkstra inner loop
-   carries exactly one increment per relaxation, so the atomic-vs-
-   sharded delta here is the per-relaxation instrumentation cost the
-   sharding removed.  Snapshot cost rides along to show where the
-   aggregation work went: off the hot path, into the (rare) readers. *)
+   (one DLS lookup plus a plain array store).  The atomic-vs-sharded
+   delta here is the per-update cost the sharding removed from every
+   instrumented hot path; the Dijkstra kernel, the hottest, keeps even
+   the sharded store out of its relaxation loop by counting in locals
+   and adding once per tree.  Snapshot cost rides along to show where
+   the aggregation work went: off the hot path, into the (rare)
+   readers. *)
 let obs_tests () =
   let open Bechamel in
   let c = Metrics.counter "bench.obs_incr" in

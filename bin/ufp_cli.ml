@@ -89,6 +89,12 @@ let profile_arg =
            span recording; composes with $(b,--trace), $(b,--metrics) \
            and $(b,--jobs).")
 
+(* --trace and --profile both read the trace ring after the run, so
+   each says when the ring overwrote its oldest events. *)
+let dropped_note () =
+  let d = Obs_trace.n_dropped () in
+  if d > 0 then Printf.sprintf " (%d oldest events dropped)" d else ""
+
 (* Wraps the measured part of a subcommand: snapshots the metric
    registry around [f], then renders the delta, the profile and/or the
    trace as requested.  With no flag given this is just [f ()] plus
@@ -123,15 +129,15 @@ let with_observability ~metrics ~metrics_out ~trace ~profile f =
   | Some path ->
     let p = Profile.of_trace () in
     Profile.save_json path p;
-    Ufp_prelude.Table.print ~oc:stderr (Profile.to_table ~title:"profile" p)
+    Ufp_prelude.Table.print ~oc:stderr (Profile.to_table ~title:"profile" p);
+    Printf.eprintf "profile: %d events folded into %s%s\n"
+      (Obs_trace.n_events ()) path (dropped_note ())
   | None -> ());
   (match trace with
   | Some path ->
     Obs_trace.save_jsonl path;
     Printf.eprintf "trace: %d events written to %s%s\n" (Obs_trace.n_events ())
-      path
-      (let d = Obs_trace.n_dropped () in
-       if d > 0 then Printf.sprintf " (%d oldest events dropped)" d else "")
+      path (dropped_note ())
   | None -> ());
   result
 

@@ -51,10 +51,11 @@ let m_iterations = Metrics.counter "pd.iterations"
 
 let m_dual_updates = Metrics.counter "pd.dual_updates"
 
-(* Not pd.*: since weight snapshots, a rejection is counted once per
-   edge per snapshot build — how often snapshots are built is selector
-   cache economics, so the counter lives with the other selector.*
-   counters (like them, it is the same across pool modes). *)
+(* Not pd.*: a rejection is counted whenever the selector reads an
+   edge's weight — once per edge per snapshot build, once per patched
+   edge — which is selector cache economics, so the counter lives with
+   the other selector.* counters (like them, it is the same across
+   pool modes). *)
 let m_residual_rejections = Metrics.counter "selector.residual_rejections"
 
 let g_d1_growth = Metrics.gauge "pd.d1_growth"

@@ -104,8 +104,13 @@ val execute :
     updates, [D1] growth, a path-length histogram). They are pure
     functions of the selection trace, hence identical across pool
     modes and repeated runs (see
-    docs/OBSERVABILITY.md); residual rejections are counted per
-    snapshot build under [selector.residual_rejections], also the same
+    docs/OBSERVABILITY.md). The {!Selector} builds one weight
+    snapshot per run under Uniform weights, or one per rebuilt
+    Per_demand group under residual filtering
+    ([dijkstra.snapshot_builds]), and patches each live one on every
+    dual update ([dijkstra.snapshot_patched_edges]); residual
+    rejections are counted under [selector.residual_rejections] once
+    per edge per build and once per patched edge, also the same
     across pool modes. With
     {!Ufp_obs.Trace} on, each iteration emits a [pd.select] instant;
     the engine opens no span, so the loop's time is the self time of

@@ -42,11 +42,11 @@ type group = {
   dist : float array;
   parent_edge : int array;
   mutable members : int list;  (* pending request indices, increasing *)
-  (* Per-group snapshot cache for Per_demand weights (each demand sees
-     its own residual filtering). Valid while [snap_epoch] matches the
-     selector's weight epoch. *)
+  (* The group's own snapshot under Per_demand weights (each demand
+     sees its own residual filtering): built by the group's first
+     rebuild, patched by every [update_path] while the group has a
+     pending request, dropped once it has none. *)
   mutable snap : Weight_snapshot.t option;
-  mutable snap_epoch : int;
 }
 
 type t = {
@@ -59,16 +59,9 @@ type t = {
   group_of : group array;  (* request index -> its group *)
   pending : bool array;
   mutable n_pending : int;
-  (* Weight epoch: bumped by every update_path announcement. A cached
-     Weight_snapshot is valid exactly while its build epoch matches. *)
-  mutable epoch : int;
-  (* Shared snapshot cache for Uniform weights (one weight vector
-     serves every group in an epoch). *)
+  (* The one snapshot Uniform weights share across all groups: built
+     by the first rebuild, patched by every [update_path]. *)
   mutable uniform_snap : Weight_snapshot.t option;
-  mutable uniform_snap_epoch : int;
-  (* edge id -> groups whose cached tree used the edge, tagged with the
-     group version at registration (stale tags are dropped lazily). *)
-  deps : (group * int) list array;
   ws : Dijkstra.workspace;
   (* Candidate min-heap over (alpha, request, group version), ordered
      lexicographically by (Float.compare alpha, request index). Lazy
@@ -154,7 +147,6 @@ let heap_pop t =
 let create ?(pool = `Seq) ~weights inst =
   let graph = Instance.graph inst in
   let n = Graph.n_vertices graph in
-  let m = Graph.n_edges graph in
   let n_req = Instance.n_requests inst in
   let tbl : (int * float, group) Hashtbl.t = Hashtbl.create 16 in
   let rev_order = ref [] in
@@ -186,7 +178,6 @@ let create ?(pool = `Seq) ~weights inst =
           parent_edge = Array.make n (-1);
           members = [ i ];
           snap = None;
-          snap_epoch = -1;
         }
       in
       Hashtbl.add tbl key grp;
@@ -220,10 +211,7 @@ let create ?(pool = `Seq) ~weights inst =
       group_of;
       pending = Array.make (max n_req 1) true;
       n_pending = n_req;
-      epoch = 0;
       uniform_snap = None;
-      uniform_snap_epoch = -1;
-      deps = Array.make (max m 1) [];
       ws = Dijkstra.create_workspace graph;
       hk = Array.make (max 16 n_req) 0.0;
       hr = Array.make (max 16 n_req) 0;
@@ -243,29 +231,29 @@ let n_pending t = t.n_pending
 
 let is_empty t = t.n_pending = 0
 
-(* --- snapshot cache --- *)
+(* --- weight snapshots --- *)
 
-(* The snapshot for [grp] in the current weight epoch. Uniform weights
-   share one snapshot across all groups; Per_demand weights get one per
-   group (slot writes are race-free under the pool: each group is
-   rebuilt by exactly one task). *)
+(* The snapshot for [grp], built on first use. Every later weight
+   change reaches it as a patch in [update_path], so it always equals
+   a fresh build. Uniform weights share one snapshot across all
+   groups; Per_demand weights get one per group (slot writes are
+   race-free under the pool: each group is rebuilt by exactly one
+   task). *)
 let snapshot_for t grp =
   if t.uniform then begin
     match t.uniform_snap with
-    | Some s when t.uniform_snap_epoch = t.epoch -> s
-    | _ ->
+    | Some s -> s
+    | None ->
       let s = Weight_snapshot.build t.graph ~weight:grp.weight in
       t.uniform_snap <- Some s;
-      t.uniform_snap_epoch <- t.epoch;
       s
   end
   else begin
     match grp.snap with
-    | Some s when grp.snap_epoch = t.epoch -> s
-    | _ ->
+    | Some s -> s
+    | None ->
       let s = Weight_snapshot.build t.graph ~weight:grp.weight in
       grp.snap <- Some s;
-      grp.snap_epoch <- t.epoch;
       s
   end
 
@@ -273,9 +261,8 @@ let snapshot_for t grp =
 
 (* A rebuild is split in two: [rebuild_tree] (the Dijkstra — pure
    w.r.t. shared state, safe to fan out across domains with a private
-   workspace) and [commit_rebuild] (version bump + edge->dependents
-   registration — always on the calling domain, in deterministic group
-   order). *)
+   workspace) and [commit_rebuild] (version bump — always on the
+   calling domain, in deterministic group order). *)
 let rebuild_tree t grp ws =
   (* A profiler phase (docs/OBSERVABILITY.md): rebuilds dominate the
      selector's cost, and the span records on whichever domain runs
@@ -285,19 +272,14 @@ let rebuild_tree t grp ws =
   Dijkstra.shortest_tree_snapshot_into ws t.graph ~snapshot ~src:grp.src
     ~dist:grp.dist ~parent_edge:grp.parent_edge
 
-let commit_rebuild t grp =
+let commit_rebuild grp =
   Ufp_obs.Metrics.incr m_rebuilds;
   grp.version <- grp.version + 1;
-  grp.fresh <- true;
-  (* Index every tree edge so a dual update on it invalidates this
-     tree. *)
-  Array.iter
-    (fun e -> if e >= 0 then t.deps.(e) <- (grp, grp.version) :: t.deps.(e))
-    grp.parent_edge
+  grp.fresh <- true
 
 let rebuild t grp =
   rebuild_tree t grp t.ws;
-  commit_rebuild t grp
+  commit_rebuild grp
 
 (* The cold fill on the pool: build the trees the first [select]
    would build lazily anyway — one per group with a pending request,
@@ -306,8 +288,8 @@ let rebuild t grp =
    counts for it, so every selector.* and dijkstra.* counter but
    selector.par_rebuilds is the same as under `Seq. The trees are
    bitwise identical to sequential rebuilds: each Dijkstra writes only
-   its own group's arrays (plus its private workspace) from one
-   snapshot built for this epoch, and Dijkstra itself is a pure
+   its own group's arrays (plus its private workspace) from a
+   snapshot equal to a fresh build, and Dijkstra itself is a pure
    function of (CSR, snapshot, src) — see docs/PARALLELISM.md. That
    purity obligation is also machine-checked: ufp-lint's whole-program
    phase (R7/R8) traces this closure's call graph for shared-state
@@ -330,23 +312,33 @@ let cold_fill t p =
       (fun grp ->
         Ufp_obs.Metrics.incr m_cache_misses;
         Ufp_obs.Metrics.incr m_par_rebuilds;
-        commit_rebuild t grp)
+        commit_rebuild grp)
       live
   end
 
+(* A tree uses edge [e = (u, v)] exactly when [e] is the parent edge
+   of one of its endpoints: [parent_edge.(x)] is always an edge
+   incident to [x]. *)
+let rec uses_an_edge g parent_edge = function
+  | [] -> false
+  | e :: rest ->
+    let { Graph.u; v; _ } = Graph.edge g e in
+    parent_edge.(u) = e || parent_edge.(v) = e
+    || uses_an_edge g parent_edge rest
+
 let update_path t path =
-  t.epoch <- t.epoch + 1;
-  List.iter
-    (fun e ->
-      match t.deps.(e) with
-      | [] -> ()
-      | l ->
-        t.deps.(e) <- [];
-        List.iter
-          (fun (grp, ver) ->
-            if ver = grp.version && grp.fresh then grp.fresh <- false)
-          l)
-    path
+  (* Under Uniform weights every group holds the same closure. *)
+  (match t.uniform_snap with
+  | Some s -> Weight_snapshot.patch s ~weight:t.groups.(0).weight path
+  | None -> ());
+  Array.iter
+    (fun grp ->
+      (match grp.snap with
+      | Some s -> Weight_snapshot.patch s ~weight:grp.weight path
+      | None -> ());
+      if grp.fresh && uses_an_edge t.graph grp.parent_edge path then
+        grp.fresh <- false)
+    t.groups
 
 let remove t i =
   if i < 0 || i >= Instance.n_requests t.inst then
@@ -357,7 +349,10 @@ let remove t i =
     t.pending.(i) <- false;
     t.n_pending <- t.n_pending - 1;
     let grp = t.group_of.(i) in
-    grp.members <- List.filter (fun j -> j <> i) grp.members
+    grp.members <- List.filter (fun j -> j <> i) grp.members;
+    (* No select rebuilds this group again, so its snapshot would
+       only cost patches. *)
+    if grp.members = [] then grp.snap <- None
   end
 
 (* --- scoring and selection --- *)

@@ -9,8 +9,8 @@
     iteration makes a solve
     [O(iterations x sources x (m + n log n))] even though a dual update
     only inflates the few edges of the selected path. This module
-    performs that step with cached shortest-path trees, edge ->
-    dependent-group invalidation, and a lazy-deletion candidate heap.
+    performs that step with cached shortest-path trees, a parent-edge
+    invalidation check, and a lazy-deletion candidate heap.
 
     {b Contract: weights must be nondecreasing over time} (duals only
     inflate, residuals only shrink — true for every rule in this
@@ -23,8 +23,13 @@
       tree none of whose {e own} edges changed is still exactly the
       tree a fresh run would return (non-tree weights can only grow,
       which cannot create shorter or tie-winning paths).
-      Invalidating the groups whose cached tree uses an updated edge —
-      the edge->dependents index — is therefore lossless.
+      Invalidating exactly the groups whose cached tree uses an
+      updated edge is therefore lossless. A tree uses edge
+      [e = (u, v)] exactly when [e] is the parent edge of [u] or of
+      [v] (a vertex's parent edge is incident to it), so
+      {!update_path} tests [parent_edge.(u) = e || parent_edge.(v) = e]
+      for each fresh group and announced edge: [O(groups x |path|)]
+      work and no per-rebuild index to maintain.
     + Heap keys are scores computed at earlier (hence pointwise lower)
       weights, so a popped entry whose score is current is the true
       minimum; a popped stale entry is re-scored against a fresh tree
@@ -43,18 +48,24 @@
     therefore hold for the cached engine.
 
     {b Weight snapshots.} Tree (re)computations run over the
-    {!Ufp_graph.Graph.csr} view with a {!Ufp_graph.Weight_snapshot}
-    materialised once per {e weight epoch} (an epoch ends at each
-    {!update_path} announcement): Uniform weights share one snapshot
-    across all groups, Per_demand weights cache one per group. The
-    snapshot is invalidated by the same announcement that invalidates
-    the trees, so stale weights can never leak into a rebuild.
+    {!Ufp_graph.Graph.csr} view with a {!Ufp_graph.Weight_snapshot}.
+    Uniform weights share one snapshot across all groups, built once
+    by the first rebuild; Per_demand weights keep one per group, built
+    by the group's first rebuild and dropped once the group has no
+    pending request. Every {!update_path} announcement patches each
+    live snapshot on exactly the announced edges, in [O(|path|)]
+    rather than an [O(m)] rebuild. Only announced edges change, so a
+    patched snapshot is bitwise equal to a fresh build and stale
+    weights can never leak into a rebuild. [dijkstra.snapshot_builds]
+    therefore counts one build per Uniform selector or per rebuilt
+    Per_demand group, and [dijkstra.snapshot_patched_edges] one per
+    announced edge per live snapshot.
 
     {b Parallel cold fill.} With [?pool:(`Pool p)], the first {!select}
     builds the trees it would build lazily anyway — one per group with
     a pending request — across the {!Ufp_par.Pool} (each task gets a
-    private Dijkstra workspace; version bumps and edge->dependents
-    registration stay on the calling domain, in group order). Every
+    private Dijkstra workspace; version bumps stay on the calling
+    domain, in group order). Every
     later rebuild stays lazy, on the calling domain. Trees are bitwise
     identical to sequential rebuilds — Dijkstra is a pure function of
     (CSR view, snapshot, source) — so selections are too; both QCheck
@@ -88,12 +99,12 @@ val create :
 (** A selector over all requests of the instance, all initially
     pending. [pool] (default [`Seq]) builds the first {!select}'s
     cold-fill trees across domains, with bitwise-identical trees (see
-    the module preamble). The weight functions are read lazily at
-    (re)computation time — materialised
-    into a {!Ufp_graph.Weight_snapshot} once per weight epoch — so
-    passing closures over the solver's mutable dual array is the
-    intended usage; but every weight change must be announced through
-    {!update_path}. Weight functions must be safe to call from worker
+    the module preamble). The weight functions are read at a
+    snapshot's first build, over every edge, and at each
+    {!update_path}, over the announced edges — so passing closures
+    over the solver's mutable dual array is the intended usage; but
+    every weight change must be announced through {!update_path}.
+    Weight functions must be safe to call from worker
     domains when a pool is attached (the repo's closures only read
     solver arrays that are quiescent during selection). *)
 
@@ -105,10 +116,11 @@ val select : t -> choice option
 
 val update_path : t -> int list -> unit
 (** [update_path t p] announces that the weights of the edges of [p]
-    changed (grew). Invalidates exactly the cached trees that used one
-    of those edges, and ends the current weight epoch (all cached
-    weight snapshots). Must be called after every dual/residual update
-    and before the next {!select}. *)
+    changed (grew). Re-reads those edges' weights into every live
+    weight snapshot and invalidates exactly the cached trees that used
+    one of those edges. Must be called after every dual/residual
+    update — the weight functions must already return the new
+    weights — and before the next {!select}. *)
 
 val remove : t -> int -> unit
 (** Remove a request from the pending pool. Removing an

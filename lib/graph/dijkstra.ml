@@ -1,7 +1,8 @@
 type tree = { dist : float array; parent_edge : int array }
 
-(* Work accounting (docs/OBSERVABILITY.md): unconditional single-store
-   increments, cheap enough for the relaxation loop. *)
+(* Work accounting (docs/OBSERVABILITY.md): the kernel counts settled
+   vertices and relaxations in locals and adds them once per tree, so
+   the relaxation loop makes no call into Metrics. *)
 let m_runs = Ufp_obs.Metrics.counter "dijkstra.runs"
 
 let m_settled = Ufp_obs.Metrics.counter "dijkstra.settled"
@@ -62,31 +63,30 @@ let rec sift_down ws i =
     sift_down ws !smallest
   end
 
-let heap_push ws key v =
-  if ws.ws_size = Array.length ws.ws_keys then begin
-    let cap = 2 * ws.ws_size in
-    let keys' = Array.make cap 0.0 and verts' = Array.make cap 0 in
-    Array.blit ws.ws_keys 0 keys' 0 ws.ws_size;
-    Array.blit ws.ws_verts 0 verts' 0 ws.ws_size;
-    ws.ws_keys <- keys';
-    ws.ws_verts <- verts'
-  end;
+let grow ws =
+  let cap = 2 * ws.ws_size in
+  let keys' = Array.make cap 0.0 and verts' = Array.make cap 0 in
+  Array.blit ws.ws_keys 0 keys' 0 ws.ws_size;
+  Array.blit ws.ws_verts 0 verts' 0 ws.ws_size;
+  ws.ws_keys <- keys';
+  ws.ws_verts <- verts'
+
+(* Inlined into the relaxation loop, so [key] is stored into the heap
+   without ever being boxed. *)
+let[@inline] heap_push ws key v =
+  if ws.ws_size = Array.length ws.ws_keys then grow ws;
   ws.ws_keys.(ws.ws_size) <- key;
   ws.ws_verts.(ws.ws_size) <- v;
   ws.ws_size <- ws.ws_size + 1;
   sift_up ws (ws.ws_size - 1)
 
-let heap_pop ws =
-  if ws.ws_size = 0 then None
-  else begin
-    let k = ws.ws_keys.(0) and v = ws.ws_verts.(0) in
-    ws.ws_size <- ws.ws_size - 1;
-    if ws.ws_size > 0 then begin
-      ws.ws_keys.(0) <- ws.ws_keys.(ws.ws_size);
-      ws.ws_verts.(0) <- ws.ws_verts.(ws.ws_size);
-      sift_down ws 0
-    end;
-    Some (k, v)
+(* Drop the minimum (slot 0); the caller has read it already. *)
+let heap_drop ws =
+  ws.ws_size <- ws.ws_size - 1;
+  if ws.ws_size > 0 then begin
+    ws.ws_keys.(0) <- ws.ws_keys.(ws.ws_size);
+    ws.ws_verts.(0) <- ws.ws_verts.(ws.ws_size);
+    sift_down ws 0
   end
 
 let shortest_tree_snapshot_into ws g ~snapshot ~src ~dist ~parent_edge =
@@ -108,38 +108,38 @@ let shortest_tree_snapshot_into ws g ~snapshot ~src ~dist ~parent_edge =
   let row_start = view.Graph.Csr.view_rows
   and cells = view.Graph.Csr.view_cells in
   let settled = ws.ws_settled in
+  let n_settled = ref 0 and n_relaxations = ref 0 in
   dist.(src) <- 0.0;
   heap_push ws 0.0 src;
-  let rec loop () =
-    match heap_pop ws with
-    | None -> ()
-    | Some (d, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        Ufp_obs.Metrics.incr m_settled;
-        (* The relaxation inner loop: flat reads through the cell
-           accessors only — no closure call, no list cell, no validity
-           branch (the snapshot was validated at build time). Slot
-           indices are in range by CSR construction. *)
-        let hi = row_start.(u + 1) in
-        for k = row_start.(u) to hi - 1 do
-          let v = Graph.Csr.Cells.unsafe_fst cells k in
-          if not (Array.unsafe_get settled v) then begin
-            Ufp_obs.Metrics.incr m_relaxations;
-            let e = Graph.Csr.Cells.unsafe_snd cells k in
-            let w = Weight_snapshot.unsafe_get snapshot e in
-            let d' = d +. w in
-            if d' < Array.unsafe_get dist v then begin
-              Array.unsafe_set dist v d';
-              Array.unsafe_set parent_edge v e;
-              heap_push ws d' v
-            end
+  while ws.ws_size > 0 do
+    let d = Array.unsafe_get ws.ws_keys 0
+    and u = Array.unsafe_get ws.ws_verts 0 in
+    heap_drop ws;
+    if not settled.(u) then begin
+      settled.(u) <- true;
+      incr n_settled;
+      (* The relaxation inner loop: flat reads through the cell
+         accessors only — no closure call, no list cell, no validity
+         branch (the snapshot was validated when built or patched).
+         Slot indices are in range by CSR construction. *)
+      let hi = row_start.(u + 1) in
+      for k = row_start.(u) to hi - 1 do
+        let v = Graph.Csr.Cells.unsafe_fst cells k in
+        if not (Array.unsafe_get settled v) then begin
+          incr n_relaxations;
+          let e = Graph.Csr.Cells.unsafe_snd cells k in
+          let d' = d +. Weight_snapshot.unsafe_get snapshot e in
+          if d' < Array.unsafe_get dist v then begin
+            Array.unsafe_set dist v d';
+            Array.unsafe_set parent_edge v e;
+            heap_push ws d' v
           end
-        done
-      end;
-      loop ()
-  in
-  loop ()
+        end
+      done
+    end
+  done;
+  Ufp_obs.Metrics.add m_settled !n_settled;
+  Ufp_obs.Metrics.add m_relaxations !n_relaxations
 
 let shortest_tree_into ws g ~weight ~src ~dist ~parent_edge =
   let snapshot = Weight_snapshot.build g ~weight in

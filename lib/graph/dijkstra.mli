@@ -50,8 +50,14 @@ val shortest_tree_snapshot_into :
     the caller-provided [dist] and [parent_edge] arrays (both of
     length [n_vertices g]). The relaxation inner loop performs flat
     array reads only — no closure calls, no list traversal, no
-    per-edge validity checks. Performs no allocation beyond (amortised)
-    heap growth inside [ws] and the one-time CSR build. Raises
+    per-edge validity checks, no metric updates (the settled and
+    relaxation counts are added once per tree). Performs no allocation
+    beyond (amortised) heap growth inside [ws] and the one-time CSR
+    build: weights are read through the [external]
+    {!Weight_snapshot.unsafe_get}, the heap minimum is read in place,
+    and the push is inlined, so no float is ever boxed. A test in
+    [test/test_graph.ml] pins this: a second tree on a warmed
+    workspace over a 40x40 grid allocates zero minor words. Raises
     [Invalid_argument] on a bad [src], mis-sized arrays, or a
     [snapshot] whose length does not match [n_edges g]. This is the
     entry point for callers (the {!Ufp_core.Selector}, {!Ufp_lp.Mcf})

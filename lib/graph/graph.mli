@@ -50,8 +50,11 @@ module Csr : sig
       sequence of [(fst, snd)] int pairs packed two 32-bit halves to
       an 8-byte cell, read back with one unaligned 64-bit load — half
       the cache traffic of two plain int arrays at RMAT scale. The
-      accessors are [@inline] — no functor, no closure, no
-      allocation. *)
+      accessors are [@inline] within this unit — no functor, no
+      closure, no allocation — but, as [val]s, they are not inlined
+      across units under [-opaque] (dune's dev profile): a caller in
+      another unit pays a direct call per access. They return ints,
+      so that call allocates nothing. *)
   module Cells : sig
     type t
 

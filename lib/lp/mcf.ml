@@ -65,17 +65,19 @@ let solve ?(eps = 0.1) inst =
         Hashtbl.replace by_source r.Request.src ((i, r) :: cur))
       requests;
     let weight e = y.(e) in
-    (* One reusable Dijkstra workspace plus a weight snapshot built
-       once per pricing iteration: the duals are fixed during a
-       best-column search, so every distinct source prices against the
-       same frozen vector over the CSR view. *)
+    (* One reusable Dijkstra workspace plus one weight snapshot for the
+       whole solve: the duals are fixed during a best-column search, so
+       every distinct source prices against the same vector over the
+       CSR view, and a dual update inflates only the routed path's
+       edges, so patching those keeps the snapshot equal to a fresh
+       build. *)
+    let snapshot = Ufp_graph.Weight_snapshot.build g ~weight in
     let ws = Dijkstra.create_workspace g in
     let dist = Array.make (Graph.n_vertices g) infinity in
     let parent_edge = Array.make (Graph.n_vertices g) (-1) in
     (* Best (request, path) column: minimises
        (zr_r + d_r * dist) / v_r. *)
     let best_column () =
-      let snapshot = Ufp_graph.Weight_snapshot.build g ~weight in
       let best = ref None in
       Hashtbl.iter
         (fun src group ->
@@ -135,6 +137,7 @@ let solve ?(eps = 0.1) inst =
             (fun e ->
               y.(e) <- y.(e) *. (1.0 +. (eps *. f *. dr /. Graph.capacity g e)))
             path;
+          Ufp_graph.Weight_snapshot.patch snapshot ~weight path;
           zr.(i) <- zr.(i) *. (1.0 +. (eps *. f))
         end
     done;

@@ -15,9 +15,11 @@
       shard} — a counter increment is one domain-local-storage lookup
       plus one unsynchronized array store: no RMW, no shared cache
       line, no branch beyond a bounds check, no allocation — so
-      instrumentation can live inside the Dijkstra relaxation loop
-      without measurable cost (EXP-OBS-OVERHEAD and the
-      [counter-incr-*] bechamel micros keep this honest).
+      instrumentation can live on solver hot paths without measurable
+      cost (EXP-OBS-OVERHEAD and the [counter-incr-*] bechamel micros
+      keep this honest). The innermost loop still keeps even that
+      lookup out: the Dijkstra kernel counts in locals and {!add}s
+      its settled and relaxation counts once per tree.
     + {b Updates are domain-safe by construction}: each domain writes
       only its own shard; totals are folded over the shard list at
       read time. Integer cells sum exactly, so counter totals are

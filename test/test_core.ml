@@ -973,6 +973,36 @@ let test_selector_matches_scan () =
   Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
       QCheck.Test.check_exn (qcheck_selector_matches_scan pool))
 
+(* One update_path + select step on a warmed Uniform selector over a
+   40x40 grid stays under 1,000 minor words: the snapshot is patched on
+   the path's edges, not rebuilt over all m, invalidation reads the
+   trees' parent edges instead of an index consed per rebuild, and the
+   rebuilt trees allocate nothing. What is left is the selected path
+   and the candidate heap's pops. *)
+let test_selector_step_allocation () =
+  let inst = grid_instance ~rows:40 ~cols:40 ~capacity:1.0 ~count:20 3 in
+  let y = Array.make (Graph.n_edges (Instance.graph inst)) 1.0 in
+  let sel = Selector.create ~weights:(Selector.Uniform (fun e -> y.(e))) inst in
+  (* Select, inflate the path, consume the request; the caller
+     announces the path. *)
+  let step () =
+    let c = Option.get (Selector.select sel) in
+    List.iter (fun e -> y.(e) <- y.(e) *. 1.5) c.Selector.path;
+    Selector.remove sel c.Selector.request;
+    c.Selector.path
+  in
+  for _ = 1 to 4 do
+    Selector.update_path sel (step ())
+  done;
+  let path = step () in
+  let before = Gc.minor_words () in
+  Selector.update_path sel path;
+  let next = Selector.select sel in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "a request is still routable" true (Option.is_some next);
+  if words >= 1000.0 then
+    Alcotest.failf "update_path + select allocated %.0f minor words" words
+
 (* --- Audit --- *)
 
 module Audit = Ufp_core.Audit
@@ -1230,6 +1260,8 @@ let () =
             test_selector_remove_out_of_range;
           Alcotest.test_case "matches a fresh-Dijkstra scan" `Quick
             test_selector_matches_scan;
+          Alcotest.test_case "warmed step allocation" `Quick
+            test_selector_step_allocation;
         ] );
       ( "audit",
         [

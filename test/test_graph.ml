@@ -1223,6 +1223,95 @@ let test_oracle_single_vertex () =
   Alcotest.(check (float 0.0)) "src dist" 0.0 dist.(0);
   Alcotest.(check int) "src parent" (-1) parent.(0)
 
+(* --- Weight snapshot patches --- *)
+
+let test_snapshot_patch_validation () =
+  let g = Graph.create ~directed:true ~n:4 in
+  for u = 0 to 2 do
+    ignore (Graph.add_edge g ~u ~v:(u + 1) ~capacity:1.0)
+  done;
+  let w = [| 1.0; 2.0; 3.0 |] in
+  let s = Weight_snapshot.build g ~weight:(fun e -> w.(e)) in
+  w.(2) <- -1.0;
+  Alcotest.check_raises "negative weight"
+    (Invalid_argument "Weight_snapshot: negative weight on edge 2") (fun () ->
+      Weight_snapshot.patch s ~weight:(fun e -> w.(e)) [ 2 ]);
+  w.(2) <- 3.0;
+  w.(1) <- nan;
+  Alcotest.check_raises "nan weight"
+    (Invalid_argument "Weight_snapshot: NaN weight on edge 1") (fun () ->
+      Weight_snapshot.patch s ~weight:(fun e -> w.(e)) [ 0; 1 ]);
+  (* The listed edges are re-read, and only they: edge 2 still holds
+     the weight it was built with, infinity is legal. *)
+  w.(1) <- infinity;
+  w.(2) <- 7.0;
+  Weight_snapshot.patch s ~weight:(fun e -> w.(e)) [ 1 ];
+  Alcotest.(check bool) "edge 1 infinite" true
+    (Float.equal (Weight_snapshot.get s 1) infinity);
+  check_float "edge 2 unpatched" 3.0 (Weight_snapshot.get s 2)
+
+(* The patch law: grow random edge subsets — by small steps, by
+   factors, to infinity — announce each subset through [patch] (in
+   random order, with repeats), and after every step the patched
+   snapshot must be bitwise equal to a fresh [build]. *)
+let qcheck_snapshot_patch_matches_build =
+  QCheck.Test.make ~name:"patched snapshot equals a fresh build" ~count:300
+    (QCheck.int_bound 0x3FFFFFFF) (fun seed ->
+      let rng = Rng.create seed in
+      let g = small_graph rng ~capacity:(fun () -> 1.0) in
+      let m = Graph.n_edges g in
+      let w = Array.init m (fun _ -> Rng.float_in rng 0.0 4.0) in
+      let weight e = w.(e) in
+      let s = Weight_snapshot.build g ~weight in
+      for step = 1 to 1 + Rng.int rng 12 do
+        let edges =
+          List.filter (fun _ -> Rng.int rng 3 = 0) (List.init m Fun.id)
+        in
+        let edges = if Rng.bool rng then edges @ edges else List.rev edges in
+        List.iter
+          (fun e ->
+            match Rng.int rng 6 with
+            | 0 -> w.(e) <- infinity
+            | 1 -> w.(e) <- w.(e) *. Rng.float_in rng 1.0 3.0
+            | 2 -> w.(e) <- Float.succ w.(e)
+            | _ -> w.(e) <- w.(e) +. Rng.float_in rng 0.0 2.0)
+          edges;
+        Weight_snapshot.patch s ~weight edges;
+        let fresh = Weight_snapshot.build g ~weight in
+        for e = 0 to m - 1 do
+          let got = Weight_snapshot.get s e
+          and want = Weight_snapshot.get fresh e in
+          if not (same_bits got want) then
+            QCheck.Test.fail_reportf "step %d, edge %d: patched %h, fresh %h"
+              step e got want
+        done
+      done;
+      true)
+
+(* Minor-heap words [f ()] allocates. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The relaxation loop allocates nothing: a second tree on a warmed
+   workspace over a 40x40 grid costs zero minor words (no boxed weight
+   reads, no option per heap pop, no boxed key per push). *)
+let test_dijkstra_allocation_free () =
+  let g = Gen.grid ~rows:40 ~cols:40 ~capacity:1.0 in
+  let n = Graph.n_vertices g in
+  let snapshot =
+    Weight_snapshot.build g ~weight:(fun e -> float_of_int (1 + (e mod 7)))
+  in
+  let ws = Dijkstra.create_workspace g in
+  let dist = Array.make n infinity and parent_edge = Array.make n (-1) in
+  let tree () =
+    Dijkstra.shortest_tree_snapshot_into ws g ~snapshot ~src:0 ~dist
+      ~parent_edge
+  in
+  tree ();
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (minor_words_of tree)
+
 let () =
   Alcotest.run "graph"
     [
@@ -1264,6 +1353,10 @@ let () =
           Alcotest.test_case "negative raises" `Quick test_dijkstra_negative_raises;
           Alcotest.test_case "nan raises" `Quick test_dijkstra_nan_raises;
           Alcotest.test_case "weight snapshot" `Quick test_snapshot_build_and_get;
+          Alcotest.test_case "snapshot patch validation" `Quick
+            test_snapshot_patch_validation;
+          Alcotest.test_case "warmed tree allocates nothing" `Quick
+            test_dijkstra_allocation_free;
           Alcotest.test_case "src = dst" `Quick test_dijkstra_src_eq_dst;
           Alcotest.test_case "path_of_tree disconnected" `Quick
             test_dijkstra_path_of_tree_disconnected;
@@ -1351,6 +1444,7 @@ let () =
             qcheck_dijkstra_path_length;
             qcheck_dijkstra_optimal_vs_enumeration;
             qcheck_workspace_matches_allocating;
+            qcheck_snapshot_patch_matches_build;
             qcheck_enumerate_simple;
             qcheck_maxflow_bounded_by_cut;
             qcheck_maxflow_equals_mincut;
