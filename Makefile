@@ -61,18 +61,23 @@ bench-csv:
 #                    payment probe counts
 #   BENCH_PR10.json — sequential Dijkstra on RMAT + packed adjacency
 #                    footprint rows
+#   BENCH_PR19.json — jobs-1 work counts (tree rebuilds, relaxations,
+#                    iterations, payment probes) of a hub RMAT solve
+#                    and hinted grid payments
 bench-json:
 	dune exec bench/main.exe -- --json-pr6 BENCH_PR6.json
 	dune exec bench/main.exe -- --json-pr8 BENCH_PR8.json
 	dune exec bench/main.exe -- --json-pr9 BENCH_PR9.json
 	dune exec bench/main.exe -- --json-pr10 BENCH_PR10.json
+	dune exec bench/main.exe -- --json-pr19 BENCH_PR19.json
 
 # Perf-trajectory regression gate (see docs/OBSERVABILITY.md): rerun
-# the PR 8, PR 9 and PR 10 rows and diff against the committed
+# the BENCH_PR8/9/10/19.json rows and diff against the committed
 # trajectories.
 # Exits non-zero past the threshold; loosen it for noisy hosts.  The
-# PR 9 rows are deterministic cost-model units and probe counts, so
-# they bear a much tighter threshold than the wall-clock rows.
+# BENCH_PR9.json rows are deterministic cost-model units and probe
+# counts, and the BENCH_PR19.json rows are work counts, so they bear a
+# much tighter threshold than the wall-clock rows.
 bench-diff:
 	dune exec bench/main.exe -- --json-pr8 /tmp/ufp-bench-pr8.json
 	dune exec bin/bench_diff.exe -- BENCH_PR8.json /tmp/ufp-bench-pr8.json --threshold 2.0
@@ -80,6 +85,8 @@ bench-diff:
 	dune exec bin/bench_diff.exe -- BENCH_PR9.json /tmp/ufp-bench-pr9.json --threshold 0.1
 	dune exec bench/main.exe -- --json-pr10 /tmp/ufp-bench-pr10.json
 	dune exec bin/bench_diff.exe -- BENCH_PR10.json /tmp/ufp-bench-pr10.json --threshold 2.0
+	dune exec bench/main.exe -- --json-pr19 /tmp/ufp-bench-pr19.json
+	dune exec bin/bench_diff.exe -- BENCH_PR19.json /tmp/ufp-bench-pr19.json --threshold 0.1
 
 # Cross-PR performance history: join every committed BENCH_PR*.json
 # by row id into one markdown table (docs/BENCH_TRAJECTORY.md), one

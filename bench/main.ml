@@ -11,7 +11,7 @@
      dune exec bench/main.exe -- --csv DIR    # also save tables as CSV
      dune exec bench/main.exe -- --markdown F # also save a markdown report
      dune exec bench/main.exe -- --json-pr8 F # run one BENCH_*.json suite
-                                              # (pr6, pr8, pr9 or pr10; see
+                                              # (pr6, pr8, pr9, pr10 or pr19; see
                                               # [suites]) and write its rows
                                               # to F; pr6 and pr10 honour
                                               # --quick *)
@@ -35,8 +35,7 @@ module Metrics = Ufp_obs.Metrics
 (* The CSR shortest-tree pair on one shared 12x12 grid: the path
    including its per-call weight-snapshot build, and the inner loop
    alone against a prebuilt snapshot (the steady-state Selector
-   regime, where the snapshot is cached across rebuilds of the same
-   weight epoch). *)
+   regime, where one patched snapshot serves every rebuild). *)
 let dijkstra_pair_tests () =
   let open Bechamel in
   let grid = Gen.grid ~rows:12 ~cols:12 ~capacity:10.0 in
@@ -253,7 +252,12 @@ type row = { id : string; unit : string; better : better; value : float }
 
 let row better id unit value = { id; unit; better; value }
 
-let json_float x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
+(* Integer values (work counts, byte sizes) are written in full, so a
+   count row holds the exact count; other values keep 6 digits. *)
+let json_float x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else if Float.is_finite x then Printf.sprintf "%.6g" x
+  else "null"
 
 (* Write [path] through [f], then say so on stdout. *)
 let with_out path f =
@@ -581,6 +585,67 @@ let pr10 ~quick =
       ])
     configs
 
+(* pr19 (BENCH_PR19.json): work counts at --jobs 1, from Metrics
+   deltas.  They are the same on every host and under every load, so
+   unlike the wall-clock suites they bear the probe-count rows' tight
+   threshold (0.1), and a change to the selector's cache or the kernel
+   shows as an exact work delta.  Two calls: a hub RMAT solve (rmat14-solve's
+   shape two scales down, where tree rebuilds dominate) and hinted
+   payments on a small contended grid (grid-mechanism's pipeline, where
+   thousands of small re-solves do).  Allocated words stay out: they
+   differ between OCaml 5.1 and 5.2. *)
+let pr19 ~quick:_ =
+  print_string "### BENCH-JSON-PR19: jobs-1 work counts\n";
+  let work_rows call counters f =
+    let (), work = Harness.counters_during f in
+    List.map
+      (fun (name, unit) ->
+        let n = Harness.counter_delta work name in
+        Printf.printf "  %-30s %-24s %d\n" call name n;
+        row Lower (call ^ "." ^ name) unit (float_of_int n))
+      counters
+  in
+  let rmat_inst =
+    let rng = Rng.create 1 in
+    let g =
+      Gen.rmat rng ~scale:12 ~edge_factor:16 ~capacity_lo:140.0
+        ~capacity_hi:210.0 ()
+    in
+    Instance.create g (Workloads.hub_requests rng g ~count:48 ())
+  in
+  let solve =
+    work_rows "solve-rmat-s12-ef16-hub48"
+      [
+        ("selector.tree_rebuilds", "trees");
+        ("dijkstra.relaxations", "relaxations");
+        ("pd.iterations", "iterations");
+      ]
+      (fun () -> ignore (Bounded_ufp.run ~eps:0.3 rmat_inst))
+  in
+  let eps = 0.6 in
+  let grid_inst =
+    Harness.grid_instance ~seed:1 ~rows:4 ~cols:4 ~capacity:11.0 ~count:60
+  in
+  let hints =
+    Ufp_mech.Ufp_mechanism.acceptance_thresholds grid_inst
+      (Bounded_ufp.run ~eps grid_inst)
+  in
+  let payments =
+    work_rows "payments-hinted-grid-4x4-60req"
+      [
+        ("mech.payment_probes", "probes");
+        ("selector.tree_rebuilds", "trees");
+        ("dijkstra.relaxations", "relaxations");
+      ]
+      (fun () ->
+        ignore
+          (Ufp_mech.Ufp_mechanism.payments ~rel_tol:Float_tol.payment_rel_tol
+             ~warm:(`Hinted (fun i -> hints.(i)))
+             (Bounded_ufp.solve ~eps) grid_inst
+            : float array))
+  in
+  solve @ payments
+
 (* The suite each [--json-<name> FILE] flag runs, and the schema its
    file declares (EXPERIMENTS.md documents each version). *)
 let suites =
@@ -589,6 +654,7 @@ let suites =
     ("pr8", "ufp-bench-pr8/1", pr8);
     ("pr9", "ufp-bench-pr9/1", pr9);
     ("pr10", "ufp-bench-pr10/1", pr10);
+    ("pr19", "ufp-bench-pr19/1", pr19);
   ]
 
 (* --- driver --- *)

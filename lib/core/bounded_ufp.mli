@@ -58,9 +58,10 @@ val run :
     see {!Ufp_instance.Instance.normalize}) and have [B = min_e c_e >= 1];
     raises [Invalid_argument] otherwise.
 
-    Selection runs on the cached {!Selector}: only the trees
-    invalidated by the previous dual update are recomputed, and only
-    when a stale candidate surfaces at the heap top. [pool] (default
+    Selection runs on the cached {!Selector}: after the first
+    selection builds one tree per source, a tree is recomputed only
+    when a candidate surfaces at the heap top whose own path the dual
+    updates have lengthened. [pool] (default
     [`Seq]) builds the selector's cold-fill trees (the first
     selection's) across an {!Ufp_par.Pool}; decisions are bitwise
     identical and the work counters equal either way (see

@@ -37,8 +37,7 @@ type choice = { request : int; path : int list; alpha : float }
 type group = {
   src : int;
   weight : int -> float;
-  mutable version : int;  (* bumped on every rebuild *)
-  mutable fresh : bool;  (* dist/parent_edge reflect the current weights *)
+  mutable version : int;  (* bumped on every rebuild; 0 until the first *)
   dist : float array;
   parent_edge : int array;
   mutable members : int list;  (* pending request indices, increasing *)
@@ -107,7 +106,9 @@ let rec sift_down t i =
     sift_down t !smallest
   end
 
-let heap_push t key request version =
+(* Inlined, so a key read from the heap or computed by [score] is
+   stored without being boxed. *)
+let[@inline] heap_push t key request version =
   Ufp_obs.Metrics.incr m_heap_pushes;
   if t.hsize = Array.length t.hk then begin
     let cap = max 16 (2 * t.hsize) in
@@ -127,19 +128,15 @@ let heap_push t key request version =
   t.hsize <- t.hsize + 1;
   sift_up t (t.hsize - 1)
 
-let heap_pop t =
-  if t.hsize = 0 then None
-  else begin
-    Ufp_obs.Metrics.incr m_heap_pops;
-    let k = t.hk.(0) and r = t.hr.(0) and v = t.hv.(0) in
-    t.hsize <- t.hsize - 1;
-    if t.hsize > 0 then begin
-      t.hk.(0) <- t.hk.(t.hsize);
-      t.hr.(0) <- t.hr.(t.hsize);
-      t.hv.(0) <- t.hv.(t.hsize);
-      sift_down t 0
-    end;
-    Some (k, r, v)
+(* Drop the minimum (slot 0); the caller has read it already. *)
+let heap_drop t =
+  Ufp_obs.Metrics.incr m_heap_pops;
+  t.hsize <- t.hsize - 1;
+  if t.hsize > 0 then begin
+    t.hk.(0) <- t.hk.(t.hsize);
+    t.hr.(0) <- t.hr.(t.hsize);
+    t.hv.(0) <- t.hv.(t.hsize);
+    sift_down t 0
   end
 
 (* --- construction --- *)
@@ -173,7 +170,6 @@ let create ?(pool = `Seq) ~weights inst =
           src = r.Request.src;
           weight;
           version = 0;
-          fresh = false;
           dist = Array.make n infinity;
           parent_edge = Array.make n (-1);
           members = [ i ];
@@ -274,8 +270,7 @@ let rebuild_tree t grp ws =
 
 let commit_rebuild grp =
   Ufp_obs.Metrics.incr m_rebuilds;
-  grp.version <- grp.version + 1;
-  grp.fresh <- true
+  grp.version <- grp.version + 1
 
 let rebuild t grp =
   rebuild_tree t grp t.ws;
@@ -316,29 +311,20 @@ let cold_fill t p =
       live
   end
 
-(* A tree uses edge [e = (u, v)] exactly when [e] is the parent edge
-   of one of its endpoints: [parent_edge.(x)] is always an edge
-   incident to [x]. *)
-let rec uses_an_edge g parent_edge = function
-  | [] -> false
-  | e :: rest ->
-    let { Graph.u; v; _ } = Graph.edge g e in
-    parent_edge.(u) = e || parent_edge.(v) = e
-    || uses_an_edge g parent_edge rest
-
 let update_path t path =
-  (* Under Uniform weights every group holds the same closure. *)
-  (match t.uniform_snap with
-  | Some s -> Weight_snapshot.patch s ~weight:t.groups.(0).weight path
-  | None -> ());
-  Array.iter
-    (fun grp ->
-      (match grp.snap with
-      | Some s -> Weight_snapshot.patch s ~weight:grp.weight path
-      | None -> ());
-      if grp.fresh && uses_an_edge t.graph grp.parent_edge path then
-        grp.fresh <- false)
-    t.groups
+  if t.uniform then begin
+    (* Every group holds the same closure, and none owns a snapshot. *)
+    match t.uniform_snap with
+    | Some s -> Weight_snapshot.patch s ~weight:t.groups.(0).weight path
+    | None -> ()
+  end
+  else
+    Array.iter
+      (fun grp ->
+        match grp.snap with
+        | Some s -> Weight_snapshot.patch s ~weight:grp.weight path
+        | None -> ())
+      t.groups
 
 let remove t i =
   if i < 0 || i >= Instance.n_requests t.inst then
@@ -357,7 +343,7 @@ let remove t i =
 
 (* --- scoring and selection --- *)
 
-let score t grp i =
+let[@inline] score t grp i =
   Ufp_obs.Metrics.incr m_scores;
   let r = Instance.request t.inst i in
   let d = grp.dist.(r.Request.dst) in
@@ -370,41 +356,68 @@ let path_for t grp i =
        { Dijkstra.dist = grp.dist; parent_edge = grp.parent_edge }
        ~src:grp.src ~dst:r.Request.dst)
 
+(* Whether the tree path from [v] back to the source still reproduces
+   its cached distances: at each parent edge [e = (u, v)] the addition
+   Dijkstra does, [dist.(u) +. w_e], must give [dist.(v)] bitwise under
+   the current snapshot. *)
+let rec path_holds g grp snapshot v =
+  v = grp.src
+  ||
+  let e = grp.parent_edge.(v) in
+  let u = Graph.other_endpoint g e v in
+  Float.equal
+    (grp.dist.(u) +. Weight_snapshot.unsafe_get snapshot e)
+    grp.dist.(v)
+  && path_holds g grp snapshot u
+
+(* Whether [grp]'s built tree still gives request [i] what a fresh
+   Dijkstra would (see the interface): an unreachable destination stays
+   unreachable as weights grow, and a reachable one needs its path to
+   hold. *)
+let request_holds t grp i =
+  let dst = (Instance.request t.inst i).Request.dst in
+  Float.equal grp.dist.(dst) infinity
+  || path_holds t.graph grp (snapshot_for t grp) dst
+
+let rec pop_best t =
+  if t.hsize = 0 then None
+  else begin
+    let a = t.hk.(0) and i = t.hr.(0) and ver = t.hv.(0) in
+    heap_drop t;
+    if not t.pending.(i) then pop_best t
+    else begin
+      let grp = t.group_of.(i) in
+      let holds = grp.version > 0 && request_holds t grp i in
+      if holds && ver = grp.version then begin
+        (* The popped key came from this tree, and the request's path
+           still holds, so the key is its current score. Weights only
+           grow, so every other pending entry's key is a lower bound on
+           its current score: this is the true (alpha, index) minimum.
+           Re-push so the request stays a candidate (it is removed
+           separately when selection consumes it). *)
+        Ufp_obs.Metrics.incr m_cache_hits;
+        heap_push t a i ver;
+        Some { request = i; path = path_for t grp i; alpha = a }
+      end
+      else begin
+        Ufp_obs.Metrics.incr m_stale_pops;
+        if not holds then begin
+          Ufp_obs.Metrics.incr m_cache_misses;
+          rebuild t grp
+        end;
+        let alpha = score t grp i in
+        (* An unroutable request stays unroutable under nondecreasing
+           weights: drop it from the heap entirely. *)
+        if alpha < infinity then heap_push t alpha i grp.version;
+        pop_best t
+      end
+    end
+  end
+
 let select t =
   (* With a pool, the first select fills the cold cache in parallel;
      every later rebuild is lazy, on this domain. *)
   (match t.pool with
   | `Pool p when t.cold -> cold_fill t p
   | `Pool _ | `Seq -> ());
-  let rec loop () =
-    match heap_pop t with
-    | None -> None
-    | Some (a, i, ver) ->
-      if not t.pending.(i) then loop ()
-      else begin
-        let grp = t.group_of.(i) in
-        if grp.fresh && ver = grp.version then begin
-          (* The popped entry's score is current. Weights only grow, so
-             every other pending entry's key is a lower bound on its
-             current score: this is the true (alpha, index) minimum.
-             Re-push so the request stays a candidate (it is removed
-             separately when selection consumes it). *)
-          Ufp_obs.Metrics.incr m_cache_hits;
-          heap_push t a i ver;
-          Some { request = i; path = path_for t grp i; alpha = a }
-        end
-        else begin
-          Ufp_obs.Metrics.incr m_stale_pops;
-          if not grp.fresh then begin
-            Ufp_obs.Metrics.incr m_cache_misses;
-            rebuild t grp
-          end;
-          let alpha = score t grp i in
-          (* An unroutable request stays unroutable under nondecreasing
-             weights: drop it from the heap entirely. *)
-          if alpha < infinity then heap_push t alpha i grp.version;
-          loop ()
-        end
-      end
-  in
-  loop ()
+  pop_best t

@@ -9,8 +9,9 @@
     iteration makes a solve
     [O(iterations x sources x (m + n log n))] even though a dual update
     only inflates the few edges of the selected path. This module
-    performs that step with cached shortest-path trees, a parent-edge
-    invalidation check, and a lazy-deletion candidate heap.
+    performs that step with cached shortest-path trees, a check of each
+    popped request's own tree path, and a lazy-deletion candidate
+    heap.
 
     {b Contract: weights must be nondecreasing over time} (duals only
     inflate, residuals only shrink — true for every rule in this
@@ -18,22 +19,35 @@
     a fresh Dijkstra per pending request would: the same request, the
     same path, a bitwise-equal alpha. The argument:
 
-    + {!Ufp_graph.Dijkstra} settles vertices in [(dist, vertex id)]
-      order, so a tree is a pure function of the weight vector, and a
-      tree none of whose {e own} edges changed is still exactly the
-      tree a fresh run would return (non-tree weights can only grow,
-      which cannot create shorter or tie-winning paths).
-      Invalidating exactly the groups whose cached tree uses an
-      updated edge is therefore lossless. A tree uses edge
-      [e = (u, v)] exactly when [e] is the parent edge of [u] or of
-      [v] (a vertex's parent edge is incident to it), so
-      {!update_path} tests [parent_edge.(u) = e || parent_edge.(v) = e]
-      for each fresh group and announced edge: [O(groups x |path|)]
-      work and no per-rebuild index to maintain.
+    + A cached tree answers for a request as long as the request's
+      {e own} tree path holds. Requests that share a source (and,
+      under Per_demand weights, a demand) form a group with one cached
+      tree. When a request is popped, its path is walked by parent
+      edges from [dst] back to [src]: for every edge [e = (u, v)] on
+      it, [dist.(u) +. w_e] under the current weights (the addition
+      Dijkstra does) must equal the cached [dist.(v)] bitwise. An
+      unreachable destination stays unreachable as weights grow, so it
+      always holds. The tree is rebuilt only when the check fails,
+      never because a dual update touched some other part of it. When
+      the path holds, a fresh Dijkstra returns the same path with a
+      bitwise-equal alpha. Weights only grow, so no distance can drop.
+      The path still achieves its cached values, so the distances
+      along it cannot rise either. Any arc that achieves a path
+      vertex's distance now also achieved it when the tree was built.
+      {!Ufp_graph.Dijkstra} settles vertices in [(dist, vertex id)]
+      order and keeps the first arc that reaches a vertex's final
+      distance. The cached parent's tail lies on the path and keeps
+      its settle key, while any other tail's key can only have grown.
+      So the cached parent edge is still the first tied arc, at every
+      vertex of the path. The check costs [O(|path|)] per pop, and
+      {!update_path} touches no tree.
     + Heap keys are scores computed at earlier (hence pointwise lower)
-      weights, so a popped entry whose score is current is the true
-      minimum; a popped stale entry is re-scored against a fresh tree
-      and re-pushed, never skipped.
+      weights, so they are lower bounds on the current scores. A
+      popped entry is current when its key came from the group's
+      present tree (the group's version) and its path holds; then its
+      key is its current score, and it is the true minimum. A popped
+      stale entry is re-scored, against a rebuilt tree if its path no
+      longer holds, and re-pushed, never skipped.
     + Ties break by [(Float.compare alpha, request index)], the order
       of a scan over the pending requests.
 
@@ -56,10 +70,11 @@
     live snapshot on exactly the announced edges, in [O(|path|)]
     rather than an [O(m)] rebuild. Only announced edges change, so a
     patched snapshot is bitwise equal to a fresh build and stale
-    weights can never leak into a rebuild. [dijkstra.snapshot_builds]
-    therefore counts one build per Uniform selector or per rebuilt
-    Per_demand group, and [dijkstra.snapshot_patched_edges] one per
-    announced edge per live snapshot.
+    weights can never leak into a rebuild or a path check.
+    [dijkstra.snapshot_builds] therefore counts one build per Uniform
+    selector or per rebuilt Per_demand group, and
+    [dijkstra.snapshot_patched_edges] one per announced edge per live
+    snapshot.
 
     {b Parallel cold fill.} With [?pool:(`Pool p)], the first {!select}
     builds the trees it would build lazily anyway — one per group with
@@ -117,10 +132,12 @@ val select : t -> choice option
 val update_path : t -> int list -> unit
 (** [update_path t p] announces that the weights of the edges of [p]
     changed (grew). Re-reads those edges' weights into every live
-    weight snapshot and invalidates exactly the cached trees that used
-    one of those edges. Must be called after every dual/residual
-    update — the weight functions must already return the new
-    weights — and before the next {!select}. *)
+    weight snapshot, in [O(|p|)] per snapshot. It leaves the cached
+    trees alone: a tree is rebuilt only when {!select} pops a request
+    whose own tree path no longer reproduces its cached distances
+    (see the module preamble). Must be called after every
+    dual/residual update — the weight functions must already return
+    the new weights — and before the next {!select}. *)
 
 val remove : t -> int -> unit
 (** Remove a request from the pending pool. Removing an

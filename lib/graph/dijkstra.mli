@@ -14,10 +14,12 @@
     in-neighbour that reaches its final distance. With strictly
     positive weights this makes the returned tree a pure function of
     the weight vector — independent of computation history. In
-    particular, if every weight is nondecreasing over time and no edge
-    {e used by} a previously computed tree changed, recomputing yields
-    the byte-identical tree. {!Ufp_core.Selector} relies on exactly
-    this property for its cache-invalidation rule. *)
+    particular, if every weight is nondecreasing over time and a path
+    of a previously computed tree still reproduces that tree's
+    distances under the new weights, recomputing returns the same path
+    to its endpoint, with bitwise-equal distances along it.
+    {!Ufp_core.Selector} relies on exactly this property for its
+    per-request cache check. *)
 
 type tree = {
   dist : float array;  (** [dist.(v)] = distance from the source, [infinity] if unreachable *)

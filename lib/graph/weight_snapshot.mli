@@ -24,9 +24,9 @@
     edges whose weights moved (or build afresh) before the next tree
     computation. A primal-dual update inflates only the edges of the
     selected path, so a patch costs [O(|path|)] where a build costs
-    [O(m)]. {!Ufp_core.Selector} patches its snapshots through the
-    same [update_path] announcement that invalidates its trees;
-    {!Ufp_lp.Mcf} patches the routed path after each dual update. *)
+    [O(m)]. {!Ufp_core.Selector} patches its snapshots in its
+    [update_path] announcement; {!Ufp_lp.Mcf} patches the routed path
+    after each dual update. *)
 
 type t
 (** A per-edge weight vector: slot [e] holds the weight of edge id [e]

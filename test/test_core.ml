@@ -925,11 +925,14 @@ let selector_scenario ~per_demand ~pool inst seed =
     pending.(i) <- false;
     Selector.remove sel i
   in
+  (* A one-ulp step changes a path's length by at most an ulp, which
+     a cache check that compares within a tolerance would miss. *)
   let grow e =
     match Rng.int rng 16 with
     | 0 -> y.(e) <- infinity
     | 1 -> limit.(e) <- limit.(e) -. 0.25
     | 2 | 3 -> y.(e) <- y.(e) *. Rng.float_in rng 1.0 2.0
+    | 4 | 5 -> y.(e) <- Float.succ y.(e)
     | _ -> y.(e) <- y.(e) +. float_of_int (1 + Rng.int rng 2)
   in
   let rec step k =
@@ -973,12 +976,55 @@ let test_selector_matches_scan () =
   Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
       QCheck.Test.check_exn (qcheck_selector_matches_scan pool))
 
+(* A dual update on one request's path leaves a sibling request, whose
+   own tree path shares no edge with it, served from the cached tree.
+   Both requests leave source 0, so they share one tree, and that tree
+   uses every announced edge: invalidating whole trees would rebuild
+   it. *)
+let test_selector_sibling_reuse () =
+  let g = Graph.create ~directed:false ~n:5 in
+  List.iter
+    (fun (u, v) -> ignore (Graph.add_edge g ~u ~v ~capacity:1.0))
+    [ (0, 1); (1, 2); (0, 3); (3, 4) ];
+  let inst =
+    Instance.create g
+      [|
+        Request.make ~src:0 ~dst:2 ~demand:1.0 ~value:4.0;
+        Request.make ~src:0 ~dst:4 ~demand:1.0 ~value:1.0;
+      |]
+  in
+  let rebuilds = Ufp_obs.Metrics.counter "selector.tree_rebuilds" in
+  List.iter
+    (fun (name, per_demand) ->
+      let y = Array.make (Graph.n_edges g) 1.0 in
+      let weights =
+        if per_demand then Selector.Per_demand (fun ~demand:_ e -> y.(e))
+        else Selector.Uniform (fun e -> y.(e))
+      in
+      let sel = Selector.create ~weights inst in
+      let first = Option.get (Selector.select sel) in
+      Alcotest.(check int) (name ^ ": cheaper request first") 0 first.request;
+      List.iter (fun e -> y.(e) <- y.(e) *. 2.0) first.path;
+      Selector.update_path sel first.path;
+      Selector.remove sel first.request;
+      let before = Ufp_obs.Metrics.value rebuilds in
+      let next = Selector.select sel in
+      Alcotest.(check int)
+        (name ^ ": sibling served without a rebuild")
+        0
+        (Ufp_obs.Metrics.value rebuilds - before);
+      Alcotest.(check string)
+        (name ^ ": the sibling, as a scan selects it")
+        (pp_choice (scan_select inst ~weight:(fun _ e -> y.(e)) [| false; true |]))
+        (pp_choice next))
+    [ ("uniform", false); ("per-demand", true) ]
+
 (* One update_path + select step on a warmed Uniform selector over a
    40x40 grid stays under 1,000 minor words: the snapshot is patched on
-   the path's edges, not rebuilt over all m, invalidation reads the
-   trees' parent edges instead of an index consed per rebuild, and the
-   rebuilt trees allocate nothing. What is left is the selected path
-   and the candidate heap's pops. *)
+   the path's edges, not rebuilt over all m, a cached tree is checked
+   along the popped request's own path, and rebuilt trees and heap pops
+   allocate nothing. What is left is the selected path and the patch's
+   weight reads. *)
 let test_selector_step_allocation () =
   let inst = grid_instance ~rows:40 ~cols:40 ~capacity:1.0 ~count:20 3 in
   let y = Array.make (Graph.n_edges (Instance.graph inst)) 1.0 in
@@ -1260,6 +1306,8 @@ let () =
             test_selector_remove_out_of_range;
           Alcotest.test_case "matches a fresh-Dijkstra scan" `Quick
             test_selector_matches_scan;
+          Alcotest.test_case "sibling reuses the cached tree" `Quick
+            test_selector_sibling_reuse;
           Alcotest.test_case "warmed step allocation" `Quick
             test_selector_step_allocation;
         ] );

@@ -262,7 +262,7 @@ let test_dijkstra_path_of_tree_disconnected () =
 let test_dijkstra_tie_break_deterministic () =
   (* 0 -> 1 -> 3 and 0 -> 2 -> 3 tie at length 2; the (dist, vertex id)
      rule settles vertex 1 before vertex 2, so the parent of 3 is fixed
-     as e13. The Selector's cache-invalidation argument leans on this
+     as e13. The Selector's per-request cache check leans on this
      being a pure function of the weights. *)
   let g, e01, e13, e02, e23, e03 = diamond () in
   let w = Array.make 5 1.0 in
