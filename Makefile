@@ -56,7 +56,7 @@ bench-csv:
 #                    TEPS trials; EXP-RMAT and perfbench measure those)
 #   BENCH_PR8.json — telemetry hot-path micros, the CSR Dijkstra pair
 #                    and two CI-sized end-to-end anchors
-#   BENCH_PR9.json — work-stealing vs fixed-chunk modelled makespan
+#   BENCH_PR9.json — per-index claims vs fixed-chunk modelled makespan
 #                    (host-independent cost units) + warm-start
 #                    payment probe counts
 #   BENCH_PR10.json — sequential Dijkstra on RMAT + packed adjacency

@@ -401,16 +401,16 @@ let pr8 ~quick:_ =
       row Lower "payments-seq-3x3-8req" "s" pay_s;
     ]
 
-(* pr9 (BENCH_PR9.json): the fixed-chunk pathology the work-stealing
-   scheduler exists to kill, measured in a host-independent unit.  One
-   task among [n] costs [mult]x the others; with the old static split
-   into two chunks, the executor that draws the expensive task's chunk
+(* pr9 (BENCH_PR9.json): the fixed-chunk pathology the pool's
+   per-index claims avoid, measured in a host-independent unit.  One
+   task among [n] costs [mult]x the others; with a static split into
+   two chunks, the executor that draws the expensive task's chunk
    also drags half the cheap ones behind it, so its assigned work —
    the modelled makespan, in task-cost units — is [mult + n/2 - 1]
-   whatever the host does.  The dynamic rows run the real scheduler
-   on a 2-domain pool and charge each task's model cost to the
-   executor that actually ran it: stealing should strand the
-   expensive task alone on one executor (makespan -> [mult]-ish).
+   whatever the host does.  The dynamic rows run the real pool on 2
+   domains and charge each task's model cost to the executor that
+   actually ran it: claiming one index at a time leaves the expensive
+   task alone on one executor (makespan -> [mult]-ish).
    Cost units, not seconds, so the committed artifact diffs cleanly
    against any CI host; the min over a few repetitions absorbs
    worker wake-up timing on loaded or single-core machines.
@@ -473,8 +473,7 @@ let pr9 ~quick:_ =
           reset ();
           let (), t =
             Harness.time_it (fun () ->
-                Ufp_par.Pool.parallel_for_dynamic ~pool:(`Pool pool) ~grain:1
-                  ~n body)
+                Ufp_par.Pool.parallel_for ~pool:(`Pool pool) ~n body)
           in
           dynamic_s := !dynamic_s +. t;
           let m = makespan () in

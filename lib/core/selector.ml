@@ -298,10 +298,10 @@ let cold_fill t p =
   let n = Array.length live in
   if n > 0 then begin
     if t.uniform then ignore (snapshot_for t live.(0));
-    (* grain 1: tree costs are skewed (hub sources carry far larger
-       frontiers), so every tree should be stealable on its own rather
-       than riding a range with a hub. *)
-    Pool.parallel_for_dynamic ~pool:(`Pool p) ~grain:1 ~n (fun i ->
+    (* One claim per tree: tree costs are skewed (hub sources carry
+       far larger frontiers), so an idle executor takes the next tree
+       instead of waiting behind a hub. *)
+    Pool.parallel_for ~pool:(`Pool p) ~n (fun i ->
         rebuild_tree t live.(i) (Dijkstra.create_workspace t.graph));
     Array.iter
       (fun grp ->

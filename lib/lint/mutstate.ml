@@ -12,13 +12,13 @@ open Ppxlib
    [Guarded]  — [Atomic.*] or [Domain.DLS.*] state anywhere (DLS keys
                 are domain-local by construction: each domain writes
                 only its own slot), or any binding inside the audited
-                modules: lib/par/pool.ml (the pool's own machinery),
-                lib/par/deque.ml (the Chase–Lev deque: top/bottom
-                indices, the buffer reference and every element slot
-                are Atomics; the owner-only fields are partitioned by
-                executor) and lib/obs/* (the sharded metrics registry
-                — per-domain DLS shards on an Atomic CAS list, plain
-                writes aggregated only at snapshot time — and the
+                modules: lib/par/pool.ml (the pool's own machinery:
+                the per-job claim cursor and completion counter are
+                Atomics; the job slot, epoch and stop flag are written
+                under the pool lock) and lib/obs/* (the sharded
+                metrics registry — per-domain DLS shards on an Atomic
+                CAS list, plain writes aggregated only at snapshot
+                time — and the
                 trace ring refs, made domain-safe in PR 4, sharded in
                 PR 8, re-audited for this analyzer each time — see
                 docs/LINTING.md and docs/OBSERVABILITY.md).
@@ -52,10 +52,7 @@ let cls_name = function
    mutable state may live without an R7 report. *)
 let audited path =
   Rules.has_dir path "lib/obs"
-  || Rules.has_dir path "lib/par"
-     && (match Filename.basename path with
-        | "pool.ml" | "deque.ml" -> true
-        | _ -> false)
+  || (Rules.has_dir path "lib/par" && Filename.basename path = "pool.ml")
 
 let mutable_makers =
   [

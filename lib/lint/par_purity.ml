@@ -268,7 +268,7 @@ let def_facts cg ms memo key =
 type seed = {
   seed_path : string;
   seed_loc : Location.t;
-  seed_fn : string;  (* a Pool entry point: parallel_for[_dynamic], parallel_mapi *)
+  seed_fn : string;  (* a Pool entry point: parallel_for, parallel_mapi *)
   seed_arg : expression option;
   seed_locals : (string, expression list) Hashtbl.t;
   seed_allow_r7 : bool;
@@ -295,9 +295,7 @@ let local_bindings item =
 
 let is_pool_seed cg ~path lid =
   match Callgraph.strip_stdlib lid with
-  | Ldot
-      ( mp,
-        (("parallel_for" | "parallel_mapi" | "parallel_for_dynamic") as fn) ) ->
+  | Ldot (mp, (("parallel_for" | "parallel_mapi") as fn)) ->
     if
       String.equal
         (Callgraph.resolve_module cg ~path (Callgraph.last_module mp))

@@ -1,56 +1,50 @@
-(** A fixed-size domain pool scheduling index ranges by work stealing.
+(** A fixed-size domain pool running index jobs off one claim cursor
+    per job.
 
-    This and {!Deque} are the {e only} modules in the repo allowed to
-    spawn domains or create locks (lint rule R6 keeps all other
-    concurrency out); see docs/PARALLELISM.md for the design and the
-    determinism argument.
+    This is the {e only} module in the repo allowed to spawn domains or
+    create locks (lint rule R6 keeps all other concurrency out); see
+    docs/PARALLELISM.md for the design and the determinism argument.
 
-    The pool is built for the payment engine's workload: a few dozen to
-    a few thousand {e independent, pure} tasks (critical-value
-    bisections, VCG counterfactual solves), each heavy enough —
-    milliseconds to seconds — that scheduling overhead is irrelevant,
-    and {e uneven} (a hub winner's counterfactual dwarfs a leaf
-    winner's). Workers are raw [Domain.spawn]ed threads that sleep on
-    a condition variable between jobs, so a pool is cheap to keep
-    around and reuse across calls. Within a job, each executor owns a
-    Chase–Lev deque ({!Deque}): it splits its range lazily in half
-    down to [grain], keeps the cache-hot lower half, and exposes the
-    upper half for thieves, which pick victims at random and back off
-    exponentially to a condition-variable sleep when everything is
-    empty — so an expensive index never strands the rest of the range
-    on one executor the way a fixed chunk would.
+    The pool is built for the repo's three kinds of parallel work, each
+    a flat list of {e independent, pure} and coarse tasks: one
+    critical-value bisection per agent, one VCG counterfactual solve
+    per winner, and one Dijkstra tree per source in the selector's cold
+    fill. Each task is heavy enough — milliseconds to seconds — that
+    scheduling overhead is irrelevant, and tasks are {e uneven} (a hub
+    winner's counterfactual dwarfs a leaf winner's). Workers are raw
+    [Domain.spawn]ed threads that sleep on a condition variable between
+    jobs, so a pool is cheap to keep around and reuse across calls.
+    Within a job, every executor claims one index at a time from the
+    job's [Atomic] cursor, so an idle executor always takes the next
+    index and an expensive index never strands the rest of the range
+    behind it the way a fixed chunk would.
 
     {b Determinism contract}: [parallel_mapi ~pool ~n f] computes
     [f i] for each [i] exactly once and stores it at slot [i]. When
     every [f i] is pure (no shared mutable state except domain-safe
     {!Ufp_obs} instruments), the result is {e bitwise identical} to
-    [Array.init n f] — scheduling (including steals) changes only the
-    order in which slots are filled, never the float operations inside
-    a slot. The payment laws in [test/test_mech.ml] enforce this end
-    to end.
+    [Array.init n f] — scheduling changes only the order in which
+    slots are filled, never the float operations inside a slot. The
+    payment laws in [test/test_mech.ml] enforce this end to end.
 
     {b Telemetry}: the pool reports through the sharded {!Ufp_obs}
-    registry — [pool.jobs] counts submissions, [pool.chunks] executed
-    leaf ranges, [pool.steals] successful steals, and
-    [pool.steal_failures] full sweeps that found every victim empty —
-    and each worker merges its metrics shard at spawn
-    ([Metrics.ensure_shard]), keeping the one-time registration CAS
-    out of timed regions. See docs/OBSERVABILITY.md. *)
+    registry — [pool.jobs] counts submissions and [pool.chunks] the
+    indices run on a pool — and each worker merges its metrics shard
+    at spawn ([Metrics.ensure_shard]), keeping the one-time
+    registration CAS out of timed regions. See docs/OBSERVABILITY.md. *)
 
 type t
 (** A running pool. Owns [size - 1] worker domains (the caller is the
     remaining executor); reusable across any number of jobs until
     {!shutdown}.
 
-    {b One job at a time}: a pool executes a single job per
-    submission, and the submitting call owns the caller-side deque for
-    its duration — submitting from two domains concurrently, or
+    {b One job at a time}: a pool publishes a single job per
+    submission — submitting from two domains concurrently, or
     re-entering the pool from inside a task closure ([f] calling
     [parallel_for] on the same pool), raises [Invalid_argument]
-    instead of corrupting the scheduler. Submissions from different
-    domains at different times are fine (each [run] fully quiesces the
-    pool — workers out of the scheduler, deques empty — before
-    returning). Nested regions should pass [`Seq] for the inner one. *)
+    instead of hiding one job from the workers. Submissions from
+    different domains at different times are fine. Nested regions
+    should pass [`Seq] for the inner one. *)
 
 type choice = [ `Seq | `Pool of t ]
 (** How to execute a parallel region: [`Seq] runs it inline on the
@@ -71,31 +65,18 @@ val shutdown : t -> unit
     (jobs submitted after shutdown raise [Invalid_argument]). Safe to
     call with no job in flight only — i.e. not from inside [f]. *)
 
-val parallel_for_dynamic :
-  ?pool:choice -> ?grain:int -> n:int -> (int -> unit) -> unit
-(** [parallel_for_dynamic ~pool ~n f] runs [f 0 .. f (n-1)], each
-    exactly once, under the work-stealing scheduler. Ranges are split
-    lazily in half down to [grain] indices (default 1 — right for
-    heavy, uneven tasks like payment probes); idle executors steal the
-    oldest (largest) outstanding range from a random victim. The call
-    returns when all [n] indices have completed. If any [f i] raises,
-    the first exception (by completion order) is re-raised in the
-    caller with its backtrace after in-flight ranges have drained;
-    ranges not yet started are skipped. The call returns only once the
-    pool is quiescent again — no worker still inside the scheduler —
-    so back-to-back jobs can never steal from each other. With [`Seq]
-    (the default) this is a plain [for] loop. Raises
-    [Invalid_argument] for [n] beyond the deque range encoding's bound
-    ([2^31 - 1] on 64-bit platforms, [2^15 - 1] on 32-bit) and on
-    concurrent or nested submission to the same pool. *)
+val parallel_for : ?pool:choice -> n:int -> (int -> unit) -> unit
+(** [parallel_for ~pool ~n f] runs [f 0 .. f (n-1)], each exactly
+    once: every executor claims the next index from the job's cursor
+    until none is left. The call returns when all [n] indices have
+    completed. If any [f i] raises, the first exception (by completion
+    order) is re-raised in the caller with its backtrace after
+    in-flight indices have drained; indices not yet started are
+    skipped. With [`Seq] (the default) this is a plain [for] loop.
+    Raises [Invalid_argument] on concurrent or nested submission to
+    the same pool. *)
 
-val parallel_for : ?pool:choice -> ?chunk:int -> n:int -> (int -> unit) -> unit
-(** [parallel_for ~pool ~chunk ~n f] is
-    [parallel_for_dynamic ~pool ~grain:chunk ~n f] — the historical
-    entry point, kept so every existing call site reads unchanged;
-    [chunk] now sets the leaf grain instead of a cursor claim size. *)
-
-val parallel_mapi : ?pool:choice -> ?chunk:int -> n:int -> (int -> 'a) -> 'a array
+val parallel_mapi : ?pool:choice -> n:int -> (int -> 'a) -> 'a array
 (** [parallel_mapi ~pool ~n f] is [Array.init n f], fanned out like
     {!parallel_for}. Slot [i] holds [f i]; completion order never
     affects the contents. *)

@@ -291,7 +291,7 @@ let test_metrics_domain_safe () =
   in
   let n = 3000 in
   Pool.with_pool ~domains:3 (fun pool ->
-      Pool.parallel_for ~pool ~chunk:7 ~n (fun i ->
+      Pool.parallel_for ~pool ~n (fun i ->
           Metrics.incr c;
           Metrics.gauge_add g 2.0;
           Metrics.observe h (float_of_int (i mod 5))));
@@ -339,9 +339,10 @@ let envelope_law =
       let last = Atomic.make 0 in
       Pool.with_pool ~domains:2 (fun pool ->
           ignore
-            (* chunk:1 so the reader task can never share a claimed
-               chunk with a writer it would then spin-wait on. *)
-            (Pool.parallel_mapi ~pool ~chunk:1 ~n:(writers + 1) (fun task ->
+            (* Executors claim one task at a time, so the reader task
+               never shares a claim with a writer it would then
+               spin-wait on. *)
+            (Pool.parallel_mapi ~pool ~n:(writers + 1) (fun task ->
                  if task = 0 then
                    (* Reader: snapshot until every writer has joined.
                       With 2 pool participants the writer tasks drain

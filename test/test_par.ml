@@ -1,16 +1,16 @@
-(* Tests for Ufp_par: the work-stealing domain pool behind the
-   parallel payment engine, and the Chase–Lev deque under it.
+(* Tests for Ufp_par: the domain pool behind the parallel payment
+   engine, whose executors claim one index at a time from a per-job
+   cursor.
 
    Unit coverage: exactly-once index execution, parallel_mapi slot
    placement, pool reuse across jobs, worker-less (size 1) pools,
-   empty jobs, exception propagation with the pool surviving,
-   shutdown semantics, the with_jobs/jobs_from_env CLI conveniences,
-   deque ordering (owner LIFO, thief FIFO) and a 3-domain
-   exactly-once hammer over [Pool.parallel_for_dynamic ~grain:1].
+   empty jobs, exception propagation with the pool surviving (one
+   raiser, and a QCheck law over random raiser sets), shutdown
+   semantics, the with_jobs/jobs_from_env CLI conveniences, and a
+   3-domain exactly-once hammer over [Pool.parallel_for].
    The end-to-end bitwise payment laws live in test_mech.ml. *)
 
 module Pool = Ufp_par.Pool
-module Deque = Ufp_par.Deque
 module Metrics = Ufp_obs.Metrics
 
 (* Shared across cases: the tests exercise reuse anyway, and on a
@@ -43,7 +43,7 @@ let test_mapi_floats_bitwise () =
   let pool = `Pool (Lazy.force pool3) in
   let f i = Float.ldexp (sin (float_of_int i)) (i mod 7) in
   let seq = Array.init 257 f in
-  let par = Pool.parallel_mapi ~pool ~chunk:5 ~n:257 f in
+  let par = Pool.parallel_mapi ~pool ~n:257 f in
   Array.iteri
     (fun i x ->
       if not (Float.equal x par.(i)) then
@@ -53,7 +53,7 @@ let test_mapi_floats_bitwise () =
 let test_for_exactly_once () =
   let n = 1000 in
   let hits = Array.init n (fun _ -> Atomic.make 0) in
-  Pool.parallel_for ~pool:(`Pool (Lazy.force pool3)) ~chunk:3 ~n (fun i ->
+  Pool.parallel_for ~pool:(`Pool (Lazy.force pool3)) ~n (fun i ->
       Atomic.incr hits.(i));
   Array.iteri
     (fun i h ->
@@ -72,11 +72,12 @@ let test_reuse_across_jobs () =
   done
 
 let test_back_to_back_jobs () =
-  (* Regression for the cross-job steal race: run() must quiesce every
-     worker before returning, or a thief still sweeping deques from
-     job k can steal job k+1's freshly seeded range and execute it
-     under job k's closure — corrupting job k+1 (some index runs the
-     wrong f) and hanging its caller (the stolen indices never count
+  (* Regression for cross-job claims: run() returns while a worker may
+     still be between its last claim and its return, or may wake only
+     after the job finished. Such a stale worker holds job k, so it may
+     only claim from job k's exhausted cursor — never an index of job
+     k+1 under job k's closure, which would corrupt job k+1 (some index
+     runs the wrong f) and hang its caller (that index never counts
      toward job k+1's completion). Many tiny jobs back to back is the
      widest window; the failure modes are a wrong hit count below or
      this test never finishing. *)
@@ -84,7 +85,7 @@ let test_back_to_back_jobs () =
   for round = 1 to 300 do
     let n = 1 + (round mod 7) in
     let hits = Array.init n (fun _ -> Atomic.make 0) in
-    Pool.parallel_for_dynamic ~pool ~grain:1 ~n (fun i -> Atomic.incr hits.(i));
+    Pool.parallel_for ~pool ~n (fun i -> Atomic.incr hits.(i));
     Array.iteri
       (fun i h ->
         if Atomic.get h <> 1 then
@@ -94,9 +95,9 @@ let test_back_to_back_jobs () =
   done
 
 let test_nested_submission_rejected () =
-  (* The caller-side deque has one owner per job, so re-entering the
-     pool from inside a task closure must fail loudly instead of
-     corrupting the scheduler. The inner Invalid_argument propagates
+  (* The pool publishes one job at a time, so re-entering the pool
+     from inside a task closure must fail loudly instead of hiding the
+     outer job from the workers. The inner Invalid_argument propagates
      through the usual first-exception channel, and the pool survives. *)
   let p = Pool.create ~domains:2 () in
   let pool = `Pool p in
@@ -136,6 +137,41 @@ let test_exception_propagates () =
   Alcotest.(check (array int))
     "pool usable after exception" (Array.init 8 succ)
     (Pool.parallel_mapi ~pool ~n:8 succ)
+
+(* Many raisers on the 3-domain pool: whichever executor fails first,
+   the exception re-raised in the caller is one of the raisers, no
+   index runs twice, and the pool takes the next job. *)
+let qcheck_any_raiser_propagates =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 200 >>= fun n ->
+      list_size (int_range 1 (min n 8)) (int_bound (n - 1)) >|= fun raisers ->
+      (n, List.sort_uniq compare raisers))
+  in
+  QCheck.Test.make ~count:40
+    ~name:"random raisers: one re-raised"
+    (QCheck.make ~print:QCheck.Print.(pair int (list int)) gen)
+    (fun (n, raisers) ->
+      let pool = `Pool (Lazy.force pool3) in
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      (match
+         Pool.parallel_for ~pool ~n (fun i ->
+             Atomic.incr hits.(i);
+             if List.mem i raisers then raise (Boom i))
+       with
+      | () -> QCheck.Test.fail_report "no exception re-raised"
+      | exception Boom i ->
+        if not (List.mem i raisers) then
+          QCheck.Test.fail_reportf "re-raised Boom %d, not a raiser" i);
+      Array.iteri
+        (fun i h ->
+          if Atomic.get h > 1 then
+            QCheck.Test.fail_reportf "index %d ran %d times" i (Atomic.get h))
+        hits;
+      let after = Pool.parallel_mapi ~pool ~n (fun i -> 3 * i) in
+      if after <> Array.init n (fun i -> 3 * i) then
+        QCheck.Test.fail_report "pool unusable after a failed job";
+      true)
 
 let test_seq_default () =
   (* Without a pool the calls are plain loops on the calling domain. *)
@@ -227,94 +263,12 @@ let test_jobs_from_env () =
   Alcotest.(check int) "env/default honoured" expected
     (Pool.jobs_from_env ~default:7 ())
 
-(* --- the Chase–Lev deque --- *)
-
-let steal_testable =
-  let pp fmt = function
-    | Deque.Stolen v -> Format.fprintf fmt "Stolen %d" v
-    | Deque.Empty -> Format.fprintf fmt "Empty"
-    | Deque.Retry -> Format.fprintf fmt "Retry"
-  in
-  let eq a b =
-    match (a, b) with
-    | Deque.Stolen x, Deque.Stolen y -> x = y
-    | Deque.Empty, Deque.Empty | Deque.Retry, Deque.Retry -> true
-    | _ -> false
-  in
-  Alcotest.testable pp eq
-
-let test_deque_owner_lifo () =
-  let q = Deque.create () in
-  for i = 1 to 10 do
-    Deque.push q i
-  done;
-  Alcotest.(check int) "size" 10 (Deque.size q);
-  for i = 10 downto 1 do
-    Alcotest.(check (option int)) "pop order" (Some i) (Deque.pop q)
-  done;
-  Alcotest.(check (option int)) "drained" None (Deque.pop q)
-
-let test_deque_steal_fifo () =
-  let q = Deque.create () in
-  for i = 1 to 10 do
-    Deque.push q i
-  done;
-  (* Steals consume the opposite (oldest) end, in push order. With no
-     concurrent consumer every steal must succeed — Retry only arises
-     from losing a race. *)
-  for i = 1 to 10 do
-    Alcotest.check steal_testable "steal order" (Deque.Stolen i) (Deque.steal q)
-  done;
-  Alcotest.check steal_testable "drained" Deque.Empty (Deque.steal q)
-
-let test_deque_empty_returns () =
-  let q : int Deque.t = Deque.create () in
-  Alcotest.(check (option int)) "pop on empty" None (Deque.pop q);
-  Alcotest.check steal_testable "steal on empty" Deque.Empty (Deque.steal q);
-  Alcotest.(check bool) "is_empty" true (Deque.is_empty q);
-  (* The last element goes to exactly one of the two ends. *)
-  Deque.push q 7;
-  Alcotest.check steal_testable "steal takes the single element"
-    (Deque.Stolen 7) (Deque.steal q);
-  Alcotest.(check (option int)) "pop then finds nothing" None (Deque.pop q);
-  Alcotest.check steal_testable "steal then finds nothing" Deque.Empty
-    (Deque.steal q)
-
-let test_deque_mixed_ends () =
-  let q = Deque.create () in
-  List.iter (Deque.push q) [ 1; 2; 3 ];
-  Alcotest.check steal_testable "oldest stolen" (Deque.Stolen 1) (Deque.steal q);
-  Alcotest.(check (option int)) "newest popped" (Some 3) (Deque.pop q);
-  Deque.push q 4;
-  Alcotest.check steal_testable "FIFO continues" (Deque.Stolen 2)
-    (Deque.steal q);
-  Alcotest.(check (option int)) "LIFO continues" (Some 4) (Deque.pop q);
-  Alcotest.(check (option int)) "drained" None (Deque.pop q)
-
-let test_deque_growth () =
-  (* Start at the minimum capacity and push two orders of magnitude
-     past it: the owner must grow transparently and preserve both
-     orders across the copies. *)
-  let q = Deque.create ~capacity:2 () in
-  for i = 0 to 299 do
-    Deque.push q i
-  done;
-  for i = 0 to 99 do
-    Alcotest.check steal_testable "front intact after growth"
-      (Deque.Stolen i) (Deque.steal q)
-  done;
-  for i = 299 downto 100 do
-    Alcotest.(check (option int)) "back intact after growth" (Some i)
-      (Deque.pop q)
-  done;
-  Alcotest.(check bool) "empty again" true (Deque.is_empty q)
-
-(* --- the work-stealing scheduler on a real pool --- *)
+(* --- per-index claims on a real pool --- *)
 
 let test_skewed_exactly_once () =
-  (* One index ~100x more expensive than the rest: the work-stealing
-     path must still run every index exactly once while thieves peel
-     the cheap tail off the loaded executor's deque. *)
+  (* One index ~100x more expensive than the rest: every index must
+     still run exactly once while the other executors claim the cheap
+     tail past the one stuck on the expensive index. *)
   let pool = `Pool (Lazy.force pool3) in
   let n = 400 in
   let sink = Atomic.make 0.0 in
@@ -326,7 +280,7 @@ let test_skewed_exactly_once () =
     done;
     !acc
   in
-  Pool.parallel_for_dynamic ~pool ~grain:8 ~n (fun i ->
+  Pool.parallel_for ~pool ~n (fun i ->
       let cost = if i = 0 then 20_000 else 200 in
       let v = spin cost in
       Atomic.incr hits.(i);
@@ -339,18 +293,18 @@ let test_skewed_exactly_once () =
         Alcotest.failf "skewed: index %d ran %d times" i (Atomic.get h))
     hits
 
-(* The 3-domain QCheck hammer: at grain 1 every index runs exactly
-   once, witnessed twice over — per-index Atomic slots, and the
-   domain-safe Ufp_obs counter the tasks hammer concurrently. *)
-let qcheck_grain1_exactly_once =
+(* The 3-domain QCheck hammer: with every claim one index wide, every
+   index runs exactly once, witnessed twice over — per-index Atomic
+   slots, and the domain-safe Ufp_obs counter the tasks hammer
+   concurrently. *)
+let qcheck_claims_exactly_once =
   QCheck.Test.make ~count:40 ~name:"grain-1 range runs every index once"
     QCheck.(int_range 1 200)
     (fun n ->
-      let c = Metrics.counter "test.par_grain1" in
+      let c = Metrics.counter "test.par_claims" in
       let before = Metrics.value c in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Pool.parallel_for_dynamic ~pool:(`Pool (Lazy.force pool3)) ~grain:1 ~n
-        (fun i ->
+      Pool.parallel_for ~pool:(`Pool (Lazy.force pool3)) ~n (fun i ->
           Metrics.incr c;
           Atomic.incr hits.(i));
       Array.iteri
@@ -380,21 +334,15 @@ let () =
           tc "worker-less pool" `Quick test_worker_less_pool;
           tc "empty job" `Quick test_empty_job;
           tc "exception propagates" `Quick test_exception_propagates;
+          QCheck_alcotest.to_alcotest qcheck_any_raiser_propagates;
           tc "sequential default" `Quick test_seq_default;
           tc "shutdown" `Quick test_shutdown_rejects_jobs;
         ] );
-      ( "deque",
-        [
-          tc "owner pop is LIFO" `Quick test_deque_owner_lifo;
-          tc "steal is FIFO" `Quick test_deque_steal_fifo;
-          tc "empty returns" `Quick test_deque_empty_returns;
-          tc "mixed ends" `Quick test_deque_mixed_ends;
-          tc "growth preserves both orders" `Quick test_deque_growth;
-        ] );
+      (* The group and hammer names predate the per-job cursor. *)
       ( "work-stealing",
         [
           tc "skewed workload exactly once" `Quick test_skewed_exactly_once;
-          QCheck_alcotest.to_alcotest qcheck_grain1_exactly_once;
+          QCheck_alcotest.to_alcotest qcheck_claims_exactly_once;
         ] );
       ( "conveniences",
         [
