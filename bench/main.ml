@@ -588,21 +588,24 @@ let pr10 ~quick =
    deltas.  They are the same on every host and under every load, so
    unlike the wall-clock suites they bear the probe-count rows' tight
    threshold (0.1), and a change to the selector's cache or the kernel
-   shows as an exact work delta.  Two calls: a hub RMAT solve (rmat14-solve's
-   shape two scales down, where tree rebuilds dominate) and hinted
-   payments on a small contended grid (grid-mechanism's pipeline, where
-   thousands of small re-solves do).  Allocated words stay out: they
-   differ between OCaml 5.1 and 5.2. *)
+   shows as an exact work delta.  Three calls: a hub RMAT solve
+   (rmat14-solve's shape two scales down, where tree rebuilds
+   dominate), then grid-mechanism's pipeline on a small contended
+   grid: the counterfactual critical values behind the payment hints
+   (one partial re-solve per winner), and the hinted payments that
+   certify them (two full re-solves per winner).  Allocated words stay
+   out: they differ between OCaml 5.1 and 5.2. *)
 let pr19 ~quick:_ =
   print_string "### BENCH-JSON-PR19: jobs-1 work counts\n";
   let work_rows call counters f =
-    let (), work = Harness.counters_during f in
-    List.map
-      (fun (name, unit) ->
-        let n = Harness.counter_delta work name in
-        Printf.printf "  %-30s %-24s %d\n" call name n;
-        row Lower (call ^ "." ^ name) unit (float_of_int n))
-      counters
+    let result, work = Harness.counters_during f in
+    ( result,
+      List.map
+        (fun (name, unit) ->
+          let n = Harness.counter_delta work name in
+          Printf.printf "  %-30s %-24s %d\n" call name n;
+          row Lower (call ^ "." ^ name) unit (float_of_int n))
+        counters )
   in
   let rmat_inst =
     let rng = Rng.create 1 in
@@ -612,7 +615,7 @@ let pr19 ~quick:_ =
     in
     Instance.create g (Workloads.hub_requests rng g ~count:48 ())
   in
-  let solve =
+  let (), solve =
     work_rows "solve-rmat-s12-ef16-hub48"
       [
         ("selector.tree_rebuilds", "trees");
@@ -625,11 +628,17 @@ let pr19 ~quick:_ =
   let grid_inst =
     Harness.grid_instance ~seed:1 ~rows:4 ~cols:4 ~capacity:11.0 ~count:60
   in
-  let hints =
-    Ufp_mech.Ufp_mechanism.acceptance_thresholds grid_inst
-      (Bounded_ufp.run ~eps grid_inst)
+  let run = Bounded_ufp.run ~eps grid_inst in
+  let hints, thresholds =
+    work_rows "thresholds-grid-4x4-60req"
+      [
+        ("selector.tree_rebuilds", "trees");
+        ("dijkstra.relaxations", "relaxations");
+        ("pd.iterations", "iterations");
+      ]
+      (fun () -> Ufp_mech.Ufp_mechanism.acceptance_thresholds grid_inst run)
   in
-  let payments =
+  let (), payments =
     work_rows "payments-hinted-grid-4x4-60req"
       [
         ("mech.payment_probes", "probes");
@@ -643,7 +652,7 @@ let pr19 ~quick:_ =
              (Bounded_ufp.solve ~eps) grid_inst
             : float array))
   in
-  solve @ payments
+  solve @ thresholds @ payments
 
 (* The suite each [--json-<name> FILE] flag runs, and the schema its
    file declares (EXPERIMENTS.md documents each version). *)

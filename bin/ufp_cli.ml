@@ -397,15 +397,15 @@ let payments path eps jobs metrics metrics_out trace profile =
     Pool.with_jobs jobs @@ fun pool ->
     with_observability ~metrics ~metrics_out ~trace ~profile (fun () ->
         (* One recorded forward solve serves double duty: its solution
-           is the winner set, and its trace carries each winner's
-           acceptance threshold — the warm-start hint that seeds the
-           per-winner bisection brackets below. *)
+           is the winner set, and its trace is where each winner's
+           counterfactual resumes. The counterfactuals' exact critical
+           values are the hints the bisections below certify. *)
         let run = Bounded_ufp.run ~eps inst in
         let won = Array.make (Instance.n_requests inst) false in
         List.iter
           (fun a -> won.(a.Solution.request) <- true)
           run.Bounded_ufp.solution;
-        let hints = Ufp_mechanism.acceptance_thresholds inst run in
+        let hints = Ufp_mechanism.acceptance_thresholds ~pool inst run in
         ( won,
           Ufp_mechanism.payments ~rel_tol:Float_tol.payment_rel_tol
             ~warm:(`Hinted (fun i -> hints.(i)))

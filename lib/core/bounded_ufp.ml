@@ -25,6 +25,7 @@ type run = {
   budget_exhausted : bool;
   certified_upper_bound : float;
   iterations : int;
+  eps : float;
 }
 
 let budget ~eps ~b = exp (eps *. (b -. 1.0))
@@ -79,6 +80,21 @@ let run ?(eps = 0.1) ?(pool = `Seq) inst =
       Float.min best_bound value
   in
   { solution; trace; final_y; final_z; budget_exhausted; certified_upper_bound;
-    iterations }
+    iterations; eps }
 
 let solve ?eps ?pool inst = (run ?eps ?pool inst).solution
+
+let critical_values ?(pool = `Seq) inst run =
+  let b = validate inst ~eps:run.eps in
+  let config = Pd_engine.algorithm_1 ~eps:run.eps ~b in
+  let trace = Array.of_list run.trace in
+  let slot = Array.make (Instance.n_requests inst) (-1) in
+  Array.iteri (fun k (t : trace_entry) -> slot.(t.selected) <- k) trace;
+  (* Each counterfactual runs on a private engine state, so the pool
+     reorders whole winners, never the float operations inside one:
+     [`Pool p] returns bitwise the array [`Seq] does. *)
+  Ufp_par.Pool.parallel_mapi ~pool ~n:(Array.length slot) (fun i ->
+      if slot.(i) < 0 then 0.0
+      else
+        Trace.with_span "bounded_ufp.counterfactual" @@ fun () ->
+        Pd_engine.counterfactual config inst trace slot.(i))

@@ -43,6 +43,7 @@ type run = {
   budget_exhausted : bool;  (** [true] when the loop stopped on the dual budget, [false] when every request was allocated *)
   certified_upper_bound : float;  (** an upper bound on OPT: min over iterations of [dual_bound], or the solution value when all requests were allocated *)
   iterations : int;
+  eps : float;  (** the accuracy parameter the run was made with, so {!critical_values} can resume it *)
 }
 
 val budget : eps:float -> b:float -> float
@@ -73,6 +74,25 @@ val solve :
   Ufp_instance.Instance.t ->
   Ufp_instance.Solution.t
 (** Just the allocation of {!run}. *)
+
+val critical_values :
+  ?pool:Ufp_par.Pool.choice -> Ufp_instance.Instance.t -> run -> float array
+(** [critical_values inst run]: the exact critical value of every
+    winner of [run] (a {!run} on [inst]), [0.] for every loser. Each
+    winner costs one {!Pd_engine.counterfactual}: the forward trace is
+    replayed up to the winner's selection, and the run without the
+    winner resumes from there, folding its threshold
+    [d_w L_w / alpha_sel] at each iteration. That is one partial
+    re-solve per winner where a bisection spends ~21 full ones, and
+    {!Ufp_mech.Ufp_mechanism.acceptance_thresholds} hands the values to
+    the payment bisection as certified hints. Values carry a few ulps
+    of float rounding.
+
+    [pool] (default [`Seq]) fans the winners out across domains, one
+    claim per request; each counterfactual is sequential on a private
+    state, so the array is bitwise the [`Seq] one. Each counterfactual
+    opens a [bounded_ufp.counterfactual] span. Raises
+    [Invalid_argument] as {!run} does. *)
 
 val theorem_ratio : eps:float -> float
 (** The Theorem 3.1 guarantee for accuracy [eps] as used by [run]

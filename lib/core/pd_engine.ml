@@ -94,7 +94,27 @@ type run = {
   budget_exhausted : bool;
 }
 
-let execute ?(max_iterations = 1_000_000) ?(pool = `Seq) config inst =
+(* Everything an iteration reads or writes. [execute] starts it fresh;
+   [counterfactual] starts it fresh, then replays a trace prefix into
+   it. *)
+type state = {
+  config : config;
+  inst : Instance.t;
+  g : Graph.t;
+  b : float;
+  y : float array;
+  consume_residual : float -> int list -> unit;
+  sel : Selector.t;
+  mutable d1 : float;  (* sum_e c_e y_e *)
+  (* D2 = sum of z_r = v_r over the selected requests; it stays 0 in
+     the with-repetitions problem, whose dual (Figure 5) has no z. *)
+  mutable d2 : float;
+  mutable iterations : int;
+  mutable trace : trace_entry list;  (* newest first *)
+  mutable budget_exhausted : bool;
+}
+
+let start ?(pool = `Seq) config inst =
   if not (config.eps > 0.0 && config.eps <= 1.0) then
     invalid_arg "Pd_engine: eps must be in (0, 1]";
   if not (Instance.is_normalized inst) then
@@ -103,7 +123,6 @@ let execute ?(max_iterations = 1_000_000) ?(pool = `Seq) config inst =
   if Graph.n_edges g = 0 then invalid_arg "Pd_engine: graph has no edges";
   let b = Graph.min_capacity g in
   if b < 1.0 then invalid_arg "Pd_engine: requires B >= 1";
-  Metrics.incr m_runs;
   let m = Graph.n_edges g in
   let y = Array.init m (fun e -> 1.0 /. Graph.capacity g e) in
   (* The residual array exists (and is maintained) only when the config
@@ -124,84 +143,151 @@ let execute ?(max_iterations = 1_000_000) ?(pool = `Seq) config inst =
     end
     else (Selector.Uniform (fun e -> y.(e)), fun _ _ -> ())
   in
-  let sel = Selector.create ~pool ~weights inst in
-  let d1 = ref (float_of_int m) (* sum_e c_e / c_e *) in
-  (* D2 = sum of z_r = v_r over the selected requests; it stays 0 in
-     the with-repetitions problem, whose dual (Figure 5) has no z. *)
-  let d2 = ref 0.0 in
-  let trace = ref [] in
-  let iterations = ref 0 in
-  let budget_exhausted = ref false in
+  {
+    config;
+    inst;
+    g;
+    b;
+    y;
+    consume_residual;
+    sel = Selector.create ~pool ~weights inst;
+    d1 = float_of_int m (* sum_e c_e / c_e *);
+    d2 = 0.0;
+    iterations = 0;
+    trace = [];
+    budget_exhausted = false;
+  }
+
+(* Route request [i] on [path]: inflate the duals along it, consume
+   its residual, announce the path to the selector and, without
+   repetitions, retire the request. The loop and the counterfactual's
+   replay share this code, so a replayed prefix leaves the duals
+   bitwise where the run left them. *)
+let commit st i path =
+  let r = Instance.request st.inst i in
+  let d1_before = st.d1 in
+  let d1 = ref st.d1 in
+  List.iter
+    (fun e ->
+      Metrics.incr m_dual_updates;
+      let c = Graph.capacity st.g e in
+      let old = st.y.(e) in
+      st.y.(e) <-
+        old *. st.config.inflation ~b:st.b ~demand:r.Request.demand ~capacity:c;
+      d1 := !d1 +. (c *. (st.y.(e) -. old)))
+    path;
+  st.d1 <- !d1;
+  Metrics.gauge_add g_d1_growth (st.d1 -. d1_before);
+  Metrics.observe h_path_edges (float_of_int (List.length path));
+  st.consume_residual r.Request.demand path;
+  Selector.update_path st.sel path;
+  if st.config.remove_selected then begin
+    st.d2 <- st.d2 +. r.Request.value;
+    Selector.remove st.sel i
+  end
+
+(* The loop, from the current state until its stop rule fires.
+   [observe alpha] sees each accepted selection before its dual
+   update, i.e. under the duals the selection was made against. *)
+let loop ~max_iterations ~observe st =
   let continue = ref true in
   while !continue do
-    if Selector.is_empty sel then continue := false
+    if Selector.is_empty st.sel then continue := false
     else if
-      match config.stop with Budget bound -> !d1 > bound | Threshold _ -> false
+      match st.config.stop with
+      | Budget bound -> st.d1 > bound
+      | Threshold _ -> false
     then begin
-      budget_exhausted := true;
+      st.budget_exhausted <- true;
       continue := false
     end
     else begin
-      match Selector.select sel with
+      match Selector.select st.sel with
       | Some { Selector.request = i; path; alpha }
-        when match config.stop with
+        when match st.config.stop with
              | Budget _ -> true
              | Threshold bound -> alpha <= bound ->
-        incr iterations;
+        st.iterations <- st.iterations + 1;
         Metrics.incr m_iterations;
         (* Defensive budget: each no-repetition iteration permanently
            allocates one request, so this fires only on a
            non-terminating (repetitions) configuration. The exception
            carries the loop state so the caller can see how far the
            duals got. *)
-        if !iterations > max_iterations then
+        if st.iterations > max_iterations then
           raise
             (Iteration_limit
-               { iterations = !iterations; d1 = !d1; stop = config.stop });
+               { iterations = st.iterations; d1 = st.d1; stop = st.config.stop });
         Log.debug (fun m ->
             m "iteration %d: select request %d (alpha %.6g, %d edges)"
-              !iterations i alpha (List.length path));
+              st.iterations i alpha (List.length path));
         if Trace.is_on () then
           Trace.instant "pd.select"
             ~args:[ ("request", Trace.Int i); ("alpha", Trace.Float alpha) ];
-        let r = Instance.request inst i in
+        observe alpha;
         (* Claim 3.6 certificate (Claim 5.2's D/alpha when D2 = 0),
            using the duals before the update. *)
         let dual_bound =
-          if alpha > 0.0 then (!d1 /. alpha) +. !d2 else infinity
+          if alpha > 0.0 then (st.d1 /. alpha) +. st.d2 else infinity
         in
-        let d1_before = !d1 in
-        List.iter
-          (fun e ->
-            Metrics.incr m_dual_updates;
-            let c = Graph.capacity g e in
-            let old = y.(e) in
-            y.(e) <-
-              old *. config.inflation ~b ~demand:r.Request.demand ~capacity:c;
-            d1 := !d1 +. (c *. (y.(e) -. old)))
-          path;
-        Metrics.gauge_add g_d1_growth (!d1 -. d1_before);
-        Metrics.observe h_path_edges (float_of_int (List.length path));
-        consume_residual r.Request.demand path;
-        Selector.update_path sel path;
-        if config.remove_selected then begin
-          d2 := !d2 +. r.Request.value;
-          Selector.remove sel i
-        end;
-        trace :=
-          { iteration = !iterations; selected = i; path; alpha; d1 = !d1;
+        commit st i path;
+        st.trace <-
+          { iteration = st.iterations; selected = i; path; alpha; d1 = st.d1;
             dual_bound }
-          :: !trace
+          :: st.trace
       | Some _ | None ->
         (* No pending request is routable, or the threshold rejects
            the cheapest one. *)
         continue := false
     end
-  done;
+  done
+
+let execute ?(max_iterations = 1_000_000) ?pool config inst =
+  let st = start ?pool config inst in
+  Metrics.incr m_runs;
+  loop ~max_iterations ~observe:ignore st;
   let solution =
     List.rev_map
       (fun t -> { Solution.request = t.selected; path = t.path })
-      !trace
+      st.trace
   in
-  { solution; trace = List.rev !trace; iterations = !iterations; final_y = y;
-    budget_exhausted = !budget_exhausted }
+  { solution; trace = List.rev st.trace; iterations = st.iterations;
+    final_y = st.y; budget_exhausted = st.budget_exhausted }
+
+(* Winner [w] = [trace.(k).selected], declaring any [v <= v_w], raises
+   its own [alpha_w = (d_w / v) L_w] and leaves every other request's
+   alone, so the run with that declaration is the run without [w]
+   until [w] is selected; the run's first [k] iterations are already
+   that run. From there, [w] would be selected at an iteration whose
+   selection is [alpha_sel] exactly when [d_w L_w / v] drops below
+   [alpha_sel] (ties go to the lower index), so the critical value is
+   the least [d_w L_w / alpha_sel] over the rest of the run without
+   [w] — unless that run runs out of candidates inside the budget
+   while [w] is routable, when [w] wins at any positive value. *)
+let counterfactual config inst trace k =
+  let bound =
+    match config with
+    | { stop = Budget bound; remove_selected = true; _ } -> bound
+    | _ ->
+      invalid_arg
+        "Pd_engine.counterfactual: needs a Budget stop without repetitions"
+  in
+  if k < 0 || k >= Array.length trace then
+    invalid_arg "Pd_engine.counterfactual: trace index out of range";
+  let w = trace.(k).selected in
+  let demand = (Instance.request inst w).Request.demand in
+  let st = start config inst in
+  for j = 0 to k - 1 do
+    commit st trace.(j).selected trace.(j).path
+  done;
+  Selector.remove st.sel w;
+  st.iterations <- k;
+  let c = ref infinity in
+  loop ~max_iterations:max_int st ~observe:(fun alpha ->
+      c := Float.min !c (demand *. Selector.distance st.sel w /. alpha));
+  if
+    (not st.budget_exhausted)
+    && (not (st.d1 > bound))
+    && Selector.distance st.sel w < infinity
+  then 0.0
+  else !c

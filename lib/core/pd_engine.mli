@@ -10,7 +10,9 @@
     and whether paths are filtered by residual capacity.
 
     {!Bounded_ufp}, {!Bounded_ufp_repeat} and
-    {!Baselines.threshold_pd} are thin wrappers over {!execute}. The
+    {!Baselines.threshold_pd} are thin wrappers over {!execute}, and
+    {!counterfactual} resumes the same loop from a replayed trace
+    prefix to price one winner. The
     engine is checked against a literal transcription of the loop in
     [test/test_core.ml] (a fresh Dijkstra per pending request, no
     {!Selector}) by a bitwise QCheck law. *)
@@ -115,3 +117,34 @@ val execute :
     {!Ufp_obs.Trace} on, each iteration emits a [pd.select] instant;
     the engine opens no span, so the loop's time is the self time of
     the caller's span ([bounded_ufp.run], ...). *)
+
+val counterfactual :
+  config -> Ufp_instance.Instance.t -> trace_entry array -> int -> float
+(** [counterfactual config inst trace k] is the exact critical value of
+    [w = trace.(k).selected], the request the run [trace] (of {!execute}
+    with [config] on [inst], in iteration order) selected at iteration
+    [k + 1]: the infimum of the values [w] can declare and still win,
+    every other declaration fixed.
+
+    Declaring [v <= v_w] only raises [alpha_w = (d_w / v) L_w], so the
+    run with that declaration equals the run without [w] until [w] is
+    selected, and its first [k] iterations equal the run's. The engine
+    therefore replays the first [k] dual updates with the loop's own
+    update code (no Dijkstra), removes those requests and [w] from a
+    fresh {!Selector}, and resumes the loop. At each resumed iteration,
+    selecting at [alpha_sel], it folds [d_w L_w / alpha_sel] into a
+    minimum, reading [L_w] through {!Selector.distance}. When the
+    budget stops the resumed run the minimum is the result. When it
+    runs out of pending or routable requests within the budget (the
+    engine tests emptiness before the budget) and [w] is routable, [w]
+    would be selected at any positive value, and the result is [0.].
+    Outputs carry float rounding of a few ulps, hence the two-probe
+    certificate of {!Ufp_mech.Single_param.critical_value}.
+
+    Requires a [Budget] stop without repetitions ({!algorithm_1}, with
+    or without residual filtering); raises [Invalid_argument]
+    otherwise, or when [k] is out of range. Sequential, with a private
+    state: independent calls fan out across a pool bitwise-safely. The
+    replayed updates count under [pd.dual_updates], the resumed
+    iterations under [pd.iterations] (and emit [pd.select]); a
+    counterfactual is not a [pd.runs] run. *)

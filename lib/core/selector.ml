@@ -414,6 +414,22 @@ let rec pop_best t =
     end
   end
 
+(* [i]'s distance through its group's tree, by the same check a pop
+   makes: the cached tree answers while [i]'s own tree path holds, and
+   is rebuilt otherwise. A rebuild bumps the group's version, so the
+   group's heap entries turn stale and re-score at their next pop. *)
+let distance t i =
+  if i < 0 || i >= Instance.n_requests t.inst then
+    invalid_arg "Selector.distance: request index out of range";
+  let grp = t.group_of.(i) in
+  if grp.version > 0 && request_holds t grp i then
+    Ufp_obs.Metrics.incr m_cache_hits
+  else begin
+    Ufp_obs.Metrics.incr m_cache_misses;
+    rebuild t grp
+  end;
+  grp.dist.((Instance.request t.inst i).Request.dst)
+
 let select t =
   (* With a pool, the first select fills the cold cache in parallel;
      every later rebuild is lazy, on this domain. *)

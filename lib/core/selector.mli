@@ -129,6 +129,19 @@ val select : t -> choice option
     by Dijkstra), or [None] when no pending request is routable.
     Does not remove the winner: call {!remove} to consume it. *)
 
+val distance : t -> int -> float
+(** [distance t i] is request [i]'s current shortest-path length
+    [sum_{e in p} w_e] ([infinity] when unroutable), bitwise what a
+    fresh Dijkstra returns, whether [i] is pending or removed. It reads
+    [i]'s group tree while [i]'s own tree path still reproduces the
+    cached distances, the check {!select} makes at a pop, and rebuilds
+    the tree otherwise (counted as a [selector.cache_hits] or a
+    [selector.cache_misses] and [selector.tree_rebuilds]). A rebuild
+    leaves every later {!select} exact: the group's heap entries only
+    re-score. {!Pd_engine.counterfactual} reads a removed winner's
+    length through it once per iteration. Raises [Invalid_argument] on
+    an out-of-range index. *)
+
 val update_path : t -> int list -> unit
 (** [update_path t p] announces that the weights of the edges of [p]
     changed (grew). Re-reads those edges' weights into every live

@@ -7,6 +7,8 @@ let m_probes = Metrics.counter "mech.payment_probes"
 
 let m_warm_hits = Metrics.counter "mech.warm_start_hits"
 
+let m_hint_misses = Metrics.counter "mech.hint_misses"
+
 let h_probes_per_winner = Metrics.histogram "mech.probes_per_winner"
 
 type 'inst model = {
@@ -79,17 +81,27 @@ let critical_value ?v_hi ?(rel_tol = Float_tol.payment_rel_tol)
          the answer (floored at absolute [rel_tol] for sub-unit
          critical values). *)
       let lo = ref 0.0 and hi = ref hi0 in
-      (* Warm start, lower end: an acceptance-threshold hint from the
-         forward solve is a guess, not a certificate (duals kept
-         moving after the selection), so spend one probe validating
-         it: whichever way the probe lands, the hint tightens one side
-         of the bracket and the invariant is preserved. *)
+      let too_wide () = !hi -. !lo > rel_tol *. Float.max 1.0 !hi in
+      (* Hinted start: the hint [h] claims to be the critical value, but
+         the bracket trusts only probes. One probe at [h + delta] and
+         one at [h - delta] certify an exact hint: a win and a loss
+         leave a bracket [2 delta = rel_tol/2 * max 1 h] wide, inside
+         the stop rule. Each probe runs only strictly inside the
+         bracket (so above 0, where declarations live) and tightens
+         whichever side it lands on, so any hint keeps the invariant;
+         a wrong one costs its probes and the bisection below. *)
       (match lo_hint with
-      | Some h when h > !lo && h < !hi ->
-        if h > 0.0 && wins h then hi := h else lo := h
-      | _ -> ());
+      | Some h ->
+        let delta = 0.25 *. rel_tol *. Float.max 1.0 h in
+        let certify v =
+          if v > !lo && v < !hi then if wins v then hi := v else lo := v
+        in
+        certify (h +. delta);
+        certify (h -. delta);
+        if too_wide () then Metrics.incr m_hint_misses
+      | None -> ());
       if known_winner || Option.is_some lo_hint then Metrics.incr m_warm_hits;
-      while !hi -. !lo > rel_tol *. Float.max 1.0 !hi do
+      while too_wide () do
         let mid = 0.5 *. (!lo +. !hi) in
         if mid > 0.0 && wins mid then hi := mid else lo := mid
       done;
@@ -107,8 +119,8 @@ let payments ?v_hi ?rel_tol ?(warm = `Declared) ?(pool = `Seq) model inst =
      per-agent probes independent, hence safe to fan out. *)
   let v_hi = match v_hi with Some v -> v | None -> default_v_hi model inst in
   (* [winners.(i)] certifies [known_winner] for every warm mode except
-     [`Cold]; [`Hinted] additionally seeds the bracket's lower end
-     from the caller's per-agent acceptance threshold. Warm payments
+     [`Cold]; [`Hinted] additionally hands [critical_value] the
+     caller's claimed critical value to certify. Warm payments
      agree with cold ones within the bisection tolerance but not
      bitwise (different midpoint sequences) — the warm-vs-cold QCheck
      law in test/test_mech.ml pins the tolerance bound. *)

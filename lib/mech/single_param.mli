@@ -32,12 +32,13 @@ type warm = [ `Cold | `Declared | `Hinted of int -> float ]
     pre-warm-start behaviour, kept as the reference for the
     warm-vs-cold law. [`Declared]: the winner array already certifies
     the agent wins at its declaration, so skip the ceiling probe and
-    bisect [0, declared]. [`Hinted h]: additionally spend one probe
-    validating the acceptance threshold [h i] recorded during the
-    forward solve, tightening whichever side of the bracket the probe
-    lands on. Warm payments agree with cold ones within the bisection
-    tolerance, not bitwise (the bisections visit different midpoints);
-    see docs/PARALLELISM.md, "Warm-started brackets". *)
+    bisect [0, declared]. [`Hinted h]: additionally take [h i] as a
+    claimed critical value (for Algorithm 1, the exact one from
+    {!Ufp_mechanism.acceptance_thresholds}) and certify it with two
+    probes (see [lo_hint] of {!critical_value}). Warm payments agree
+    with cold ones within the bisection tolerance, not bitwise (the
+    brackets close on different points); see docs/PARALLELISM.md,
+    "Warm-started critical-value bisections". *)
 
 val critical_value :
   ?v_hi:float -> ?rel_tol:float -> ?known_winner:bool -> ?lo_hint:float ->
@@ -62,10 +63,14 @@ val critical_value :
     may therefore exceed a custom [v_hi]; {!payments} clamps at the
     declaration. Passing [true] for an agent that does not win at its
     declaration breaks the bisection invariant — only hand it a
-    winner. [lo_hint] seeds the bracket's other end from a guess
-    (e.g. a forward-solve acceptance threshold): one validating probe
-    decides which side of the bracket it tightens, so an arbitrarily
-    bad hint costs one probe and never hurts correctness. *)
+    winner. [lo_hint] is a claimed critical value [h] (e.g. a
+    counterfactual's exact one): two probes, at [h + delta] and then
+    [h - delta] with [delta = rel_tol/4 * max 1 h], each run only when
+    strictly inside the current bracket, tighten whichever side they
+    land on. An exact hint leaves a bracket inside the stop rule for 2
+    probes (1 when [h = 0]); otherwise [mech.hint_misses] counts the
+    call and the bisection finishes the bracket. So any hint keeps the
+    result's guarantee, and a wrong one costs only probes. *)
 
 val payments :
   ?v_hi:float -> ?rel_tol:float -> ?warm:warm -> ?pool:Ufp_par.Pool.choice ->

@@ -26,25 +26,8 @@ let model algo =
 let payments ?rel_tol ?warm ?pool algo inst =
   Single_param.payments ?rel_tol ?warm ?pool (model algo) inst
 
-(* Per-request acceptance thresholds recorded by the forward solve:
-   request [i] was routed when its normalised length
-   [alpha_i = (d_i / v_i) |p_i|] cleared the selection, i.e. when
-   [v_i >= d_i |p_i| = v_i alpha_i] held against the duals of that
-   moment. [v_i alpha_i] is therefore the value at which [i] would
-   have sat exactly on the acceptance boundary {e at its selection
-   iteration} — a cheap, usually tight guess for the critical value,
-   which the one validating probe in [Single_param.critical_value]
-   turns into a sound bracket whichever way the duals drifted
-   afterwards. Unselected requests keep threshold 0 (they are losers;
-   [payments] never asks for their hint). *)
-let acceptance_thresholds inst (run : Bounded_ufp.run) =
-  let t = Array.make (Instance.n_requests inst) 0.0 in
-  List.iter
-    (fun (e : Bounded_ufp.trace_entry) ->
-      let v = (Instance.request inst e.Bounded_ufp.selected).Request.value in
-      t.(e.Bounded_ufp.selected) <- v *. e.Bounded_ufp.alpha)
-    run.Bounded_ufp.trace;
-  t
+let acceptance_thresholds ?pool inst run =
+  Bounded_ufp.critical_values ?pool inst run
 
 let utility ?v_hi ?rel_tol algo inst ~agent ~true_demand ~true_value
     ~declared_demand ~declared_value =

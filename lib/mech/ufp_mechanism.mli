@@ -28,17 +28,18 @@ val payments :
     bisection bracket (see {!Single_param.payments}). *)
 
 val acceptance_thresholds :
+  ?pool:Ufp_par.Pool.choice ->
   Ufp_instance.Instance.t -> Ufp_core.Bounded_ufp.run -> float array
-(** [acceptance_thresholds inst run]: per-request warm-start hints for
-    [payments ~warm:(`Hinted ...)], derived from the forward solve's
-    trace. Slot [i] holds [v_i * alpha_i] — the declared value at
-    which request [i] would have sat exactly on the acceptance
-    boundary at its selection iteration ([alpha] is the normalised
-    length [(d/v)|p|], so the product is declaration-independent) —
-    or [0.] for requests the solve never routed. The hints are
-    heuristic: {!Single_param.critical_value} validates each with one
-    probe, so a stale hint costs one probe and never affects the
-    payment beyond bisection tolerance. *)
+(** [acceptance_thresholds inst run]: per-request hints for
+    [payments ~warm:(`Hinted ...)] with {!Ufp_core.Bounded_ufp.solve}
+    at [run]'s [eps]. Slot [i] holds winner [i]'s exact critical value
+    from one counterfactual run ({!Ufp_core.Bounded_ufp.critical_values}),
+    or [0.] for a request the solve never routed. The payment does not
+    rest on them: {!Single_param.critical_value} certifies each hint
+    with two probes and bisects on when they fail, so an exact hint
+    costs 2 probes (1 at a critical value of 0) and a wrong one costs
+    probes, never the payment's tolerance. [pool] (default [`Seq])
+    fans the winners out, with a bitwise-identical result. *)
 
 val utility :
   ?v_hi:float -> ?rel_tol:float -> algo -> Ufp_instance.Instance.t ->

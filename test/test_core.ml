@@ -801,6 +801,50 @@ let test_engine_iteration_guard () =
     | Pd_engine.Threshold _ -> Alcotest.fail "wrong stop rule in exception")
   | _ -> Alcotest.fail "expected the iteration guard to fire"
 
+(* Critical values worked by hand on one edge of capacity B shared by
+   r0 (value 2) and r1 (value 1), both of demand 1. Both see the same
+   path length L, so r0 is selected first. Without r0 the run selects
+   r1 at alpha = L, so r0's threshold there is d_0 L / L = 1. At
+   B = 1.5 the budget exp(eps/2) stops the run after one allocation
+   (D1 = exp eps), so r0's critical value is r1's value, 1, and r1
+   loses. At B = 4 both fit, and the run without either one routes the
+   other and runs out of requests inside the budget, so both critical
+   values are 0. *)
+let test_engine_counterfactual_by_hand () =
+  let inst b =
+    let g = Graph.create ~directed:true ~n:2 in
+    ignore (Graph.add_edge g ~u:0 ~v:1 ~capacity:b);
+    Instance.create g
+      [|
+        Request.make ~src:0 ~dst:1 ~demand:1.0 ~value:2.0;
+        Request.make ~src:0 ~dst:1 ~demand:1.0 ~value:1.0;
+      |]
+  in
+  let values b =
+    let inst = inst b in
+    Bounded_ufp.critical_values inst (Bounded_ufp.run ~eps:0.5 inst)
+  in
+  Alcotest.(check (array (float 0.0))) "one winner at B = 1.5" [| 1.0; 0.0 |]
+    (values 1.5);
+  Alcotest.(check (array (float 0.0))) "two winners at B = 4" [| 0.0; 0.0 |]
+    (values 4.0)
+
+let test_engine_counterfactual_validation () =
+  let inst = grid_instance ~rows:3 ~cols:3 ~capacity:12.0 ~count:6 2 in
+  let run = Pd_engine.execute (Pd_engine.algorithm_1 ~eps:0.3 ~b:12.0) inst in
+  let trace = Array.of_list run.Pd_engine.trace in
+  let rejects label config k =
+    match Pd_engine.counterfactual config inst trace k with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+  in
+  rejects "repetitions" (Pd_engine.algorithm_3 ~eps:0.3 ~b:12.0) 0;
+  rejects "threshold stop" (Pd_engine.threshold_rule ~eps:0.3 ~b:12.0) 0;
+  rejects "index past the trace"
+    (Pd_engine.algorithm_1 ~eps:0.3 ~b:12.0)
+    (Array.length trace);
+  rejects "negative index" (Pd_engine.algorithm_1 ~eps:0.3 ~b:12.0) (-1)
+
 (* --- Selector --- *)
 
 module Selector = Ufp_core.Selector
@@ -904,7 +948,7 @@ let pp_choice = function
    the same seed replays the same steps under every pool. [y] only
    grows; under Per_demand an edge also costs infinity for every
    demand above its [limit], which only shrinks. *)
-let selector_scenario ~per_demand ~pool inst seed =
+let selector_scenario ?(probe_distance = false) ~per_demand ~pool inst seed =
   let rng = Rng.create seed in
   let m = Graph.n_edges (Instance.graph inst) in
   let y = Array.init m (fun _ -> float_of_int (1 + Rng.int rng 3)) in
@@ -921,6 +965,9 @@ let selector_scenario ~per_demand ~pool inst seed =
   let n = Instance.n_requests inst in
   let sel = Selector.create ~pool ~weights inst in
   let pending = Array.make n true in
+  (* [distance] probes draw from their own stream, so the scenario's
+     steps stay those of [seed]. *)
+  let probe = Rng.create (seed + 1) in
   let remove i =
     pending.(i) <- false;
     Selector.remove sel i
@@ -942,6 +989,24 @@ let selector_scenario ~per_demand ~pool inst seed =
       QCheck.Test.fail_reportf "%s, step %d: select gave %s, the scan %s"
         (match pool with `Seq -> "seq" | `Pool _ -> "2-domain pool")
         k (pp_choice got) (pp_choice want);
+    (* [distance] answers for any request, pending or removed, from
+       the same cache, and the selections after it stay exact. *)
+    if probe_distance && n > 0 then begin
+      let j = Rng.int probe n in
+      let r = Instance.request inst j in
+      let want_d =
+        match
+          Dijkstra.shortest_path (Instance.graph inst) ~weight:(weight r)
+            ~src:r.Request.src ~dst:r.Request.dst
+        with
+        | Some (d, _) -> d
+        | None -> infinity
+      in
+      let got_d = Selector.distance sel j in
+      if not (same_bits got_d want_d) then
+        QCheck.Test.fail_reportf "step %d: distance of %d gave %h, Dijkstra %h"
+          k j got_d want_d
+    end;
     (* Unroutable stays unroutable under growing weights: a [None]
        ends the run. *)
     match got with
@@ -975,6 +1040,26 @@ let qcheck_selector_matches_scan pool =
 let test_selector_matches_scan () =
   Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
       QCheck.Test.check_exn (qcheck_selector_matches_scan pool))
+
+(* The same scenarios with a [distance] read of a random request,
+   pending or removed, at every step: each read equals a fresh
+   Dijkstra's bitwise, and the rebuilds it may cause leave every later
+   selection exact. *)
+let qcheck_selector_distance_matches pool =
+  QCheck.Test.make ~count:200
+    ~name:"distance matches a fresh Dijkstra at every step"
+    QCheck.(pair (int_bound 0x3FFFFFFF) bool)
+    (fun (seed, per_demand) ->
+      let inst = selector_instance (Rng.create seed) in
+      List.for_all
+        (fun pool ->
+          selector_scenario ~probe_distance:true ~per_demand ~pool inst
+            (seed + 1))
+        [ `Seq; pool ])
+
+let test_selector_distance_matches () =
+  Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
+      QCheck.Test.check_exn (qcheck_selector_distance_matches pool))
 
 (* A dual update on one request's path leaves a sibling request, whose
    own tree path shares no edge with it, served from the cached tree.
@@ -1295,6 +1380,10 @@ let () =
             test_engine_reproduces_threshold_pd;
           Alcotest.test_case "validation" `Quick test_engine_validation;
           Alcotest.test_case "iteration guard" `Quick test_engine_iteration_guard;
+          Alcotest.test_case "counterfactual by hand" `Quick
+            test_engine_counterfactual_by_hand;
+          Alcotest.test_case "counterfactual validation" `Quick
+            test_engine_counterfactual_validation;
           Alcotest.test_case "matches the literal transcription" `Quick
             test_engine_matches_oracle;
         ] );
@@ -1306,6 +1395,8 @@ let () =
             test_selector_remove_out_of_range;
           Alcotest.test_case "matches a fresh-Dijkstra scan" `Quick
             test_selector_matches_scan;
+          Alcotest.test_case "distance matches a fresh Dijkstra" `Quick
+            test_selector_distance_matches;
           Alcotest.test_case "sibling reuses the cached tree" `Quick
             test_selector_sibling_reuse;
           Alcotest.test_case "warmed step allocation" `Quick

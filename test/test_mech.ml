@@ -654,6 +654,115 @@ let qcheck_warm_hinted_equals_cold_ufp =
       warm_cold_agree inst cold warm probes_cold probes_warm ~has_winner
         ~label:"hinted")
 
+(* --- exact critical values against their definition ---
+
+   [Bounded_ufp.critical_values] derives each winner's critical value
+   from one counterfactual run. Nothing about that run is trusted here:
+   each value is checked against outputs that define it, in the
+   output-checking style of SNIPPETS.md snippet 2.
+   - The cold bisection never sees the counterfactual, and it brackets
+     the value: exact <= cold <= exact + rel_tol * max 1 cold (the left
+     side up to [tight_eps] of float rounding).
+   - Above [rel_tol], the winner wins a tolerance above the value and
+     loses a tolerance below it.
+   - A 2-domain pool returns the [`Seq] bits.
+   - A hinted bisection certifies the value with at most 2 probes.
+   The instances are contended: each capacity sits just above
+   [1 + ln m / eps], where Algorithm 1's budget [exp (eps (B - 1))]
+   barely exceeds the starting dual mass [m]. The budget then ends the
+   run with requests pending, and critical values are positive. Some
+   RMAT draws still route every request, which covers the other ending:
+   every winner's value is 0. *)
+let contended_capacity ~eps ~seed m =
+  1.0 +. (log (float_of_int m) /. eps) +. (0.25 *. float_of_int (1 + (seed mod 4)))
+
+let oracle_instance kind seed eps =
+  let rng = Rng.create seed in
+  match kind with
+  | 0 ->
+    let rows = 3 + (seed mod 2) and cols = 3 + (seed / 2 mod 2) in
+    let m = (rows * (cols - 1)) + (cols * (rows - 1)) in
+    let g = Gen.grid ~rows ~cols ~capacity:(contended_capacity ~eps ~seed m) in
+    Instance.create g
+      (Workloads.random_requests rng g ~count:(12 + (seed mod 20)) ())
+  | 1 ->
+    let levels = 2 + (seed mod 3) in
+    let m = levels + (levels * (levels + 1) / 2) in
+    let b = Float.ceil (contended_capacity ~eps ~seed m) in
+    let sc = Gen.staircase ~levels ~capacity:b in
+    Instance.create sc.Gen.graph
+      (Workloads.staircase_requests sc ~per_source:(int_of_float b))
+  | 2 ->
+    let b = Float.ceil (contended_capacity ~eps ~seed 8) in
+    Instance.create (Gen.gadget7 ~capacity:b)
+      (Workloads.gadget7_requests ~per_pair:(int_of_float b))
+  | _ ->
+    let scale = 5 + (seed mod 2) in
+    let capacity = contended_capacity ~eps ~seed (2 * (1 lsl scale)) in
+    let g =
+      Gen.rmat rng ~scale ~edge_factor:2 ~capacity_lo:capacity
+        ~capacity_hi:(1.25 *. capacity) ()
+    in
+    Instance.create g
+      (Workloads.hub_requests rng g ~count:(48 + (seed mod 24)) ~sources:3 ())
+
+let qcheck_exact_critical_values =
+  QCheck.Test.make ~count:24
+    ~name:"UFP exact critical values: cold bisection brackets them, probes certify them"
+    QCheck.(
+      pair
+        (pair (int_range 0 3) (int_range 0 1000))
+        (oneofl ~print:string_of_float [ 0.3; 0.6 ]))
+    (fun ((kind, seed), eps) ->
+      let inst = oracle_instance kind seed eps in
+      let run = Bounded_ufp.run ~eps inst in
+      let exact = Bounded_ufp.critical_values inst run in
+      let pooled =
+        Bounded_ufp.critical_values ~pool:(`Pool (Lazy.force law_pool)) inst run
+      in
+      if not (array_bitwise_equal exact pooled) then
+        QCheck.Test.fail_report "pooled critical values differ from `Seq";
+      let model = Ufp_mechanism.model (Bounded_ufp.solve ~eps) in
+      let rel_tol = Float_tol.payment_rel_tol in
+      let wins w v =
+        Single_param.is_winner model (model.Single_param.set_value inst w v) w
+      in
+      let winners = Ufp_mechanism.winners (Bounded_ufp.solve ~eps) inst in
+      Array.iteri
+        (fun w c ->
+          if not winners.(w) then begin
+            if not (Float.equal c 0.0) then
+              QCheck.Test.fail_reportf "loser %d has critical value %.17g" w c
+          end
+          else begin
+            (match Single_param.critical_value ~rel_tol model inst ~agent:w with
+            | None -> QCheck.Test.fail_reportf "winner %d loses at v_hi" w
+            | Some cold ->
+              if
+                c > cold +. (Float_tol.tight_eps *. Float.max 1.0 cold)
+                || cold > c +. (rel_tol *. Float.max 1.0 cold)
+              then
+                QCheck.Test.fail_reportf "winner %d: exact %.17g, cold %.17g" w
+                  c cold);
+            if c > rel_tol then begin
+              let d = rel_tol *. Float.max 1.0 c in
+              if not (wins w (c +. d)) then
+                QCheck.Test.fail_reportf "winner %d loses above %.17g" w c;
+              if wins w (c -. d) then
+                QCheck.Test.fail_reportf "winner %d wins below %.17g" w c
+            end;
+            let _, probes =
+              probes_during (fun () ->
+                  Single_param.critical_value ~rel_tol ~known_winner:true
+                    ~lo_hint:c model inst ~agent:w)
+            in
+            if probes > 2 then
+              QCheck.Test.fail_reportf "winner %d: hint %.17g took %d probes" w
+                c probes
+          end)
+        exact;
+      true)
+
 (* The seq/par bitwise law must also hold on the warm path: warm mode
    changes which probes run, never which domain runs them. *)
 let qcheck_parallel_warm_bitwise_ufp =
@@ -763,5 +872,6 @@ let () =
             qcheck_warm_equals_cold_ufp;
             qcheck_warm_hinted_equals_cold_ufp;
             qcheck_parallel_warm_bitwise_ufp;
+            qcheck_exact_critical_values;
           ] );
     ]

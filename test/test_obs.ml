@@ -325,7 +325,13 @@ let test_gauge_set_overrides_all_shards () =
    the total is exact: the pool's completion Atomics give the
    coordinating domain happens-before over every shard store.  One
    pool task snapshots in a loop; the envelope bounds are Atomics
-   bumped around each write. *)
+   bumped around each write.  The reader's loop is capped at
+   [envelope_cap_s] seconds: an executor runs one claimed task at a
+   time, so a pool that left the reader and a writer to one executor
+   would have the writer wait behind a reader waiting for it.  The cap
+   turns that hang into a failure of the law. *)
+let envelope_cap_s = 10.0
+
 let envelope_law =
   QCheck.Test.make ~count:8
     ~name:"concurrent snapshots stay inside the write envelope"
@@ -336,6 +342,8 @@ let envelope_law =
       let started = Atomic.make 0 and finished = Atomic.make 0 in
       let writers_done = Atomic.make 0 in
       let violations = Atomic.make 0 in
+      (* Writers finished when the reader hit its cap; -1 = never. *)
+      let capped_at = Atomic.make (-1) in
       let last = Atomic.make 0 in
       Pool.with_pool ~domains:2 (fun pool ->
           ignore
@@ -343,11 +351,15 @@ let envelope_law =
                never shares a claim with a writer it would then
                spin-wait on. *)
             (Pool.parallel_mapi ~pool ~n:(writers + 1) (fun task ->
-                 if task = 0 then
+                 if task = 0 then begin
                    (* Reader: snapshot until every writer has joined.
                       With 2 pool participants the writer tasks drain
-                      on the other domain, so this loop terminates. *)
-                   while Atomic.get writers_done < writers do
+                      on the other domain, well inside the cap. *)
+                   let deadline = Unix.gettimeofday () +. envelope_cap_s in
+                   while
+                     Atomic.get writers_done < writers
+                     && Atomic.get capped_at < 0
+                   do
                      let lo = Atomic.get finished in
                      let s = Metrics.snapshot () in
                      let hi = Atomic.get started in
@@ -357,8 +369,11 @@ let envelope_law =
                      if total < lo || total > hi then Atomic.incr violations;
                      if total < Atomic.get last then Atomic.incr violations;
                      Atomic.set last total;
+                     if Unix.gettimeofday () > deadline then
+                       Atomic.set capped_at (Atomic.get writers_done);
                      Domain.cpu_relax ()
                    done
+                 end
                  else begin
                    for _ = 1 to per_task do
                      Atomic.incr started;
@@ -367,6 +382,10 @@ let envelope_law =
                    done;
                    Atomic.incr writers_done
                  end)));
+      if Atomic.get capped_at >= 0 then
+        QCheck.Test.fail_reportf
+          "the reader hit its %.0f s cap with %d of %d writers finished"
+          envelope_cap_s (Atomic.get capped_at) writers;
       if Atomic.get violations > 0 then
         QCheck.Test.fail_reportf "%d envelope violations"
           (Atomic.get violations);
