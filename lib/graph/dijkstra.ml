@@ -32,12 +32,14 @@ let create_workspace g =
     ws_size = 0;
   }
 
-(* (key, vertex) lexicographic order; keys are never NaN here. *)
-let entry_less ws i j =
-  let c = Float.compare ws.ws_keys.(i) ws.ws_keys.(j) in
-  c < 0 || (c = 0 && ws.ws_verts.(i) < ws.ws_verts.(j))
+(* (key, vertex) lexicographic order. Keys are never NaN here, so the
+   float primitives order them as [Float.compare] would, without its
+   call; inlined, like [swap], so a sift step makes no call. *)
+let[@inline] entry_less ws i j =
+  let (ki : float) = ws.ws_keys.(i) and (kj : float) = ws.ws_keys.(j) in
+  ki < kj || (ki = kj && ws.ws_verts.(i) < ws.ws_verts.(j))
 
-let swap ws i j =
+let[@inline] swap ws i j =
   let k = ws.ws_keys.(i) and v = ws.ws_verts.(i) in
   ws.ws_keys.(i) <- ws.ws_keys.(j);
   ws.ws_verts.(i) <- ws.ws_verts.(j);
@@ -107,6 +109,7 @@ let shortest_tree_snapshot_into ws g ~snapshot ~src ~dist ~parent_edge =
   Ufp_obs.Metrics.incr m_runs;
   let row_start = view.Graph.Csr.view_rows
   and cells = view.Graph.Csr.view_cells in
+  let mask = Graph.Csr.Cells.max_packed in
   let settled = ws.ws_settled in
   let n_settled = ref 0 and n_relaxations = ref 0 in
   dist.(src) <- 0.0;
@@ -118,16 +121,17 @@ let shortest_tree_snapshot_into ws g ~snapshot ~src ~dist ~parent_edge =
     if not settled.(u) then begin
       settled.(u) <- true;
       incr n_settled;
-      (* The relaxation inner loop: flat reads through the cell
-         accessors only — no closure call, no list cell, no validity
+      (* The relaxation inner loop: one 64-bit load per slot, split
+         in place — no call, no closure, no list cell, no validity
          branch (the snapshot was validated when built or patched).
          Slot indices are in range by CSR construction. *)
       let hi = row_start.(u + 1) in
       for k = row_start.(u) to hi - 1 do
-        let v = Graph.Csr.Cells.unsafe_fst cells k in
+        let w = Int64.to_int (Graph.Csr.Cells.unsafe_get64 cells (k lsl 3)) in
+        let v = w land mask in
         if not (Array.unsafe_get settled v) then begin
           incr n_relaxations;
-          let e = Graph.Csr.Cells.unsafe_snd cells k in
+          let e = w lsr 32 in
           let d' = d +. Weight_snapshot.unsafe_get snapshot e in
           if d' < Array.unsafe_get dist v then begin
             Array.unsafe_set dist v d';

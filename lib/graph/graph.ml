@@ -43,18 +43,13 @@ module Csr = struct
     (* Both halves are nonnegative and < 2^31, so the low half is bits
        0..30 (bit 31 is zero) and the high half survives the 63-bit
        [Int64.to_int] truncation intact. *)
-    let[@inline] unsafe_fst c k =
-      Int64.to_int (unsafe_get64 c (k lsl 3)) land max_packed
-
-    let[@inline] unsafe_snd c k = Int64.to_int (unsafe_get64 c (k lsl 3)) lsr 32
-
     let fst c k =
       if k < 0 || k >= length c then invalid_arg "Graph.Csr.Cells.fst: slot out of range";
-      unsafe_fst c k
+      Int64.to_int (unsafe_get64 c (k lsl 3)) land max_packed
 
     let snd c k =
       if k < 0 || k >= length c then invalid_arg "Graph.Csr.Cells.snd: slot out of range";
-      unsafe_snd c k
+      Int64.to_int (unsafe_get64 c (k lsl 3)) lsr 32
   end
 
   type view = { view_rows : int array; view_cells : Cells.t }
@@ -66,7 +61,9 @@ type t = {
   mutable edges : edge array;
   mutable m : int;
   (* Lazily built flat-array adjacency view; [None] after any
-     [add_edge] so traversals never see a stale row. *)
+     [add_edge] so traversals never see a stale row. A [rescale] copy
+     starts out with its source's: the arrays are never written after
+     the build, so sharing them cannot leak an edge change. *)
   mutable csr : Csr.t option;
   (* Lazily packed cells on top of [csr]; invalidated together with
      it. *)
@@ -100,12 +97,15 @@ let grow g e =
     g.edges <- edges'
   end
 
+let check_capacity fn capacity =
+  if not (Float.is_finite capacity && capacity > 0.0) then
+    invalid_arg (fn ^ ": capacity must be positive and finite")
+
 let add_edge g ~u ~v ~capacity =
   if u < 0 || u >= g.n || v < 0 || v >= g.n then
     invalid_arg "Graph.add_edge: endpoint out of range";
   if u = v then invalid_arg "Graph.add_edge: self loop";
-  if not (Float.is_finite capacity && capacity > 0.0) then
-    invalid_arg "Graph.add_edge: capacity must be positive and finite";
+  check_capacity "Graph.add_edge" capacity;
   let id = g.m in
   let e = { id; u; v; capacity } in
   grow g e;
@@ -173,6 +173,15 @@ let csr_view g =
 let of_edge_stream ~directed ~n ~m ~f =
   if n < 0 then invalid_arg "Graph.of_edge_stream: negative vertex count";
   if m < 0 then invalid_arg "Graph.of_edge_stream: negative edge count";
+  (* No edge bounds [n] (isolated vertices need none), so a count read
+     from a file can be any size: one whose two [n]-sized arrays cannot
+     be allocated is rejected like a negative one, before the stream is
+     drained. *)
+  let too_large () = invalid_arg "Graph.of_edge_stream: vertex count too large" in
+  if n >= Sys.max_array_length then too_large ();
+  let row_start, cursor =
+    try (Array.make (n + 1) 0, Array.make (max n 1) 0) with Out_of_memory -> too_large ()
+  in
   Ufp_obs.Metrics.incr m_stream_builds;
   Ufp_obs.Metrics.incr m_csr_builds;
   (* Pass 1: drain the stream once into an exactly-sized edge array —
@@ -181,14 +190,12 @@ let of_edge_stream ~directed ~n ~m ~f =
      growth path would copy the edge array ~20 times and double the
      peak footprint; here every array is allocated once at its final
      size. *)
-  let row_start = Array.make (n + 1) 0 in
   let take i =
     let u, v, capacity = f i in
     if u < 0 || u >= n || v < 0 || v >= n then
       invalid_arg "Graph.of_edge_stream: endpoint out of range";
     if u = v then invalid_arg "Graph.of_edge_stream: self loop";
-    if not (Float.is_finite capacity && capacity > 0.0) then
-      invalid_arg "Graph.of_edge_stream: capacity must be positive and finite";
+    check_capacity "Graph.of_edge_stream" capacity;
     row_start.(u + 1) <- row_start.(u + 1) + 1;
     if not directed then row_start.(v + 1) <- row_start.(v + 1) + 1;
     { id = i; u; v; capacity }
@@ -213,7 +220,6 @@ let of_edge_stream ~directed ~n ~m ~f =
   let total = row_start.(n) in
   let nbr = Array.make (max total 1) 0 in
   let eid = Array.make (max total 1) 0 in
-  let cursor = Array.make (max n 1) 0 in
   Array.blit row_start 0 cursor 0 n;
   for i = 0 to m - 1 do
     let e = edges.(i) in
@@ -229,6 +235,19 @@ let of_edge_stream ~directed ~n ~m ~f =
     end
   done;
   { directed; n; edges; m; csr = Some { Csr.row_start; nbr; eid }; view = None }
+
+let rescale g ~divisor =
+  let edges =
+    Array.init g.m (fun i ->
+        let e = g.edges.(i) in
+        let capacity = e.capacity /. divisor in
+        check_capacity "Graph.rescale" capacity;
+        { e with capacity })
+  in
+  (* Same endpoints in the same order, so the source's adjacency is the
+     copy's too: its CSR, built now if need be, and its packed view if
+     it has one. *)
+  { g with edges; csr = Some (csr g) }
 
 let edge g id =
   if id < 0 || id >= g.m then invalid_arg "Graph.edge: id out of range";

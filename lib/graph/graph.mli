@@ -45,16 +45,14 @@ module Csr : sig
       must be treated as read-only — they are shared by every traversal
       until the next {!add_edge}. *)
 
-  (** The monomorphic accessor layer every adjacency hot loop reads
-      through ({!Dijkstra}, the Dinic residual of {!Maxflow}): a frozen
-      sequence of [(fst, snd)] int pairs packed two 32-bit halves to
-      an 8-byte cell, read back with one unaligned 64-bit load — half
-      the cache traffic of two plain int arrays at RMAT scale. The
-      accessors are [@inline] within this unit — no functor, no
-      closure, no allocation — but, as [val]s, they are not inlined
-      across units under [-opaque] (dune's dev profile): a caller in
-      another unit pays a direct call per access. They return ints,
-      so that call allocates nothing. *)
+  (** The packed adjacency every hot loop reads ({!Dijkstra}, the
+      Dinic residual of {!Maxflow}): a frozen sequence of [(fst, snd)]
+      int pairs packed two 32-bit halves to an 8-byte cell, read back
+      with one unaligned 64-bit load — half the cache traffic of two
+      plain int arrays at RMAT scale. Hot loops read a cell through the
+      {!unsafe_get64} primitive, which compiles to that load in the
+      caller even across units under [-opaque] (dune's dev profile),
+      and split its halves themselves: no call, no allocation. *)
   module Cells : sig
     type t
 
@@ -77,11 +75,14 @@ module Csr : sig
     val snd : t -> int -> int
     (** Bounds-checked second half of a slot. *)
 
-    val unsafe_fst : t -> int -> int
-    (** Unchecked read for traversal inner loops whose slot indices
-        come from a [row_start] built for the same cell sequence. *)
-
-    val unsafe_snd : t -> int -> int
+    external unsafe_get64 : t -> int -> int64 = "%caml_bytes_get64u"
+    (** [unsafe_get64 c (k lsl 3)] is slot [k]'s packed word [w], read
+        without a bounds check: its first half is
+        [Int64.to_int w land max_packed] and its second half
+        [Int64.to_int w lsr 32]. For traversal inner loops whose slot
+        indices come from a [row_start] built for the same cells; the
+        [int64] is never boxed when [Int64.to_int] consumes it
+        directly. *)
   end
 
   type view = private {
@@ -110,8 +111,10 @@ val of_edge_stream :
     exactly once per index, in increasing order — a stateful generator
     (e.g. one threading an {!Ufp_prelude.Rng.t}) is a legal stream.
 
-    This is the streaming CSR builder for million-edge instances: the
-    stream is drained straight into exactly-sized flat arrays (the
+    This is the streaming CSR builder for million-edge instances — the
+    generators and the instance reader ([Ufp_instance.Io]) both build
+    through it: the stream is drained straight into exactly-sized flat
+    arrays (the
     edge records plus the frozen [row_start]/[nbr]/[eid] of the CSR
     view, degrees counted during the drain), never touching the
     doubling growth path of repeated {!add_edge} — one allocation per
@@ -120,7 +123,20 @@ val of_edge_stream :
 
     Per-edge validation matches {!add_edge} (endpoints in range, no
     self loops, positive finite capacity); [Invalid_argument] is
-    raised on the first offending edge, and on [n < 0] or [m < 0]. *)
+    raised on the first offending edge, on [n < 0] or [m < 0], and on
+    an [n] too large for its row offsets to be allocated (so a vertex
+    count read from a file needs no check of its own). *)
+
+val rescale : t -> divisor:float -> t
+(** [rescale g ~divisor] is [g] with every capacity [c] replaced by
+    [c /. divisor]: the same vertices, and the same edges under the
+    same ids. The copy allocates its own edge records but starts with
+    [g]'s adjacency, which holds no capacities: [g]'s {!csr} (built
+    now if [g] has none, so it is built once for both) and, when [g]
+    has built it, [g]'s {!csr_view}. An {!add_edge} on either graph
+    drops only that graph's cached adjacency. Raises
+    [Invalid_argument] when a scaled capacity is not positive and
+    finite (an overflow or underflow), as {!add_edge} would. *)
 
 val is_directed : t -> bool
 
@@ -130,7 +146,8 @@ val n_edges : t -> int
 
 val csr : t -> Csr.t
 (** The CSR adjacency view, built on demand and cached until the next
-    {!add_edge} (the [graph.csr_builds] counter tracks builds). In an
+    {!add_edge} (the [graph.csr_builds] counter tracks builds); a
+    {!rescale} copy starts with its source's. In an
     undirected graph each edge appears in both endpoints' rows with the
     opposite endpoint as [nbr]. Solvers add all edges before
     traversing, so a solve normally pays for exactly one build. *)

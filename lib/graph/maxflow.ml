@@ -6,9 +6,9 @@ type result = { value : float; flow : float array }
    Adjacency is CSR-style flat slots (mirroring Graph.Csr): vertex
    [u]'s outgoing arcs occupy slots [adj_start.(u) ..
    adj_start.(u+1) - 1], in arc-insertion order, each slot carrying
-   the (arc index, head vertex) pair packed to an 8-byte cell through
-   the shared Graph.Csr.Cells accessor layer, so the BFS/DFS hot
-   loops traverse flat slots instead of cons chains. *)
+   the (arc index, head vertex) pair packed to an 8-byte cell of
+   Graph.Csr.Cells, so the BFS/DFS hot loops read one 64-bit word per
+   slot instead of walking cons chains. *)
 type residual = {
   n : int;
   mutable cap : float array;
@@ -87,8 +87,8 @@ let bfs_levels r ~src ~dst =
     let u = queue.(!head) in
     incr head;
     for k = r.adj_start.(u) to r.adj_start.(u + 1) - 1 do
-      let a = Graph.Csr.Cells.unsafe_fst r.adj k in
-      let v = Graph.Csr.Cells.unsafe_snd r.adj k in
+      let w = Int64.to_int (Graph.Csr.Cells.unsafe_get64 r.adj (k lsl 3)) in
+      let a = w land Graph.Csr.Cells.max_packed and v = w lsr 32 in
       if r.cap.(a) > eps && levels.(v) < 0 then begin
         levels.(v) <- levels.(u) + 1;
         queue.(!tail) <- v;
@@ -106,8 +106,8 @@ let rec dfs r levels cursors ~dst u pushed =
     let k = cursors.(u) in
     if k >= r.adj_start.(u + 1) then 0.0
     else begin
-      let a = Graph.Csr.Cells.unsafe_fst r.adj k in
-      let v = Graph.Csr.Cells.unsafe_snd r.adj k in
+      let w = Int64.to_int (Graph.Csr.Cells.unsafe_get64 r.adj (k lsl 3)) in
+      let a = w land Graph.Csr.Cells.max_packed and v = w lsr 32 in
       let sent =
         if r.cap.(a) > eps && levels.(v) = levels.(u) + 1 then
           dfs r levels cursors ~dst v (Float.min pushed r.cap.(a))

@@ -37,16 +37,6 @@ let max_demand t =
 
 let bound t = Graph.min_capacity t.graph /. max_demand t
 
-let copy_graph_scaled g divisor =
-  let g' = Graph.create ~directed:(Graph.is_directed g) ~n:(Graph.n_vertices g) in
-  Graph.fold_edges
-    (fun e () ->
-      ignore
-        (Graph.add_edge g' ~u:e.Graph.u ~v:e.Graph.v
-           ~capacity:(e.Graph.capacity /. divisor)))
-    g ();
-  g'
-
 let normalize t =
   let dmax = max_demand t in
   if dmax = 1.0 then t
@@ -54,7 +44,7 @@ let normalize t =
     (* Divide rather than multiply by the reciprocal: IEEE guarantees
        x /. x = 1., so the maximal demand lands exactly on 1 and
        normalisation is idempotent. *)
-    let graph = copy_graph_scaled t.graph dmax in
+    let graph = Graph.rescale t.graph ~divisor:dmax in
     let requests =
       Array.map
         (fun (r : Request.t) ->

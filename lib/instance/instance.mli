@@ -41,7 +41,11 @@ val bound : t -> float
 val normalize : t -> t
 (** Rescale demands and capacities by [1 / max_r d_r] so demands lie in
     (0, 1] and [bound] becomes [min_e c_e]. Values are untouched; the
-    feasible sets coincide. *)
+    feasible sets coincide. The rescaled graph
+    ({!Ufp_graph.Graph.rescale}) shares the source's CSR adjacency, so
+    normalising a loaded instance builds no CSR. Returns [t] itself
+    when [max_r d_r = 1]. Raises [Invalid_argument] when a rescaled
+    capacity overflows. *)
 
 val is_normalized : t -> bool
 (** Whether every demand is at most 1 (and the set is non-empty). *)

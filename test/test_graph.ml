@@ -842,9 +842,117 @@ let test_of_edge_stream_validation () =
     (stream ~n:2 ~m:1 (fun _ -> (1, 1, 1.0)));
   Alcotest.check_raises "capacity"
     (Invalid_argument "Graph.of_edge_stream: capacity must be positive and finite")
-    (stream ~n:2 ~m:1 (fun _ -> (0, 1, nan)))
+    (stream ~n:2 ~m:1 (fun _ -> (0, 1, nan)));
+  (* Too many row offsets to index, or to allocate (on a 64-bit host
+     the last count asks malloc for 2^57 bytes). *)
+  List.iter
+    (fun n ->
+      Alcotest.check_raises "vertex count too large"
+        (Invalid_argument "Graph.of_edge_stream: vertex count too large")
+        (stream ~n ~m:0 (fun _ -> assert false)))
+    [ max_int; Sys.max_array_length; Sys.max_array_length - 1 ]
 
 (* --- RMAT generator --- *)
+
+(* --- Graph.rescale: own edge records, the source's adjacency --- *)
+
+let bits = Int64.bits_of_float
+
+let rows g =
+  let c = Graph.csr g in
+  (Array.copy c.Graph.Csr.row_start, Array.copy c.Graph.Csr.nbr, Array.copy c.Graph.Csr.eid)
+
+let test_rescale_shares_adjacency () =
+  let g, _, _, _, _, _ = diamond () in
+  let d = 3.0 in
+  (* The source has no CSR yet: rescale builds it once, for both. *)
+  let c = Graph.rescale g ~divisor:d in
+  Alcotest.(check bool) "csr shared" true (Graph.csr c == Graph.csr g);
+  let view = Graph.csr_view g in
+  let c' = Graph.rescale g ~divisor:d in
+  Alcotest.(check bool) "csr_view shared" true (Graph.csr_view c' == view);
+  Alcotest.(check bool) "csr shared again" true (Graph.csr c' == Graph.csr g);
+  Alcotest.(check int) "edges" (Graph.n_edges g) (Graph.n_edges c);
+  for e = 0 to Graph.n_edges g - 1 do
+    let a = Graph.edge g e and b = Graph.edge c e in
+    Alcotest.(check (list int)) "same edge" [ a.Graph.id; a.Graph.u; a.Graph.v ]
+      [ b.Graph.id; b.Graph.u; b.Graph.v ];
+    Alcotest.(check int64) "capacity is c /. d" (bits (a.Graph.capacity /. d))
+      (bits b.Graph.capacity)
+  done
+
+let test_rescale_add_edge_detaches () =
+  let check_rows msg expected g =
+    let r, n, e = rows g and r', n', e' = expected in
+    Alcotest.(check (array int)) (msg ^ " row_start") r' r;
+    Alcotest.(check (array int)) (msg ^ " nbr") n' n;
+    Alcotest.(check (array int)) (msg ^ " eid") e' e
+  in
+  (* On the copy: the source keeps its arrays and rows. *)
+  let g, _, _, _, _, _ = diamond () in
+  let c = Graph.rescale g ~divisor:2.0 in
+  let shared = Graph.csr g and before = rows g in
+  let id = Graph.add_edge c ~u:3 ~v:0 ~capacity:1.0 in
+  Alcotest.(check bool) "source csr kept" true (Graph.csr g == shared);
+  check_rows "source" before g;
+  Alcotest.(check (list (pair int int))) "copy row gained the edge" [ (id, 0) ]
+    (Graph.out_edges c 3);
+  (* On the source: the copy keeps its arrays and rows. *)
+  let g, _, _, _, _, _ = diamond () in
+  let c = Graph.rescale g ~divisor:2.0 in
+  let shared = Graph.csr_view c and before = rows c in
+  ignore (Graph.add_edge g ~u:3 ~v:1 ~capacity:1.0);
+  Alcotest.(check bool) "copy view kept" true (Graph.csr_view c == shared);
+  check_rows "copy" before c;
+  Alcotest.(check int) "copy edges" 5 (Graph.n_edges c);
+  Alcotest.(check int) "source row gained the edge" 1 (List.length (Graph.out_edges g 3))
+
+let test_rescale_validation () =
+  let g = Graph.create ~directed:true ~n:2 in
+  ignore (Graph.add_edge g ~u:0 ~v:1 ~capacity:Float.max_float);
+  Alcotest.check_raises "overflow"
+    (Invalid_argument "Graph.rescale: capacity must be positive and finite")
+    (fun () -> ignore (Graph.rescale g ~divisor:0.5));
+  Alcotest.check_raises "underflow"
+    (Invalid_argument "Graph.rescale: capacity must be positive and finite")
+    (fun () -> ignore (Graph.rescale g ~divisor:infinity));
+  (* normalize divides by the largest demand through rescale. *)
+  let inst =
+    Ufp_instance.Instance.create g
+      [| Ufp_instance.Request.make ~src:0 ~dst:1 ~demand:0.5 ~value:1.0 |]
+  in
+  Alcotest.check_raises "normalize overflow"
+    (Invalid_argument "Graph.rescale: capacity must be positive and finite")
+    (fun () -> ignore (Ufp_instance.Instance.normalize inst))
+
+(* Io.load streams the edges into one CSR build, and normalize's copy
+   shares it: the solve that follows builds no CSR. *)
+let test_load_streams_one_build () =
+  let count name =
+    Option.value ~default:0
+      (List.assoc_opt name (Ufp_obs.Metrics.snapshot ()).Ufp_obs.Metrics.counters)
+  in
+  let g = Gen.grid ~rows:3 ~cols:3 ~capacity:4.0 in
+  let inst =
+    Ufp_instance.Instance.create g
+      [| Ufp_instance.Request.make ~src:0 ~dst:8 ~demand:2.0 ~value:1.0 |]
+  in
+  let path = Filename.temp_file "ufp" ".inst" in
+  Ufp_instance.Io.save path inst;
+  for _ = 1 to 2 do
+    let streams = count "graph.stream_builds" and csrs = count "graph.csr_builds" in
+    let loaded =
+      match Ufp_instance.Io.load path with Ok i -> i | Error m -> Alcotest.fail m
+    in
+    Alcotest.(check int) "one stream build per load" (streams + 1)
+      (count "graph.stream_builds");
+    Alcotest.(check int) "one csr build per load" (csrs + 1) (count "graph.csr_builds");
+    let norm = Ufp_instance.Instance.normalize loaded in
+    Alcotest.(check bool) "normalize copied" false (norm == loaded);
+    ignore (Graph.csr_view (Ufp_instance.Instance.graph norm));
+    Alcotest.(check int) "no csr build after load" (csrs + 1) (count "graph.csr_builds")
+  done;
+  Sys.remove path
 
 let test_rmat_deterministic () =
   let build () =
@@ -1342,6 +1450,13 @@ let () =
             test_of_edge_stream_empty;
           Alcotest.test_case "of_edge_stream validation" `Quick
             test_of_edge_stream_validation;
+          Alcotest.test_case "rescale shares adjacency" `Quick
+            test_rescale_shares_adjacency;
+          Alcotest.test_case "rescale add_edge detaches" `Quick
+            test_rescale_add_edge_detaches;
+          Alcotest.test_case "rescale validation" `Quick test_rescale_validation;
+          Alcotest.test_case "load streams one csr build" `Quick
+            test_load_streams_one_build;
         ] );
       ( "dijkstra",
         [

@@ -395,7 +395,71 @@ let test_io_errors () =
     "ufp 1\ndirected 1\nvertices 2\nedges 1\ne 0 1 1.0\nrequests 0\ntrailing\n";
   (* Semantically invalid: self-loop edge. *)
   expect_parse_error
-    "ufp 1\ndirected 1\nvertices 2\nedges 1\ne 0 0 1.0\nrequests 0\n"
+    "ufp 1\ndirected 1\nvertices 2\nedges 1\ne 0 0 1.0\nrequests 0\n";
+  (* Counts the rest of the input cannot hold fail with the message of
+     the line where reading stops, through of_string and through load;
+     a vertex count no array can index is an [Error] too. No count may
+     let Out_of_memory or Invalid_argument "Array.make" escape. *)
+  let expect text msg =
+    let path = Filename.temp_file "ufp" ".inst" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    let loaded = Io.load path in
+    Sys.remove path;
+    List.iter
+      (function
+        | Ok _ -> Alcotest.fail ("expected parse error: " ^ msg)
+        | Error m -> Alcotest.(check string) "message" msg m)
+      [ Io.of_string text; loaded ]
+  in
+  List.iter
+    (fun k ->
+      expect
+        (Printf.sprintf "ufp 1\ndirected 1\nvertices 2\nedges %d\ne 0 1 1.0\nrequests 0\n" k)
+        "bad edge line \"requests 0\"";
+      expect
+        (Printf.sprintf "ufp 1\ndirected 1\nvertices 2\nedges %d\ne 0 1 1.0\n" k)
+        "unexpected end of input while reading edges";
+      expect
+        (Printf.sprintf "ufp 1\ndirected 1\nvertices 2\nedges 0\nrequests %d\nr 0 1 1 1\n" k)
+        "unexpected end of input while reading requests";
+      expect
+        (Printf.sprintf "ufp 1\ndirected 1\nvertices 2\nedges 0\nrequests %d\nr 0 1 1 1\nx\n" k)
+        "bad request line \"x\"")
+    [ 2; 3; 10_000_000; Sys.max_array_length - 1; Sys.max_array_length; max_int ];
+  List.iter
+    (fun n ->
+      expect
+        (Printf.sprintf "ufp 1\ndirected 1\nvertices %d\nedges 0\nrequests 0\n" n)
+        "Graph.of_edge_stream: vertex count too large")
+    [ Sys.max_array_length - 1; Sys.max_array_length; max_int ];
+  (* A rejected edge has one message, whether or not its count fits. *)
+  List.iter
+    (fun k ->
+      expect
+        (Printf.sprintf "ufp 1\ndirected 1\nvertices 2\nedges %d\ne 0 0 1.0\n" k)
+        "Graph.of_edge_stream: self loop")
+    [ 1; 2; 10_000_000; max_int ];
+  (* No line bounds the vertex count: a large one with no edges loads,
+     its row offsets allocated up front. *)
+  let text = "ufp 1\ndirected 0\nvertices 1000000\nedges 0\nrequests 0\n" in
+  let path = Filename.temp_file "ufp" ".inst" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let loaded = Io.load path in
+  Sys.remove path;
+  List.iter
+    (function
+      | Error m -> Alcotest.fail m
+      | Ok inst ->
+        Alcotest.(check int) "vertices" 1_000_000 (Graph.n_vertices (Instance.graph inst)))
+    [ Io.of_string text; loaded ];
+  (* A lying count allocates only for the lines actually there. *)
+  let before = Gc.allocated_bytes () in
+  expect_parse_error
+    "ufp 1\ndirected 1\nvertices 2\nedges 10000000\ne 0 1 1.0\nrequests 10000000\n";
+  expect_parse_error
+    "ufp 1\ndirected 1\nvertices 2\nedges 0\nrequests 10000000\nr 0 1 1 1\n";
+  Alcotest.(check bool) "no count-sized allocation" true
+    (Gc.allocated_bytes () -. before < 1e6)
 
 (* Regression: negative counts used to send the line-consuming readers
    off the end of the input (or into Array-size territory), surfacing
@@ -709,6 +773,123 @@ let qcheck_solution_parser_never_crashes =
       let mangled = mutate rng (Io.solution_to_string sol) in
       match Io.solution_of_string mangled with Ok _ | Error _ -> true)
 
+(* The streaming reader against the list-based one it replaced
+   (test/io_oracle.ml): on every text, through [of_string] and through
+   [load] on a file, both succeed with bitwise equal results or both
+   fail with the same message (up to the graph constructor's name). *)
+let readers_disagree same ~oracle:(oracle_read, oracle_load) ~scanner:(read, load) text =
+  let path = Filename.temp_file "ufp-reader" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let by_load = Io_oracle.disagreement same ~oracle:(oracle_load path) ~scanner:(load path) in
+  Sys.remove path;
+  match Io_oracle.disagreement same ~oracle:(oracle_read text) ~scanner:(read text) with
+  | Some d -> Some ("of_string: " ^ d)
+  | None -> Option.map (( ^ ) "load: ") by_load
+
+let instance_readers_disagree =
+  readers_disagree Io_oracle.same_instance
+    ~oracle:(Io_oracle.of_string, Io_oracle.load) ~scanner:(Io.of_string, Io.load)
+
+let solution_readers_disagree =
+  readers_disagree ( = )
+    ~oracle:(Io_oracle.solution_of_string, Io_oracle.load_solution)
+    ~scanner:(Io.solution_of_string, Io.load_solution)
+
+let readers_agree disagree text =
+  match disagree text with None -> true | Some d -> QCheck.Test.fail_report d
+
+(* Line-level noise on top of [inject_noise]: CRLF line ends, tabs,
+   runs of spaces, leading and trailing blanks — all of which the line
+   rules trim or skip. With [~tabs], a rare tab inside a line glues two
+   words together, which both readers must reject alike. *)
+let roughen rng ~tabs text =
+  let respace sep l = String.concat sep (String.split_on_char ' ' l) in
+  String.split_on_char '\n' (inject_noise rng text)
+  |> List.map (fun l ->
+         match Rng.int rng 40 with
+         | 0 | 1 | 2 -> l ^ "\r"
+         | 3 -> "\t " ^ l
+         | 4 -> l ^ " \t "
+         | 5 -> respace "   " l
+         | 6 when tabs -> respace "\t" l
+         | _ -> l)
+  |> String.concat "\n"
+
+(* Lines the generated texts rarely produce: several bad tokens on one
+   line (the reader must report the one the oracle reports), integer
+   syntax beyond plain decimals, and edges the graph constructor
+   rejects. *)
+let test_io_reader_crafted () =
+  let head = "ufp 1\ndirected 0\nvertices 3\n" in
+  let edges body = head ^ "edges 1\n" ^ body ^ "\nrequests 0\n" in
+  let request body = head ^ "edges 1\ne 0 1 2\nrequests 1\n" ^ body ^ "\n" in
+  List.iter
+    (fun text ->
+      Option.iter (Alcotest.failf "%S: %s" text) (instance_readers_disagree text))
+    [
+      edges "e x 1 y"; edges "e 0 x y"; edges "e x y 1"; edges "e 0 1 1e999";
+      edges "e 0 3 1"; edges "e 1 1 1"; edges "e 0 1 -2"; edges "e 0 1 nan";
+      edges "e 0x1 +2 0x1p3"; edges "e 0_0 1 1_0.5"; edges "e -0 1 1";
+      edges "e 99999999999999999999 1 1"; edges "e 000000000000000000001 2 1";
+      edges "e - 1 1"; edges "e 0 1"; edges "e 0 1 1 1"; edges "E 0 1 1";
+      request "r x 1 y 1"; request "r 0 x 1 y"; request "r 0 1 x y";
+      request "r 0 0 1 1"; request "r 0 1 0 1"; request "r 0 5 1 1"; request "r 0 1 1";
+      head ^ "edges 0\nrequests 0\n#\n  # x\n\r\n\x0c\n";
+      "\xef\xbb\xbfufp 1\n"; "ufp  1 \r\n"; "ufp 01\n"; "";
+      head ^ "edges 1\ne 0 1 2\nrequests 0\ntrailing words here\n";
+      head ^ "edges 0\nrequests\n"; head ^ "edges 0\nrequests 1 2\n";
+    ]
+
+let reader_text rng text =
+  match Rng.int rng 4 with
+  | 0 -> text
+  | 1 -> roughen rng ~tabs:false text
+  | 2 -> roughen rng ~tabs:true text
+  | _ -> mutate rng text
+
+(* Grids, Erdős–Rényi graphs and scale-8 RMAT graphs (4,096 edge
+   lines, so lines cross the scanner's buffer refills). *)
+let qcheck_reader_matches_oracle =
+  QCheck.Test.make ~name:"io reader agrees with the list-based oracle" ~count:150
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 3000) in
+      let g =
+        match Rng.int rng 3 with
+        | 0 ->
+          Gen.grid ~rows:(2 + Rng.int rng 3) ~cols:(2 + Rng.int rng 3)
+            ~capacity:(Rng.float_in rng 1.0 9.0)
+        | 1 ->
+          Gen.erdos_renyi rng ~n:(2 + Rng.int rng 6) ~edge_prob:0.5
+            ~directed:(Rng.int rng 2 = 0) ~capacity_lo:1.0 ~capacity_hi:5.0
+        | _ ->
+          Gen.rmat rng ~scale:8 ~edge_factor:16 ~directed:(Rng.int rng 2 = 0)
+            ~capacity_lo:1.0 ~capacity_hi:100.0 ()
+      in
+      let requests =
+        if Graph.n_edges g = 0 then [||]
+        else Workloads.hub_requests rng g ~count:(Rng.int rng 6) ()
+      in
+      readers_agree instance_readers_disagree
+        (reader_text rng (Io.to_string (Instance.create g requests))))
+
+(* Paths of up to 2,000 edge ids make lines longer than the scanner's
+   buffer. *)
+let qcheck_solution_reader_matches_oracle =
+  QCheck.Test.make ~name:"io solution reader agrees with the list-based oracle"
+    ~count:150 QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 4000) in
+      let path () =
+        List.init
+          (if Rng.int rng 5 = 0 then Rng.int rng 2000 else Rng.int rng 6)
+          (fun _ -> Rng.int rng 100_000)
+      in
+      let sol =
+        List.init (Rng.int rng 5) (fun _ ->
+            { Solution.request = Rng.int rng 50; path = path () })
+      in
+      readers_agree solution_readers_disagree
+        (reader_text rng (Io.solution_to_string sol)))
+
 let qcheck_normalize_preserves_feasibility =
   QCheck.Test.make ~name:"normalisation preserves solution feasibility" ~count:50
     QCheck.small_int (fun seed ->
@@ -775,6 +956,7 @@ let () =
           Alcotest.test_case "comments and blanks" `Quick test_io_comments_and_blanks;
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "negative counts" `Quick test_io_negative_counts;
+          Alcotest.test_case "reader crafted lines" `Quick test_io_reader_crafted;
           Alcotest.test_case "file round trip" `Quick test_io_file_round_trip;
           Alcotest.test_case "solution round trip" `Quick test_solution_io_round_trip;
           Alcotest.test_case "solution file" `Quick test_solution_io_file;
@@ -802,5 +984,7 @@ let () =
             qcheck_normalize_preserves_feasibility;
             qcheck_instance_parser_never_crashes;
             qcheck_solution_parser_never_crashes;
+            qcheck_reader_matches_oracle;
+            qcheck_solution_reader_matches_oracle;
           ] );
     ]
