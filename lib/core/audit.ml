@@ -56,13 +56,7 @@ let bounded_ufp_run inst (run : Bounded_ufp.run) =
   | [] ->
     add (finding "d1-consistency" true "no iterations, nothing to check")
   | last :: _ ->
-    let g = Instance.graph inst in
-    let recomputed =
-      Graph.fold_edges
-        (fun e acc ->
-          acc +. (e.Graph.capacity *. run.Bounded_ufp.final_y.(e.Graph.id)))
-        g 0.0
-    in
+    let recomputed = Duality.dual_objective_repeat inst ~y:run.Bounded_ufp.final_y in
     add
       (finding "d1-consistency"
          (Float.abs (recomputed -. last.Bounded_ufp.d1)

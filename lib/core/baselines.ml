@@ -12,7 +12,7 @@ let capacity_slack = Ufp_prelude.Float_tol.capacity_slack
    fewest-hop path among edges with residual capacity for its demand. *)
 let route_in_order inst order =
   let g = Instance.graph inst in
-  let residual = Array.init (Graph.n_edges g) (fun e -> Graph.capacity g e) in
+  let residual = Graph.capacities g in
   let allocate acc i =
     let r = Instance.request inst i in
     let d = r.Request.demand in
@@ -100,7 +100,7 @@ let randomized_rounding ?(eps = 0.1) ~seed inst =
   (* Alteration pass: admit in seeded random order, dropping overflows. *)
   let arr = Array.of_list !tentative in
   Rng.shuffle rng arr;
-  let residual = Array.init (Graph.n_edges g) (fun e -> Graph.capacity g e) in
+  let residual = Graph.capacities g in
   let admit acc (i, path) =
     let d = (Instance.request inst i).Request.demand in
     if List.for_all (fun e -> residual.(e) +. capacity_slack >= d) path then begin

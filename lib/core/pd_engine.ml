@@ -124,13 +124,16 @@ let start ?(pool = `Seq) config inst =
   let b = Graph.min_capacity g in
   if b < 1.0 then invalid_arg "Pd_engine: requires B >= 1";
   let m = Graph.n_edges g in
-  let y = Array.init m (fun e -> 1.0 /. Graph.capacity g e) in
+  let y = Graph.capacities g in
+  for e = 0 to m - 1 do
+    y.(e) <- 1.0 /. y.(e)
+  done;
   (* The residual array exists (and is maintained) only when the config
      actually filters paths by it; Budget-mode runs skip the dead
      bookkeeping entirely. *)
   let weights, consume_residual =
     if config.respect_residual then begin
-      let residual = Array.init m (fun e -> Graph.capacity g e) in
+      let residual = Graph.capacities g in
       ( Selector.Per_demand
           (fun ~demand e ->
             if residual.(e) +. capacity_slack < demand then begin

@@ -50,7 +50,7 @@ let round_flow ~flow ?(eps = 0.1) ~seed inst =
   (* Alteration: admit in seeded random order, dropping overflows. *)
   let arr = Array.of_list tentative in
   Rng.shuffle rng arr;
-  let residual = Array.init (Graph.n_edges g) (fun e -> Graph.capacity g e) in
+  let residual = Graph.capacities g in
   let admit acc (a : Solution.allocation) =
     let d = (Instance.request inst a.Solution.request).Request.demand in
     if List.for_all (fun e -> residual.(e) +. Float_tol.capacity_slack >= d) a.Solution.path then begin

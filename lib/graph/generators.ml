@@ -156,7 +156,7 @@ let rmat rng ~scale ~edge_factor ?(a = 0.57) ?(b = 0.19) ?(c = 0.19)
     ?(d = 0.05) ?(directed = true) ~capacity_lo ~capacity_hi () =
   (* [1 lsl scale] vertices and [edge_factor] times as many edges must
      both stay well inside the int range; 30 already means a billion
-     vertices, far past what one address space holds as edge records. *)
+     vertices, far past what one address space holds as edge columns. *)
   if scale < 1 || scale > 30 then
     invalid_arg "Generators.rmat: scale must be in [1, 30]";
   if edge_factor < 1 then invalid_arg "Generators.rmat: edge_factor < 1";

@@ -58,7 +58,14 @@ end
 type t = {
   directed : bool;
   n : int;
-  mutable edges : edge array;
+  (* Edge [i] is [(tails.(i), heads.(i), caps.(i))] for [i < m]: three
+     flat columns, no heap object per edge. [add_edge] grows them by
+     doubling, so a column may be longer than [m]; a column two graphs
+     share ([rescale]) is always exactly [m] long, so the next
+     [add_edge] on either graph copies it before writing. *)
+  mutable tails : int array;
+  mutable heads : int array;
+  mutable caps : floatarray;
   mutable m : int;
   (* Lazily built flat-array adjacency view; [None] after any
      [add_edge] so traversals never see a stale row. A [rescale] copy
@@ -81,7 +88,16 @@ let m_packed_builds = Ufp_obs.Metrics.counter "graph.packed_builds"
 
 let create ~directed ~n =
   if n < 0 then invalid_arg "Graph.create: negative vertex count";
-  { directed; n; edges = [||]; m = 0; csr = None; view = None }
+  {
+    directed;
+    n;
+    tails = [||];
+    heads = [||];
+    caps = Float.Array.create 0;
+    m = 0;
+    csr = None;
+    view = None;
+  }
 
 let is_directed g = g.directed
 
@@ -89,15 +105,26 @@ let n_vertices g = g.n
 
 let n_edges g = g.m
 
-let grow g e =
-  let cap = Array.length g.edges in
+(* A full column is replaced by a copy twice as long, never written in
+   place: this is what keeps a shared (exactly [m] long) column
+   private to the graphs that share it. *)
+let grow g =
+  let cap = Array.length g.tails in
   if g.m = cap then begin
-    let edges' = Array.make (max 8 (2 * cap)) e in
-    Array.blit g.edges 0 edges' 0 g.m;
-    g.edges <- edges'
+    let cap' = max 8 (2 * cap) in
+    let tails = Array.make cap' 0 and heads = Array.make cap' 0 in
+    let caps = Float.Array.create cap' in
+    Array.blit g.tails 0 tails 0 g.m;
+    Array.blit g.heads 0 heads 0 g.m;
+    Float.Array.blit g.caps 0 caps 0 g.m;
+    g.tails <- tails;
+    g.heads <- heads;
+    g.caps <- caps
   end
 
-let check_capacity fn capacity =
+(* Inlined, so the loops of [of_edge_stream] and [rescale] pass it an
+   unboxed float. *)
+let[@inline] check_capacity fn capacity =
   if not (Float.is_finite capacity && capacity > 0.0) then
     invalid_arg (fn ^ ": capacity must be positive and finite")
 
@@ -107,47 +134,58 @@ let add_edge g ~u ~v ~capacity =
   if u = v then invalid_arg "Graph.add_edge: self loop";
   check_capacity "Graph.add_edge" capacity;
   let id = g.m in
-  let e = { id; u; v; capacity } in
-  grow g e;
-  g.edges.(id) <- e;
-  g.m <- g.m + 1;
+  grow g;
+  g.tails.(id) <- u;
+  g.heads.(id) <- v;
+  Float.Array.set g.caps id capacity;
+  g.m <- id + 1;
   g.csr <- None;
   g.view <- None;
   id
 
-let build_csr g =
-  Ufp_obs.Metrics.incr m_csr_builds;
-  let n = g.n in
-  let row_start = Array.make (n + 1) 0 in
-  for i = 0 to g.m - 1 do
-    let e = g.edges.(i) in
-    row_start.(e.u + 1) <- row_start.(e.u + 1) + 1;
-    if not g.directed then row_start.(e.v + 1) <- row_start.(e.v + 1) + 1
-  done;
+(* The counting sort shared by [build_csr] and [of_edge_stream]: given
+   [row_start] holding vertex [u]'s degree at [u + 1], prefix-sums it
+   into row offsets and scatters the first [m] edges of the columns in
+   increasing edge id, which pins every row to insertion order — the
+   canonical neighbor order (see the .mli determinism note). [cursor]
+   is scratch of length [max n 1]. *)
+let scatter ~directed ~n ~m ~tails ~heads ~row_start ~cursor =
   for u = 1 to n do
     row_start.(u) <- row_start.(u) + row_start.(u - 1)
   done;
   let total = row_start.(n) in
   let nbr = Array.make (max total 1) 0 in
   let eid = Array.make (max total 1) 0 in
-  let cursor = Array.make (max n 1) 0 in
   Array.blit row_start 0 cursor 0 n;
-  (* Filling in increasing edge id pins every row to insertion order —
-     the canonical neighbor order (see the .mli determinism note). *)
-  for i = 0 to g.m - 1 do
-    let e = g.edges.(i) in
-    let k = cursor.(e.u) in
-    nbr.(k) <- e.v;
-    eid.(k) <- e.id;
-    cursor.(e.u) <- k + 1;
-    if not g.directed then begin
-      let k = cursor.(e.v) in
-      nbr.(k) <- e.u;
-      eid.(k) <- e.id;
-      cursor.(e.v) <- k + 1
+  for i = 0 to m - 1 do
+    let u = tails.(i) and v = heads.(i) in
+    let k = cursor.(u) in
+    nbr.(k) <- v;
+    eid.(k) <- i;
+    cursor.(u) <- k + 1;
+    if not directed then begin
+      let k = cursor.(v) in
+      nbr.(k) <- u;
+      eid.(k) <- i;
+      cursor.(v) <- k + 1
     end
   done;
   { Csr.row_start; nbr; eid }
+
+let build_csr g =
+  Ufp_obs.Metrics.incr m_csr_builds;
+  let n = g.n in
+  let row_start = Array.make (n + 1) 0 in
+  for i = 0 to g.m - 1 do
+    let u = g.tails.(i) in
+    row_start.(u + 1) <- row_start.(u + 1) + 1;
+    if not g.directed then begin
+      let v = g.heads.(i) in
+      row_start.(v + 1) <- row_start.(v + 1) + 1
+    end
+  done;
+  scatter ~directed:g.directed ~n ~m:g.m ~tails:g.tails ~heads:g.heads ~row_start
+    ~cursor:(Array.make (max n 1) 0)
 
 let csr g =
   match g.csr with
@@ -184,82 +222,70 @@ let of_edge_stream ~directed ~n ~m ~f =
   in
   Ufp_obs.Metrics.incr m_stream_builds;
   Ufp_obs.Metrics.incr m_csr_builds;
-  (* Pass 1: drain the stream once into an exactly-sized edge array —
-     no doubling growth path — while accumulating per-vertex degrees
-     into what becomes [row_start].  At million-edge RMAT scale the
-     growth path would copy the edge array ~20 times and double the
-     peak footprint; here every array is allocated once at its final
-     size. *)
-  let take i =
+  (* Pass 1: drain the stream once into exactly-sized columns — no
+     doubling growth path — while accumulating per-vertex degrees into
+     what becomes [row_start]. At million-edge RMAT scale the growth
+     path would copy the columns ~20 times and double the peak
+     footprint; here every array is allocated once at its final size,
+     and nothing per edge outlives its stream tuple. *)
+  let tails = Array.make m 0 and heads = Array.make m 0 in
+  let caps = Float.Array.create m in
+  for i = 0 to m - 1 do
     let u, v, capacity = f i in
     if u < 0 || u >= n || v < 0 || v >= n then
       invalid_arg "Graph.of_edge_stream: endpoint out of range";
     if u = v then invalid_arg "Graph.of_edge_stream: self loop";
     check_capacity "Graph.of_edge_stream" capacity;
+    tails.(i) <- u;
+    heads.(i) <- v;
+    Float.Array.unsafe_set caps i capacity;
     row_start.(u + 1) <- row_start.(u + 1) + 1;
-    if not directed then row_start.(v + 1) <- row_start.(v + 1) + 1;
-    { id = i; u; v; capacity }
-  in
-  let edges =
-    if m = 0 then [||]
-    else begin
-      let first = take 0 in
-      let edges = Array.make m first in
-      for i = 1 to m - 1 do
-        edges.(i) <- take i
-      done;
-      edges
-    end
-  in
-  (* Pass 2: prefix-sum + scatter, exactly the counting sort of
-     [build_csr] — rows come out pinned to insertion order (increasing
-     edge id), the canonical neighbor order of the .mli contract. *)
-  for u = 1 to n do
-    row_start.(u) <- row_start.(u) + row_start.(u - 1)
+    if not directed then row_start.(v + 1) <- row_start.(v + 1) + 1
   done;
-  let total = row_start.(n) in
-  let nbr = Array.make (max total 1) 0 in
-  let eid = Array.make (max total 1) 0 in
-  Array.blit row_start 0 cursor 0 n;
-  for i = 0 to m - 1 do
-    let e = edges.(i) in
-    let k = cursor.(e.u) in
-    nbr.(k) <- e.v;
-    eid.(k) <- e.id;
-    cursor.(e.u) <- k + 1;
-    if not directed then begin
-      let k = cursor.(e.v) in
-      nbr.(k) <- e.u;
-      eid.(k) <- e.id;
-      cursor.(e.v) <- k + 1
-    end
-  done;
-  { directed; n; edges; m; csr = Some { Csr.row_start; nbr; eid }; view = None }
+  (* Pass 2: prefix-sum + scatter, exactly as [build_csr]. *)
+  let csr = scatter ~directed ~n ~m ~tails ~heads ~row_start ~cursor in
+  { directed; n; tails; heads; caps; m; csr = Some csr; view = None }
 
 let rescale g ~divisor =
-  let edges =
-    Array.init g.m (fun i ->
-        let e = g.edges.(i) in
-        let capacity = e.capacity /. divisor in
-        check_capacity "Graph.rescale" capacity;
-        { e with capacity })
-  in
-  (* Same endpoints in the same order, so the source's adjacency is the
-     copy's too: its CSR, built now if need be, and its packed view if
-     it has one. *)
-  { g with edges; csr = Some (csr g) }
+  let m = g.m in
+  let caps = Float.Array.create m in
+  for i = 0 to m - 1 do
+    let c = Float.Array.unsafe_get g.caps i /. divisor in
+    check_capacity "Graph.rescale" c;
+    Float.Array.unsafe_set caps i c
+  done;
+  (* The endpoint columns are shared only at exactly [m] long: a
+     column with spare slots would let an [add_edge] on one graph write
+     the other's next slot. Same endpoints in the same order, so the
+     source's adjacency is the copy's too: its CSR, built now if need
+     be, and its packed view if it has one. *)
+  let exact col = if Array.length col = m then col else Array.sub col 0 m in
+  { g with tails = exact g.tails; heads = exact g.heads; caps; csr = Some (csr g) }
+
+(* Every reader by edge id fails with [edge]'s message. *)
+let check_id g id = if id < 0 || id >= g.m then invalid_arg "Graph.edge: id out of range"
 
 let edge g id =
-  if id < 0 || id >= g.m then invalid_arg "Graph.edge: id out of range";
-  g.edges.(id)
+  check_id g id;
+  { id; u = g.tails.(id); v = g.heads.(id); capacity = Float.Array.get g.caps id }
 
-let capacity g id = (edge g id).capacity
+let capacity g id =
+  check_id g id;
+  Float.Array.get g.caps id
+
+let capacities g =
+  let c = Array.create_float g.m in
+  for i = 0 to g.m - 1 do
+    Array.unsafe_set c i (Float.Array.unsafe_get g.caps i)
+  done;
+  c
 
 let min_capacity g =
   if g.m = 0 then invalid_arg "Graph.min_capacity: no edges";
-  let c = ref g.edges.(0).capacity in
+  let c = ref (Float.Array.get g.caps 0) in
   for i = 1 to g.m - 1 do
-    if g.edges.(i).capacity < !c then c := g.edges.(i).capacity
+    let ci = Float.Array.unsafe_get g.caps i in
+    if ci < !c then c := ci
   done;
   !c
 
@@ -279,14 +305,15 @@ let out_edges g u =
 let fold_edges f g init =
   let acc = ref init in
   for i = 0 to g.m - 1 do
-    acc := f g.edges.(i) !acc
+    acc := f (edge g i) !acc
   done;
   !acc
 
 let other_endpoint g id w =
-  let e = edge g id in
-  if e.u = w then e.v
-  else if e.v = w then e.u
+  check_id g id;
+  let u = g.tails.(id) and v = g.heads.(id) in
+  if u = w then v
+  else if v = w then u
   else invalid_arg "Graph.other_endpoint: vertex not an endpoint"
 
 let pp ppf g =
@@ -294,9 +321,8 @@ let pp ppf g =
     (if g.directed then "directed" else "undirected")
     g.n g.m;
   for i = 0 to g.m - 1 do
-    let e = g.edges.(i) in
-    Format.fprintf ppf "  e%d: %d %s %d (c=%g)@," e.id e.u
+    Format.fprintf ppf "  e%d: %d %s %d (c=%g)@," i g.tails.(i)
       (if g.directed then "->" else "--")
-      e.v e.capacity
+      g.heads.(i) (Float.Array.get g.caps i)
   done;
   Format.fprintf ppf "@]"

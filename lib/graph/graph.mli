@@ -6,9 +6,17 @@
     float arrays indexed by edge id.
 
     A graph is either directed or undirected. An undirected edge is a
-    single edge record traversable in both directions that shares one
+    single edge, traversable in both directions, with one shared
     capacity, matching the model of the paper's Section 3.3 (Figure 3
     gadget).
+
+    {b Edge columns.} A graph keeps its edges as three flat columns
+    (tails, heads, capacities), not as one heap record per edge: a
+    loaded graph holds about five words per directed edge, CSR
+    included, and nothing per edge for the minor GC to promote.
+    {!edge} and {!fold_edges} build an {!edge} record on demand, one
+    allocation per call, so hot loops should read {!capacity},
+    {!capacities}, {!other_endpoint} or the {!csr} rows instead.
 
     {b Neighbor-order determinism contract.} Every adjacency view —
     {!out_edges} and the flat {!csr} rows — presents the edges incident
@@ -114,12 +122,13 @@ val of_edge_stream :
     This is the streaming CSR builder for million-edge instances — the
     generators and the instance reader ([Ufp_instance.Io]) both build
     through it: the stream is drained straight into exactly-sized flat
-    arrays (the
-    edge records plus the frozen [row_start]/[nbr]/[eid] of the CSR
-    view, degrees counted during the drain), never touching the
-    doubling growth path of repeated {!add_edge} — one allocation per
-    array at final size instead of ~log m copies and a 2x peak. The
-    CSR view is built eagerly, so the first traversal pays nothing.
+    arrays (the three edge columns plus the frozen
+    [row_start]/[nbr]/[eid] of the CSR view, degrees counted during
+    the drain), never touching the doubling growth path of repeated
+    {!add_edge} — one allocation per array at final size instead of
+    ~log m copies and a 2x peak. Nothing per edge outlives the tuple
+    [f] returns for it. The CSR view is built eagerly, so the first
+    traversal pays nothing.
 
     Per-edge validation matches {!add_edge} (endpoints in range, no
     self loops, positive finite capacity); [Invalid_argument] is
@@ -130,8 +139,13 @@ val of_edge_stream :
 val rescale : t -> divisor:float -> t
 (** [rescale g ~divisor] is [g] with every capacity [c] replaced by
     [c /. divisor]: the same vertices, and the same edges under the
-    same ids. The copy allocates its own edge records but starts with
-    [g]'s adjacency, which holds no capacities: [g]'s {!csr} (built
+    same ids. The copy gets a capacity column of its own. It shares
+    [g]'s endpoint columns when they are exactly [m] long (as
+    {!of_edge_stream} leaves them) and copies them to that length
+    otherwise ({!add_edge} grows them by doubling, which leaves spare
+    slots), so an {!add_edge} on either graph, which copies a full
+    column before writing, never changes the other's edges. It starts
+    with [g]'s adjacency, which holds no capacities: [g]'s {!csr} (built
     now if [g] has none, so it is built once for both) and, when [g]
     has built it, [g]'s {!csr_view}. An {!add_edge} on either graph
     drops only that graph's cached adjacency. Raises
@@ -164,11 +178,21 @@ val csr_view : t -> Csr.view
     so worker domains only ever read the frozen view. *)
 
 val edge : t -> int -> edge
-(** [edge g id] is the edge with identifier [id]. Raises
-    [Invalid_argument] if out of range. *)
+(** [edge g id] is the edge with identifier [id], a record built from
+    the columns on each call. Raises [Invalid_argument] if out of
+    range. *)
 
 val capacity : t -> int -> float
-(** Capacity of an edge by id. *)
+(** Capacity of an edge by id. Raises [Invalid_argument] as {!edge}
+    does. Called from another compilation unit under [-opaque] (dune's
+    dev profile), the result comes back boxed: scans over every edge
+    should read {!capacities} once. *)
+
+val capacities : t -> float array
+(** [capacities g] is a fresh array of the [m] capacities, indexed by
+    edge id: one flat copy of the capacity column, no boxed float per
+    edge. The caller owns it (the solvers' dual and residual arrays
+    start as this copy). *)
 
 val min_capacity : t -> float
 (** [min_capacity g] is [min_e c_e]; the paper's bound [B] when demands
@@ -185,7 +209,8 @@ val out_edges : t -> int -> (int * int) list
     should iterate the {!csr} rows instead. *)
 
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over all edges in increasing id order. *)
+(** Fold over all edges in increasing id order, building one {!edge}
+    record per edge. *)
 
 val other_endpoint : t -> int -> int -> int
 (** [other_endpoint g id w] is the endpoint of edge [id] different from

@@ -13,17 +13,24 @@ let check_lengths inst ~y ~z =
     invalid_arg "Duality: z length must equal the number of requests"
   | _ -> ()
 
+(* D1 = sum_e c_e y_e, summed in increasing edge id. *)
+let edge_term inst y =
+  let caps = Graph.capacities (Instance.graph inst) in
+  let d1 = ref 0.0 in
+  for e = 0 to Array.length caps - 1 do
+    d1 := !d1 +. (caps.(e) *. y.(e))
+  done;
+  !d1
+
 let dual_objective inst ~y ~z =
   check_lengths inst ~y ~z:(Some z);
-  let g = Instance.graph inst in
-  let d1 = Graph.fold_edges (fun e acc -> acc +. (e.Graph.capacity *. y.(e.Graph.id))) g 0.0 in
+  let d1 = edge_term inst y in
   let d2 = Array.fold_left ( +. ) 0.0 z in
   d1 +. d2
 
 let dual_objective_repeat inst ~y =
   check_lengths inst ~y ~z:None;
-  let g = Instance.graph inst in
-  Graph.fold_edges (fun e acc -> acc +. (e.Graph.capacity *. y.(e.Graph.id))) g 0.0
+  edge_term inst y
 
 (* Shortest-path distances under weights [y], one Dijkstra per distinct
    source among the requests. *)
@@ -67,8 +74,7 @@ let dual_feasible_repeat ?eps inst ~y =
 
 let scaled_dual_bound inst ~y ~z =
   check_lengths inst ~y ~z:(Some z);
-  let g = Instance.graph inst in
-  let d1 = Graph.fold_edges (fun e acc -> acc +. (e.Graph.capacity *. y.(e.Graph.id))) g 0.0 in
+  let d1 = edge_term inst y in
   let d2 = Array.fold_left ( +. ) 0.0 z in
   let dist = distances inst ~y in
   (* The scaled dual (y / alpha, z) is feasible iff for every request

@@ -39,7 +39,7 @@ let solve ?(max_paths_per_request = 2000) inst =
   for k = n_req - 1 downto 0 do
     suffix_value.(k) <- suffix_value.(k + 1) +. requests.(order.(k)).Request.value
   done;
-  let residual = Array.init (Graph.n_edges g) (fun e -> Graph.capacity g e) in
+  let residual = Graph.capacities g in
   let tol = Float_tol.lp_exact_tol in
   let best_value = ref (-1.0) in
   let best_solution = ref [] in

@@ -45,12 +45,16 @@ let solve ?(eps = 0.1) inst =
       (1.0 +. eps) /. (((1.0 +. eps) *. float_of_int n_rows) ** (1.0 /. eps))
     in
     (* Row duals: y.(e) for edges, zr.(r) for the per-request rows. *)
-    let y = Array.init m (fun e -> delta /. Graph.capacity g e) in
+    let caps = Graph.capacities g in
+    let y = Array.copy caps in
+    for e = 0 to m - 1 do
+      y.(e) <- delta /. caps.(e)
+    done;
     let zr = Array.make n_req delta in
     let dual_total () =
       let d1 = ref 0.0 in
       for e = 0 to m - 1 do
-        d1 := !d1 +. (Graph.capacity g e *. y.(e))
+        d1 := !d1 +. (caps.(e) *. y.(e))
       done;
       !d1 +. Array.fold_left ( +. ) 0.0 zr
     in
@@ -128,14 +132,14 @@ let solve ?(eps = 0.1) inst =
              edge row e caps at c_e / d_r. *)
           let f =
             List.fold_left
-              (fun acc e -> Float.min acc (Graph.capacity g e /. dr))
+              (fun acc e -> Float.min acc (caps.(e) /. dr))
               1.0 path
           in
           add_raw i path f;
           raw_value := !raw_value +. (f *. r.Request.value);
           List.iter
             (fun e ->
-              y.(e) <- y.(e) *. (1.0 +. (eps *. f *. dr /. Graph.capacity g e)))
+              y.(e) <- y.(e) *. (1.0 +. (eps *. f *. dr /. caps.(e))))
             path;
           Ufp_graph.Weight_snapshot.patch snapshot ~weight path;
           zr.(i) <- zr.(i) *. (1.0 +. (eps *. f))

@@ -854,7 +854,8 @@ let test_of_edge_stream_validation () =
 
 (* --- RMAT generator --- *)
 
-(* --- Graph.rescale: own edge records, the source's adjacency --- *)
+(* --- Graph.rescale: its own capacity column, the source's endpoint
+   columns and adjacency --- *)
 
 let bits = Int64.bits_of_float
 
@@ -953,6 +954,158 @@ let test_load_streams_one_build () =
     Alcotest.(check int) "no csr build after load" (csrs + 1) (count "graph.csr_builds")
   done;
   Sys.remove path
+
+(* --- Column-store law --- *)
+
+(* Where [g] disagrees with the reference triples [r] (edge [i] is
+   [r.(i)] as [(u, v, capacity)]) on any edge reader or adjacency
+   view, bit for bit; [None] when it agrees on all of them. *)
+let column_mismatch g r =
+  let m = Array.length r and n = Graph.n_vertices g in
+  let ids = List.init m Fun.id in
+  let same_record i (e : Graph.edge) =
+    let u, v, c = r.(i) in
+    e.Graph.id = i && e.Graph.u = u && e.Graph.v = v
+    && Int64.equal (bits e.Graph.capacity) (bits c)
+  in
+  let cap i = match r.(i) with _, _, c -> c in
+  (* Each vertex's (edge id, neighbor) pairs in increasing edge id. *)
+  let rows = Array.make n [] in
+  for i = m - 1 downto 0 do
+    let u, v, _ = r.(i) in
+    rows.(u) <- (i, v) :: rows.(u);
+    if not (Graph.is_directed g) then rows.(v) <- (i, u) :: rows.(v)
+  done;
+  let csr_row w =
+    let c = Graph.csr g in
+    let lo = c.Graph.Csr.row_start.(w) and hi = c.Graph.Csr.row_start.(w + 1) in
+    List.init (hi - lo) (fun k -> (c.Graph.Csr.eid.(lo + k), c.Graph.Csr.nbr.(lo + k)))
+  in
+  let checks =
+    [
+      ("n_edges", fun () -> Graph.n_edges g = m);
+      ("edge", fun () -> List.for_all (fun i -> same_record i (Graph.edge g i)) ids);
+      ( "fold_edges",
+        fun () ->
+          let es = List.rev (Graph.fold_edges (fun e acc -> e :: acc) g []) in
+          List.length es = m && List.for_all2 same_record ids es );
+      ( "capacity",
+        fun () ->
+          List.for_all (fun i -> Int64.equal (bits (Graph.capacity g i)) (bits (cap i))) ids );
+      ( "capacities",
+        fun () ->
+          let cs = Graph.capacities g in
+          Array.length cs = m
+          && List.for_all (fun i -> Int64.equal (bits cs.(i)) (bits (cap i))) ids );
+      ( "min_capacity",
+        fun () ->
+          m = 0
+          || Int64.equal
+               (bits (Graph.min_capacity g))
+               (bits (List.fold_left (fun acc i -> Float.min acc (cap i)) infinity ids)) );
+      ( "other_endpoint",
+        fun () ->
+          List.for_all
+            (fun i ->
+              let u, v, _ = r.(i) in
+              Graph.other_endpoint g i u = v && Graph.other_endpoint g i v = u)
+            ids );
+      ( "out_edges",
+        fun () -> List.for_all (fun w -> Graph.out_edges g w = rows.(w)) (List.init n Fun.id)
+      );
+      ( "csr rows",
+        fun () ->
+          (Graph.csr g).Graph.Csr.row_start.(n) = (if Graph.is_directed g then m else 2 * m)
+          && List.for_all (fun w -> csr_row w = rows.(w)) (List.init n Fun.id) );
+    ]
+  in
+  List.find_map (fun (name, ok) -> if ok () then None else Some name) checks
+
+(* A graph built by add_edge (columns with spare slots) or streamed
+   (columns exactly m long), then a random walk of add_edges and
+   rescales on any graph made so far: after every step, every graph
+   must still read back exactly its own reference triples. A rescale
+   copy sharing a column with spare slots fails here: the add_edges on
+   both sides of it write the same slot. *)
+let qcheck_column_store =
+  QCheck.Test.make ~name:"edge columns read back a reference edge list" ~count:300
+    (QCheck.int_bound 0x3FFFFFFF) (fun seed ->
+      let rng = Rng.create seed in
+      let directed = Rng.bool rng and n = 2 + Rng.int rng 7 in
+      let triple () =
+        let u = Rng.int rng n in
+        (u, (u + 1 + Rng.int rng (n - 1)) mod n, Rng.float_in rng 0.5 1000.0)
+      in
+      let spec = Array.init (Rng.int rng 24) (fun _ -> triple ()) in
+      let by_add_edge = Rng.bool rng in
+      let first =
+        if by_add_edge then begin
+          let g = Graph.create ~directed ~n in
+          Array.iter (fun (u, v, capacity) -> ignore (Graph.add_edge g ~u ~v ~capacity)) spec;
+          g
+        end
+        else Graph.of_edge_stream ~directed ~n ~m:(Array.length spec) ~f:(fun i -> spec.(i))
+      in
+      let graphs = ref [ (first, spec) ] and log = Buffer.create 64 in
+      let check () =
+        List.iteri
+          (fun k (g, r) ->
+            match column_mismatch g r with
+            | None -> ()
+            | Some what ->
+              QCheck.Test.fail_reportf "%s %s graph, steps [%s]: graph %d: %s differs"
+                (if directed then "directed" else "undirected")
+                (if by_add_edge then "add_edge" else "streamed")
+                (Buffer.contents log) k what)
+          !graphs
+      in
+      check ();
+      for _ = 1 to 12 do
+        let k = Rng.int rng (List.length !graphs) in
+        let g, r = List.nth !graphs k in
+        if Rng.int rng 3 = 0 then begin
+          let divisor = Rng.pick rng [| 1.0; 3.0; 0.5; 1.75; 4.0 |] in
+          Buffer.add_string log (Printf.sprintf " rescale %d /%g;" k divisor);
+          let copy = Graph.rescale g ~divisor in
+          graphs := !graphs @ [ (copy, Array.map (fun (u, v, c) -> (u, v, c /. divisor)) r) ]
+        end
+        else begin
+          let ((u, v, capacity) as t) = triple () in
+          Buffer.add_string log (Printf.sprintf " add %d;" k);
+          ignore (Graph.add_edge g ~u ~v ~capacity);
+          graphs := List.mapi (fun j p -> if j = k then (g, Array.append r [| t |]) else p) !graphs
+        end;
+        check ()
+      done;
+      true)
+
+(* A loaded, normalized directed RMAT graph holds its three edge
+   columns and the CSR rows: five words per edge and one per vertex.
+   Six per edge plus two per vertex leaves room for headers and
+   nothing per edge: a heap record per edge (five words, and two for
+   its boxed capacity) breaks the bound. *)
+let test_loaded_graph_words () =
+  let rmat =
+    Gen.rmat (Rng.create 5) ~scale:10 ~edge_factor:16 ~capacity_lo:1.0
+      ~capacity_hi:100.0 ()
+  in
+  let raw =
+    Ufp_instance.Instance.create rmat
+      [| Ufp_instance.Request.make ~src:0 ~dst:1 ~demand:2.0 ~value:1.0 |]
+  in
+  let inst =
+    match Ufp_instance.Io.of_string (Ufp_instance.Io.to_string raw) with
+    | Ok i -> Ufp_instance.Instance.normalize i
+    | Error msg -> Alcotest.fail msg
+  in
+  let g = Ufp_instance.Instance.graph inst in
+  let m = Graph.n_edges g and n = Graph.n_vertices g in
+  let words = Obj.reachable_words (Obj.repr g) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d edges and %d vertices (%.2f per edge)" words m n
+       (float_of_int words /. float_of_int m))
+    true
+    (words <= (6 * m) + (2 * n) + 64)
 
 let test_rmat_deterministic () =
   let build () =
@@ -1455,6 +1608,9 @@ let () =
           Alcotest.test_case "rescale add_edge detaches" `Quick
             test_rescale_add_edge_detaches;
           Alcotest.test_case "rescale validation" `Quick test_rescale_validation;
+          QCheck_alcotest.to_alcotest qcheck_column_store;
+          Alcotest.test_case "loaded graph words per edge" `Quick
+            test_loaded_graph_words;
           Alcotest.test_case "load streams one csr build" `Quick
             test_load_streams_one_build;
         ] );
