@@ -574,7 +574,7 @@ let pr10 ~quick =
             Dijkstra.shortest_tree_snapshot_into dij_ws g ~snapshot ~src
               ~dist ~parent_edge:parent)
       in
-      let packed_bytes = float_of_int (8 * Array.length csr.Graph.Csr.nbr) in
+      let packed_bytes = float_of_int (8 * Graph.Csr.Cells.length csr.Graph.Csr.cells) in
       Printf.printf "  scale %2d ef %2d: dijkstra %.4fs, packed adjacency %.1f MB\n%!"
         scale edge_factor dij_s (packed_bytes /. 1e6);
       let id fmt = Printf.sprintf fmt scale in

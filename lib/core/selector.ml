@@ -191,11 +191,10 @@ let create ?(pool = `Seq) ~weights inst =
       arr
     end
   in
-  (* Force the CSR build and the packed view on this domain now: the
-     pooled cold fill must only ever read the frozen view, and the
-     graph.csr_builds / graph.packed_builds counts stay the same
-     whether or not a pool is attached. *)
-  ignore (Graph.csr_view graph);
+  (* Force the CSR build on this domain now: the pooled cold fill must
+     only ever read the frozen cells, and the graph.csr_builds count
+     stays the same whether or not a pool is attached. *)
+  ignore (Graph.csr graph);
   let t =
     {
       graph;

@@ -62,7 +62,7 @@
     therefore hold for the cached engine.
 
     {b Weight snapshots.} Tree (re)computations run over the
-    {!Ufp_graph.Graph.csr} view with a {!Ufp_graph.Weight_snapshot}.
+    packed {!Ufp_graph.Graph.csr} with a {!Ufp_graph.Weight_snapshot}.
     Uniform weights share one snapshot across all groups, built once
     by the first rebuild; Per_demand weights keep one per group, built
     by the group's first rebuild and dropped once the group has no
@@ -83,7 +83,7 @@
     domain, in group order). Every
     later rebuild stays lazy, on the calling domain. Trees are bitwise
     identical to sequential rebuilds — Dijkstra is a pure function of
-    (CSR view, snapshot, source) — so selections are too; both QCheck
+    (CSR, snapshot, source) — so selections are too; both QCheck
     laws run under [`Seq] and a 2-domain pool. A pooled run does
     exactly the sequential work: every [selector.*] and [dijkstra.*]
     counter is the same as under [`Seq], except

@@ -10,10 +10,11 @@ let m_settled = Ufp_obs.Metrics.counter "dijkstra.settled"
 let m_relaxations = Ufp_obs.Metrics.counter "dijkstra.relaxations"
 
 (* Reusable scratch state: the settled marks and the binary heap. The
-   heap is kept out of Ufp_prelude.Heap because Dijkstra needs a
-   lexicographic (key, vertex-id) order — see the determinism note in
-   the interface — while the prelude heap breaks float ties by
-   insertion history. *)
+   heap is written out here, not shared as a module: it orders entries
+   lexicographically by (key, vertex id) — see the determinism note in
+   the interface — and keeps its keys in a flat float array that the
+   inlined push below writes unboxed, which a call into another unit
+   could not do under [-opaque]. *)
 type workspace = {
   ws_n : int;
   ws_settled : bool array;
@@ -101,14 +102,13 @@ let shortest_tree_snapshot_into ws g ~snapshot ~src ~dist ~parent_edge =
     invalid_arg "Dijkstra.shortest_tree_into: output arrays must have length n";
   if Weight_snapshot.length snapshot <> Graph.n_edges g then
     invalid_arg "Dijkstra.shortest_tree_into: snapshot built for another graph";
-  let view = Graph.csr_view g in
+  let csr = Graph.csr g in
   Array.fill dist 0 n infinity;
   Array.fill parent_edge 0 n (-1);
   Array.fill ws.ws_settled 0 n false;
   ws.ws_size <- 0;
   Ufp_obs.Metrics.incr m_runs;
-  let row_start = view.Graph.Csr.view_rows
-  and cells = view.Graph.Csr.view_cells in
+  let row_start = csr.Graph.Csr.row_start and cells = csr.Graph.Csr.cells in
   let mask = Graph.Csr.Cells.max_packed in
   let settled = ws.ws_settled in
   let n_settled = ref 0 and n_relaxations = ref 0 in
@@ -183,9 +183,8 @@ let reachable g ~src ~dst =
   if src = dst then true
   else begin
     let n = Graph.n_vertices g in
-    let view = Graph.csr_view g in
-    let row_start = view.Graph.Csr.view_rows
-    and cells = view.Graph.Csr.view_cells in
+    let csr = Graph.csr g in
+    let row_start = csr.Graph.Csr.row_start and cells = csr.Graph.Csr.cells in
     let seen = Array.make n false in
     (* Array-backed FIFO: each vertex enters at most once. *)
     let queue = Array.make n 0 in

@@ -47,7 +47,7 @@ val shortest_tree_snapshot_into :
   unit
 (** [shortest_tree_snapshot_into ws g ~snapshot ~src ~dist
     ~parent_edge] runs a full Dijkstra from [src] over the packed
-    {!Graph.csr_view} adjacency and the pre-validated [snapshot],
+    {!Graph.csr} adjacency and the pre-validated [snapshot],
     overwriting
     the caller-provided [dist] and [parent_edge] arrays (both of
     length [n_vertices g]). The relaxation inner loop performs flat

@@ -83,7 +83,7 @@ val rmat :
     The degree distribution is heavy-tailed — expect hub vertices of
     degree 10^4+ at million-edge scale (see the degree-skew note in
     DESIGN.md). Built through {!Graph.of_edge_stream}, so the edge
-    array and CSR view are allocated once at final size.
+    columns and the CSR are allocated once at final size.
 
     [scale] must be in [1, 30] and [edge_factor >= 1]. *)
 

@@ -1,8 +1,6 @@
 type edge = { id : int; u : int; v : int; capacity : float }
 
 module Csr = struct
-  type t = { row_start : int array; nbr : int array; eid : int array }
-
   (* The monomorphic accessor layer shared by every adjacency hot loop
      (Dijkstra, the Dinic residual): a flat sequence of (fst, snd) int
      pairs packed into one 8-byte cell per slot — two 32-bit halves
@@ -18,6 +16,12 @@ module Csr = struct
     let max_packed = 0x7FFFFFFF
 
     let length c = Bytes.length c / 8
+
+    (* Slot [k] := (x, y), both already known to lie in
+       [0, max_packed]. *)
+    let[@inline] set c k x y =
+      Bytes.set_int64_ne c (k * 8)
+        (Int64.logor (Int64.of_int x) (Int64.shift_left (Int64.of_int y) 32))
 
     let pack a b =
       let len = Array.length a in
@@ -35,8 +39,7 @@ module Csr = struct
           invalid_arg
             (Printf.sprintf
                "Graph.Csr.Cells.pack: value out of 32-bit range at slot %d" k);
-        Bytes.set_int64_ne cells (k * 8)
-          (Int64.logor (Int64.of_int x) (Int64.shift_left (Int64.of_int y) 32))
+        set cells k x y
       done;
       cells
 
@@ -52,7 +55,7 @@ module Csr = struct
       Int64.to_int (unsafe_get64 c (k lsl 3)) lsr 32
   end
 
-  type view = { view_rows : int array; view_cells : Cells.t }
+  type t = { row_start : int array; cells : Cells.t }
 end
 
 type t = {
@@ -67,14 +70,11 @@ type t = {
   mutable heads : int array;
   mutable caps : floatarray;
   mutable m : int;
-  (* Lazily built flat-array adjacency view; [None] after any
-     [add_edge] so traversals never see a stale row. A [rescale] copy
-     starts out with its source's: the arrays are never written after
-     the build, so sharing them cannot leak an edge change. *)
+  (* Lazily built packed adjacency; [None] after any [add_edge] so
+     traversals never see a stale row. A [rescale] copy starts out with
+     its source's: the arrays are never written after the build, so
+     sharing them cannot leak an edge change. *)
   mutable csr : Csr.t option;
-  (* Lazily packed cells on top of [csr]; invalidated together with
-     it. *)
-  mutable view : Csr.view option;
 }
 
 (* Cache economics (docs/OBSERVABILITY.md): graphs are append-only and
@@ -83,8 +83,6 @@ type t = {
 let m_csr_builds = Ufp_obs.Metrics.counter "graph.csr_builds"
 
 let m_stream_builds = Ufp_obs.Metrics.counter "graph.stream_builds"
-
-let m_packed_builds = Ufp_obs.Metrics.counter "graph.packed_builds"
 
 let create ~directed ~n =
   if n < 0 then invalid_arg "Graph.create: negative vertex count";
@@ -96,7 +94,6 @@ let create ~directed ~n =
     caps = Float.Array.create 0;
     m = 0;
     csr = None;
-    view = None;
   }
 
 let is_directed g = g.directed
@@ -140,41 +137,49 @@ let add_edge g ~u ~v ~capacity =
   Float.Array.set g.caps id capacity;
   g.m <- id + 1;
   g.csr <- None;
-  g.view <- None;
   id
+
+(* [scatter] writes each slot's vertex and edge id into the 32-bit
+   halves of a cell without [Cells.pack]'s per-slot range check, so a
+   build checks the layout's limits once, before it allocates anything
+   [n]- or [m]-sized: every vertex id is below [n] and every edge id
+   below [m]. *)
+let check_packable fn ~n ~m =
+  if Sys.int_size < 63 then invalid_arg (fn ^ ": requires 63-bit native ints");
+  if n > Csr.Cells.max_packed + 1 then invalid_arg (fn ^ ": vertex count too large");
+  if m > Csr.Cells.max_packed + 1 then invalid_arg (fn ^ ": edge count too large")
 
 (* The counting sort shared by [build_csr] and [of_edge_stream]: given
    [row_start] holding vertex [u]'s degree at [u + 1], prefix-sums it
-   into row offsets and scatters the first [m] edges of the columns in
-   increasing edge id, which pins every row to insertion order — the
-   canonical neighbor order (see the .mli determinism note). [cursor]
-   is scratch of length [max n 1]. *)
+   into row offsets and writes the first [m] edges of the columns into
+   their cells in increasing edge id, which pins every row to
+   insertion order — the canonical neighbor order (see the .mli
+   determinism note). Every slot is written exactly once, so none of
+   [Bytes.create]'s uninitialized bytes survives. [cursor] is scratch
+   of length [max n 1]. *)
 let scatter ~directed ~n ~m ~tails ~heads ~row_start ~cursor =
   for u = 1 to n do
     row_start.(u) <- row_start.(u) + row_start.(u - 1)
   done;
-  let total = row_start.(n) in
-  let nbr = Array.make (max total 1) 0 in
-  let eid = Array.make (max total 1) 0 in
+  let cells = Bytes.create (8 * row_start.(n)) in
   Array.blit row_start 0 cursor 0 n;
   for i = 0 to m - 1 do
     let u = tails.(i) and v = heads.(i) in
     let k = cursor.(u) in
-    nbr.(k) <- v;
-    eid.(k) <- i;
+    Csr.Cells.set cells k v i;
     cursor.(u) <- k + 1;
     if not directed then begin
       let k = cursor.(v) in
-      nbr.(k) <- u;
-      eid.(k) <- i;
+      Csr.Cells.set cells k u i;
       cursor.(v) <- k + 1
     end
   done;
-  { Csr.row_start; nbr; eid }
+  { Csr.row_start; cells }
 
 let build_csr g =
-  Ufp_obs.Metrics.incr m_csr_builds;
   let n = g.n in
+  check_packable "Graph.csr" ~n ~m:g.m;
+  Ufp_obs.Metrics.incr m_csr_builds;
   let row_start = Array.make (n + 1) 0 in
   for i = 0 to g.m - 1 do
     let u = g.tails.(i) in
@@ -195,30 +200,19 @@ let csr g =
     g.csr <- Some c;
     c
 
-let csr_view g =
-  match g.view with
-  | Some v -> v
-  | None ->
-    let c = csr g in
-    Ufp_obs.Metrics.incr m_packed_builds;
-    let v =
-      { Csr.view_rows = c.Csr.row_start;
-        view_cells = Csr.Cells.pack c.Csr.nbr c.Csr.eid }
-    in
-    g.view <- Some v;
-    v
+let csr_view = csr
 
 let of_edge_stream ~directed ~n ~m ~f =
   if n < 0 then invalid_arg "Graph.of_edge_stream: negative vertex count";
   if m < 0 then invalid_arg "Graph.of_edge_stream: negative edge count";
   (* No edge bounds [n] (isolated vertices need none), so a count read
-     from a file can be any size: one whose two [n]-sized arrays cannot
-     be allocated is rejected like a negative one, before the stream is
-     drained. *)
-  let too_large () = invalid_arg "Graph.of_edge_stream: vertex count too large" in
-  if n >= Sys.max_array_length then too_large ();
+     from a file can be any size: one past the packed layout's limits,
+     or whose two [n]-sized arrays cannot be allocated, is rejected like
+     a negative one, before the stream is drained. *)
+  check_packable "Graph.of_edge_stream" ~n ~m;
   let row_start, cursor =
-    try (Array.make (n + 1) 0, Array.make (max n 1) 0) with Out_of_memory -> too_large ()
+    try (Array.make (n + 1) 0, Array.make (max n 1) 0)
+    with Out_of_memory -> invalid_arg "Graph.of_edge_stream: vertex count too large"
   in
   Ufp_obs.Metrics.incr m_stream_builds;
   Ufp_obs.Metrics.incr m_csr_builds;
@@ -244,7 +238,7 @@ let of_edge_stream ~directed ~n ~m ~f =
   done;
   (* Pass 2: prefix-sum + scatter, exactly as [build_csr]. *)
   let csr = scatter ~directed ~n ~m ~tails ~heads ~row_start ~cursor in
-  { directed; n; tails; heads; caps; m; csr = Some csr; view = None }
+  { directed; n; tails; heads; caps; m; csr = Some csr }
 
 let rescale g ~divisor =
   let m = g.m in
@@ -257,8 +251,7 @@ let rescale g ~divisor =
   (* The endpoint columns are shared only at exactly [m] long: a
      column with spare slots would let an [add_edge] on one graph write
      the other's next slot. Same endpoints in the same order, so the
-     source's adjacency is the copy's too: its CSR, built now if need
-     be, and its packed view if it has one. *)
+     source's adjacency, built now if need be, is the copy's too. *)
   let exact col = if Array.length col = m then col else Array.sub col 0 m in
   { g with tails = exact g.tails; heads = exact g.heads; caps; csr = Some (csr g) }
 
@@ -298,7 +291,7 @@ let out_edges g u =
      that is a guaranteed Stack_overflow. *)
   let acc = ref [] in
   for k = c.Csr.row_start.(u + 1) - 1 downto lo do
-    acc := (c.Csr.eid.(k), c.Csr.nbr.(k)) :: !acc
+    acc := (Csr.Cells.snd c.Csr.cells k, Csr.Cells.fst c.Csr.cells k) :: !acc
   done;
   !acc
 

@@ -11,15 +11,16 @@
     gadget).
 
     {b Edge columns.} A graph keeps its edges as three flat columns
-    (tails, heads, capacities), not as one heap record per edge: a
-    loaded graph holds about five words per directed edge, CSR
-    included, and nothing per edge for the minor GC to promote.
+    (tails, heads, capacities), not as one heap record per edge, and
+    one adjacency, the packed {!csr}: a loaded graph holds about four
+    words per directed edge, adjacency included, and nothing per edge
+    for the minor GC to promote.
     {!edge} and {!fold_edges} build an {!edge} record on demand, one
     allocation per call, so hot loops should read {!capacity},
-    {!capacities}, {!other_endpoint} or the {!csr} rows instead.
+    {!capacities}, {!other_endpoint} or the {!csr} cells instead.
 
     {b Neighbor-order determinism contract.} Every adjacency view —
-    {!out_edges} and the flat {!csr} rows — presents the edges incident
+    {!out_edges} and the packed {!csr} rows — presents the edges incident
     to a vertex in {e insertion order} (increasing edge id). This is
     the canonical order the whole repository's determinism argument
     rests on: Dijkstra resolves equal-distance parent ties by the first
@@ -39,28 +40,16 @@ type edge = private {
 }
 
 module Csr : sig
-  type t = private {
-    row_start : int array;
-        (** length [n + 1]; vertex [u]'s neighbors occupy packed slots
-            [row_start.(u) .. row_start.(u+1) - 1] *)
-    nbr : int array;  (** packed neighbor (head) vertices *)
-    eid : int array;  (** packed edge ids, parallel to [nbr] *)
-  }
-  (** Compressed-sparse-row adjacency: three frozen flat arrays, no
-      per-neighbor allocation or pointer chasing in traversal loops.
-      Rows are in insertion order (increasing edge id). The arrays are
-      physically mutable (OCaml offers no immutable int arrays) but
-      must be treated as read-only — they are shared by every traversal
-      until the next {!add_edge}. *)
-
-  (** The packed adjacency every hot loop reads ({!Dijkstra}, the
-      Dinic residual of {!Maxflow}): a frozen sequence of [(fst, snd)]
-      int pairs packed two 32-bit halves to an 8-byte cell, read back
-      with one unaligned 64-bit load — half the cache traffic of two
-      plain int arrays at RMAT scale. Hot loops read a cell through the
-      {!unsafe_get64} primitive, which compiles to that load in the
-      caller even across units under [-opaque] (dune's dev profile),
-      and split its halves themselves: no call, no allocation. *)
+  (** The packed adjacency every traversal reads ({!Dijkstra},
+      {!out_edges}, the instance workloads' BFS) and the cell layout of
+      the Dinic residual of {!Maxflow}: a frozen sequence of
+      [(fst, snd)] int pairs packed two 32-bit halves to an 8-byte
+      cell, read back with one unaligned 64-bit load — half the cache
+      traffic of two plain int arrays at RMAT scale. Hot loops read a
+      cell through the {!unsafe_get64} primitive, which compiles to
+      that load in the caller even across units under [-opaque]
+      (dune's dev profile), and split its halves themselves: no call,
+      no allocation. *)
   module Cells : sig
     type t
 
@@ -93,12 +82,21 @@ module Csr : sig
         directly. *)
   end
 
-  type view = private {
-    view_rows : int array;  (** the [row_start] offsets *)
-    view_cells : Cells.t;  (** packed [(nbr, eid)] per slot *)
+  type t = private {
+    row_start : int array;
+        (** length [n + 1]; vertex [u]'s neighbors occupy slots
+            [row_start.(u) .. row_start.(u+1) - 1] of [cells] *)
+    cells : Cells.t;
+        (** slot [k] is [(nbr, eid)]: the neighbor (head) vertex as
+            its first half, the edge id as its second *)
   }
-  (** The adjacency the shortest-path kernels traverse: the CSR rows
-      with [nbr]/[eid] packed into {!Cells}. *)
+  (** Compressed-sparse-row adjacency: the row offsets and one packed
+      cell per slot, no per-neighbor allocation or pointer chasing in
+      traversal loops. Rows are in insertion order (increasing edge
+      id). Both are frozen once built — [row_start] is physically
+      mutable (OCaml offers no immutable int arrays) but must be
+      treated as read-only — and shared by every traversal until the
+      next {!add_edge}. *)
 end
 
 val create : directed:bool -> n:int -> t
@@ -109,7 +107,7 @@ val add_edge : t -> u:int -> v:int -> capacity:float -> int
 (** [add_edge g ~u ~v ~capacity] appends an edge and returns its id.
     Raises [Invalid_argument] on out-of-range endpoints, a self loop,
     or a capacity that is not positive and finite. Parallel edges are
-    allowed. Invalidates the cached {!csr} view. *)
+    allowed. Invalidates the cached {!csr}. *)
 
 val of_edge_stream :
   directed:bool -> n:int -> m:int -> f:(int -> int * int * float) -> t
@@ -122,19 +120,22 @@ val of_edge_stream :
     This is the streaming CSR builder for million-edge instances — the
     generators and the instance reader ([Ufp_instance.Io]) both build
     through it: the stream is drained straight into exactly-sized flat
-    arrays (the three edge columns plus the frozen
-    [row_start]/[nbr]/[eid] of the CSR view, degrees counted during
-    the drain), never touching the doubling growth path of repeated
-    {!add_edge} — one allocation per array at final size instead of
-    ~log m copies and a 2x peak. Nothing per edge outlives the tuple
-    [f] returns for it. The CSR view is built eagerly, so the first
-    traversal pays nothing.
+    arrays (the three edge columns, degrees counted during the drain),
+    then one counting sort writes the {!csr} row offsets and cells,
+    never touching the doubling growth path of repeated {!add_edge} —
+    one allocation per array at final size instead of ~log m copies
+    and a 2x peak. Nothing per edge outlives the tuple [f] returns for
+    it. The {!csr} is built eagerly, so the first traversal pays
+    nothing.
 
     Per-edge validation matches {!add_edge} (endpoints in range, no
     self loops, positive finite capacity); [Invalid_argument] is
-    raised on the first offending edge, on [n < 0] or [m < 0], and on
-    an [n] too large for its row offsets to be allocated (so a vertex
-    count read from a file needs no check of its own). *)
+    raised on the first offending edge, on [n < 0] or [m < 0], and —
+    before anything [n]- or [m]-sized is allocated — on counts
+    {!csr} cannot pack (either above [Csr.Cells.max_packed + 1], or
+    native ints narrower than 63 bits), and on an [n] too large for
+    its row offsets to be allocated ("vertex count too large"), so a
+    vertex count read from a file needs no check of its own. *)
 
 val rescale : t -> divisor:float -> t
 (** [rescale g ~divisor] is [g] with every capacity [c] replaced by
@@ -145,10 +146,10 @@ val rescale : t -> divisor:float -> t
     otherwise ({!add_edge} grows them by doubling, which leaves spare
     slots), so an {!add_edge} on either graph, which copies a full
     column before writing, never changes the other's edges. It starts
-    with [g]'s adjacency, which holds no capacities: [g]'s {!csr} (built
-    now if [g] has none, so it is built once for both) and, when [g]
-    has built it, [g]'s {!csr_view}. An {!add_edge} on either graph
-    drops only that graph's cached adjacency. Raises
+    with [g]'s adjacency, which holds no capacities: [g]'s {!csr},
+    built now if [g] has none, so it is built once for both. An
+    {!add_edge} on either graph drops only that graph's cached
+    adjacency. Raises
     [Invalid_argument] when a scaled capacity is not positive and
     finite (an overflow or underflow), as {!add_edge} would. *)
 
@@ -159,23 +160,24 @@ val n_vertices : t -> int
 val n_edges : t -> int
 
 val csr : t -> Csr.t
-(** The CSR adjacency view, built on demand and cached until the next
-    {!add_edge} (the [graph.csr_builds] counter tracks builds); a
-    {!rescale} copy starts with its source's. In an
-    undirected graph each edge appears in both endpoints' rows with the
-    opposite endpoint as [nbr]. Solvers add all edges before
-    traversing, so a solve normally pays for exactly one build. *)
+(** The graph's one adjacency, the packed CSR every traversal reads:
+    built on demand by one counting sort over the edge columns and
+    cached until the next {!add_edge} (the [graph.csr_builds] counter
+    tracks builds); a {!rescale} copy starts with its source's. In an
+    undirected graph each edge appears in both endpoints' rows with
+    the opposite endpoint as neighbor. Solvers add all edges before
+    traversing, so a solve normally pays for exactly one build. Raises
+    [Invalid_argument] when the graph has more than
+    [Csr.Cells.max_packed + 1] vertices or edges (an id would not fit
+    a 32-bit half), or when native ints are narrower than 63 bits,
+    before allocating anything. Callers that fan traversals out across
+    domains must force this on the submitting domain first (as
+    {!Ufp_core.Selector} does at creation) so worker domains only ever
+    read the frozen cells. *)
 
-val csr_view : t -> Csr.view
-(** The adjacency view the shortest-path kernels traverse: {!csr}'s
-    rows with [(nbr, eid)] packed into 8-byte {!Csr.Cells} (each
-    build counted by [graph.packed_builds]). Built on demand and
-    cached until the next {!add_edge}. Raises [Invalid_argument]
-    (from {!Csr.Cells.pack}) when a vertex or edge id is [2^31] or
-    more, or when native ints are narrower than 63 bits. Callers
-    that fan traversals out across domains must force this on the
-    submitting domain first (as {!Ufp_core.Selector} does at creation)
-    so worker domains only ever read the frozen view. *)
+val csr_view : t -> Csr.t
+(** [csr_view] is {!csr}, kept as an alias because the perfbench
+    harness ([perfbench/main.ml]) still calls it. *)
 
 val edge : t -> int -> edge
 (** [edge g id] is the edge with identifier [id], a record built from
@@ -206,7 +208,7 @@ val out_edges : t -> int -> (int * int) list
     edge id) — the canonical order shared with {!csr}. (Before the CSR
     core this was reverse insertion order; the trace-equivalence
     fixtures were re-pinned once for the flip.) Allocates: hot loops
-    should iterate the {!csr} rows instead. *)
+    should read the {!csr} cells instead. *)
 
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over all edges in increasing id order, building one {!edge}

@@ -46,7 +46,7 @@ let random_requests_value_per_hop rng g ~count ?(demand = (0.2, 1.0))
 let reached_from g src =
   let n = Graph.n_vertices g in
   let csr = Graph.csr g in
-  let row_start = csr.Graph.Csr.row_start and nbr = csr.Graph.Csr.nbr in
+  let row_start = csr.Graph.Csr.row_start and cells = csr.Graph.Csr.cells in
   let seen = Array.make n false in
   let queue = Array.make n 0 in
   let head = ref 0 and tail = ref 0 in
@@ -57,7 +57,7 @@ let reached_from g src =
     let u = queue.(!head) in
     incr head;
     for k = row_start.(u) to row_start.(u + 1) - 1 do
-      let v = nbr.(k) in
+      let v = Graph.Csr.Cells.fst cells k in
       if not seen.(v) then begin
         seen.(v) <- true;
         queue.(!tail) <- v;

@@ -72,7 +72,7 @@ let solve ?(eps = 0.1) inst =
     (* One reusable Dijkstra workspace plus one weight snapshot for the
        whole solve: the duals are fixed during a best-column search, so
        every distinct source prices against the same vector over the
-       CSR view, and a dual update inflates only the routed path's
+       CSR, and a dual update inflates only the routed path's
        edges, so patching those keeps the snapshot equal to a fresh
        build. *)
     let snapshot = Ufp_graph.Weight_snapshot.build g ~weight in

@@ -92,14 +92,22 @@ let test_out_edges_insertion_order () =
     [ (e01, 1); (e02, 2); (e03, 3) ]
     (Graph.out_edges g 0)
 
+(* The (edge id, neighbor) halves of every packed cell, in slot
+   order. *)
+let cell_halves c =
+  let cells = c.Graph.Csr.cells in
+  let slots = Graph.Csr.Cells.length cells in
+  (Array.init slots (Graph.Csr.Cells.snd cells), Array.init slots (Graph.Csr.Cells.fst cells))
+
 let test_csr_pinned_rows () =
   let g, e01, e13, e02, e23, e03 = diamond () in
   let c = Graph.csr g in
   Alcotest.(check (array int)) "row_start" [| 0; 3; 4; 5; 5 |]
     c.Graph.Csr.row_start;
-  Alcotest.(check (array int)) "eid, insertion order per row"
-    [| e01; e02; e03; e13; e23 |] c.Graph.Csr.eid;
-  Alcotest.(check (array int)) "nbr" [| 1; 2; 3; 3; 3 |] c.Graph.Csr.nbr
+  let ids, neighbors = cell_halves c in
+  Alcotest.(check (array int)) "edge ids, insertion order per row"
+    [| e01; e02; e03; e13; e23 |] ids;
+  Alcotest.(check (array int)) "neighbors" [| 1; 2; 3; 3; 3 |] neighbors
 
 let test_csr_undirected_both_rows () =
   let g = Graph.create ~directed:false ~n:3 in
@@ -109,8 +117,9 @@ let test_csr_undirected_both_rows () =
   Alcotest.(check (array int)) "row_start" [| 0; 1; 3; 4 |] c.Graph.Csr.row_start;
   (* Vertex 1 sees both incident edges, in insertion order, each with
      the opposite endpoint as neighbor. *)
-  Alcotest.(check (array int)) "eid" [| e01; e01; e12; e12 |] c.Graph.Csr.eid;
-  Alcotest.(check (array int)) "nbr" [| 1; 0; 2; 1 |] c.Graph.Csr.nbr
+  let ids, neighbors = cell_halves c in
+  Alcotest.(check (array int)) "edge ids" [| e01; e01; e12; e12 |] ids;
+  Alcotest.(check (array int)) "neighbors" [| 1; 0; 2; 1 |] neighbors
 
 let test_csr_cached_and_invalidated () =
   let count () =
@@ -844,13 +853,28 @@ let test_of_edge_stream_validation () =
     (Invalid_argument "Graph.of_edge_stream: capacity must be positive and finite")
     (stream ~n:2 ~m:1 (fun _ -> (0, 1, nan)));
   (* Too many row offsets to index, or to allocate (on a 64-bit host
-     the last count asks malloc for 2^57 bytes). *)
+     the last count asks malloc for 2^57 bytes), or ids too large for
+     a packed cell's 32-bit half: those counts are rejected before
+     anything is allocated (past the check, the first would ask for
+     16 GB of row offsets, the edge count for 16 GB of columns). *)
+  let unpackable = Graph.Csr.Cells.max_packed + 2 in
   List.iter
     (fun n ->
       Alcotest.check_raises "vertex count too large"
         (Invalid_argument "Graph.of_edge_stream: vertex count too large")
         (stream ~n ~m:0 (fun _ -> assert false)))
-    [ max_int; Sys.max_array_length; Sys.max_array_length - 1 ]
+    [ unpackable; max_int; Sys.max_array_length; Sys.max_array_length - 1 ];
+  Alcotest.check_raises "edge count too large"
+    (Invalid_argument "Graph.of_edge_stream: edge count too large")
+    (stream ~n:2 ~m:unpackable (fun _ -> assert false))
+
+(* [Graph.csr] checks the same packed-cell bound as [of_edge_stream],
+   before it allocates row offsets for the vertices. *)
+let test_csr_packed_bound () =
+  let g = Graph.create ~directed:true ~n:(Graph.Csr.Cells.max_packed + 2) in
+  Alcotest.check_raises "vertex count too large"
+    (Invalid_argument "Graph.csr: vertex count too large") (fun () ->
+      ignore (Graph.csr g))
 
 (* --- RMAT generator --- *)
 
@@ -861,7 +885,8 @@ let bits = Int64.bits_of_float
 
 let rows g =
   let c = Graph.csr g in
-  (Array.copy c.Graph.Csr.row_start, Array.copy c.Graph.Csr.nbr, Array.copy c.Graph.Csr.eid)
+  let ids, neighbors = cell_halves c in
+  (Array.copy c.Graph.Csr.row_start, neighbors, ids)
 
 let test_rescale_shares_adjacency () =
   let g, _, _, _, _, _ = diamond () in
@@ -869,9 +894,9 @@ let test_rescale_shares_adjacency () =
   (* The source has no CSR yet: rescale builds it once, for both. *)
   let c = Graph.rescale g ~divisor:d in
   Alcotest.(check bool) "csr shared" true (Graph.csr c == Graph.csr g);
-  let view = Graph.csr_view g in
+  (* One adjacency: the alias kept for perfbench is the CSR itself. *)
+  Alcotest.(check bool) "csr_view is csr" true (Graph.csr_view c == Graph.csr c);
   let c' = Graph.rescale g ~divisor:d in
-  Alcotest.(check bool) "csr_view shared" true (Graph.csr_view c' == view);
   Alcotest.(check bool) "csr shared again" true (Graph.csr c' == Graph.csr g);
   Alcotest.(check int) "edges" (Graph.n_edges g) (Graph.n_edges c);
   for e = 0 to Graph.n_edges g - 1 do
@@ -886,8 +911,8 @@ let test_rescale_add_edge_detaches () =
   let check_rows msg expected g =
     let r, n, e = rows g and r', n', e' = expected in
     Alcotest.(check (array int)) (msg ^ " row_start") r' r;
-    Alcotest.(check (array int)) (msg ^ " nbr") n' n;
-    Alcotest.(check (array int)) (msg ^ " eid") e' e
+    Alcotest.(check (array int)) (msg ^ " neighbors") n' n;
+    Alcotest.(check (array int)) (msg ^ " edge ids") e' e
   in
   (* On the copy: the source keeps its arrays and rows. *)
   let g, _, _, _, _, _ = diamond () in
@@ -901,9 +926,9 @@ let test_rescale_add_edge_detaches () =
   (* On the source: the copy keeps its arrays and rows. *)
   let g, _, _, _, _, _ = diamond () in
   let c = Graph.rescale g ~divisor:2.0 in
-  let shared = Graph.csr_view c and before = rows c in
+  let shared = Graph.csr c and before = rows c in
   ignore (Graph.add_edge g ~u:3 ~v:1 ~capacity:1.0);
-  Alcotest.(check bool) "copy view kept" true (Graph.csr_view c == shared);
+  Alcotest.(check bool) "copy csr kept" true (Graph.csr c == shared);
   check_rows "copy" before c;
   Alcotest.(check int) "copy edges" 5 (Graph.n_edges c);
   Alcotest.(check int) "source row gained the edge" 1 (List.length (Graph.out_edges g 3))
@@ -950,7 +975,7 @@ let test_load_streams_one_build () =
     Alcotest.(check int) "one csr build per load" (csrs + 1) (count "graph.csr_builds");
     let norm = Ufp_instance.Instance.normalize loaded in
     Alcotest.(check bool) "normalize copied" false (norm == loaded);
-    ignore (Graph.csr_view (Ufp_instance.Instance.graph norm));
+    ignore (Graph.csr (Ufp_instance.Instance.graph norm));
     Alcotest.(check int) "no csr build after load" (csrs + 1) (count "graph.csr_builds")
   done;
   Sys.remove path
@@ -979,7 +1004,9 @@ let column_mismatch g r =
   let csr_row w =
     let c = Graph.csr g in
     let lo = c.Graph.Csr.row_start.(w) and hi = c.Graph.Csr.row_start.(w + 1) in
-    List.init (hi - lo) (fun k -> (c.Graph.Csr.eid.(lo + k), c.Graph.Csr.nbr.(lo + k)))
+    let cells = c.Graph.Csr.cells in
+    List.init (hi - lo) (fun k ->
+        (Graph.Csr.Cells.snd cells (lo + k), Graph.Csr.Cells.fst cells (lo + k)))
   in
   let checks =
     [
@@ -1015,7 +1042,10 @@ let column_mismatch g r =
       );
       ( "csr rows",
         fun () ->
-          (Graph.csr g).Graph.Csr.row_start.(n) = (if Graph.is_directed g then m else 2 * m)
+          let c = Graph.csr g in
+          let slots = if Graph.is_directed g then m else 2 * m in
+          c.Graph.Csr.row_start.(n) = slots
+          && Graph.Csr.Cells.length c.Graph.Csr.cells = slots
           && List.for_all (fun w -> csr_row w = rows.(w)) (List.init n Fun.id) );
     ]
   in
@@ -1079,10 +1109,12 @@ let qcheck_column_store =
       done;
       true)
 
-(* A loaded, normalized directed RMAT graph holds its three edge
-   columns and the CSR rows: five words per edge and one per vertex.
-   Six per edge plus two per vertex leaves room for headers and
-   nothing per edge: a heap record per edge (five words, and two for
+(* A loaded, normalized directed RMAT graph, ready to traverse, holds
+   its three edge columns and its one adjacency, the packed CSR: four
+   words per edge (one 8-byte cell each) and one per vertex. Four per
+   edge plus two per vertex leaves room for headers and nothing per
+   edge: a second adjacency (unpacked neighbor and edge-id rows, two
+   words per edge) or a heap record per edge (five words, and two for
    its boxed capacity) breaks the bound. *)
 let test_loaded_graph_words () =
   let rmat =
@@ -1099,13 +1131,14 @@ let test_loaded_graph_words () =
     | Error msg -> Alcotest.fail msg
   in
   let g = Ufp_instance.Instance.graph inst in
+  ignore (Graph.csr g);
   let m = Graph.n_edges g and n = Graph.n_vertices g in
   let words = Obj.reachable_words (Obj.repr g) in
   Alcotest.(check bool)
     (Printf.sprintf "%d words for %d edges and %d vertices (%.2f per edge)" words m n
        (float_of_int words /. float_of_int m))
     true
-    (words <= (6 * m) + (2 * n) + 64)
+    (words <= (4 * m) + (2 * n) + 64)
 
 let test_rmat_deterministic () =
   let build () =
@@ -1227,7 +1260,7 @@ let test_pack_roundtrip_boundary () =
    - following parents from any reached vertex ends at [src], which
      has distance 0 and no parent.
    The arcs the oracle walks come from [Graph.fold_edges], not from
-   the CSR view under test. *)
+   the CSR under test. *)
 
 (* Every traversable (tail, head, edge id) arc: undirected edges both
    ways. *)
@@ -1603,6 +1636,7 @@ let () =
             test_of_edge_stream_empty;
           Alcotest.test_case "of_edge_stream validation" `Quick
             test_of_edge_stream_validation;
+          Alcotest.test_case "csr packed bound" `Quick test_csr_packed_bound;
           Alcotest.test_case "rescale shares adjacency" `Quick
             test_rescale_shares_adjacency;
           Alcotest.test_case "rescale add_edge detaches" `Quick

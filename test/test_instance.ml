@@ -398,8 +398,10 @@ let test_io_errors () =
     "ufp 1\ndirected 1\nvertices 2\nedges 1\ne 0 0 1.0\nrequests 0\n";
   (* Counts the rest of the input cannot hold fail with the message of
      the line where reading stops, through of_string and through load;
-     a vertex count no array can index is an [Error] too. No count may
-     let Out_of_memory or Invalid_argument "Array.make" escape. *)
+     a vertex count no array can index, or one whose ids do not fit a
+     packed cell's 32-bit half (2147483649 = 2^31 + 1), is an [Error]
+     too. No count may let Out_of_memory or Invalid_argument
+     "Array.make" escape. *)
   let expect text msg =
     let path = Filename.temp_file "ufp" ".inst" in
     Out_channel.with_open_bin path (fun oc -> output_string oc text);
@@ -431,7 +433,7 @@ let test_io_errors () =
       expect
         (Printf.sprintf "ufp 1\ndirected 1\nvertices %d\nedges 0\nrequests 0\n" n)
         "Graph.of_edge_stream: vertex count too large")
-    [ Sys.max_array_length - 1; Sys.max_array_length; max_int ];
+    [ 2147483649; Sys.max_array_length - 1; Sys.max_array_length; max_int ];
   (* A rejected edge has one message, whether or not its count fits. *)
   List.iter
     (fun k ->

@@ -1,7 +1,6 @@
-(* Tests for Ufp_prelude: rng, heap, stats, float_tol, table. *)
+(* Tests for Ufp_prelude: rng, stats, float_tol, table. *)
 
 module Rng = Ufp_prelude.Rng
-module Heap = Ufp_prelude.Heap
 module Stats = Ufp_prelude.Stats
 module Float_tol = Ufp_prelude.Float_tol
 module Table = Ufp_prelude.Table
@@ -162,104 +161,6 @@ let test_sample_without_replacement () =
   Alcotest.check_raises "k > n" (Invalid_argument "Rng.sample_without_replacement")
     (fun () -> ignore (Rng.sample_without_replacement rng 4 3))
 
-(* --- Heap --- *)
-
-let test_heap_capacity_edge_cases () =
-  (* Negative capacities are rejected (they used to clamp silently). *)
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Heap.create: negative capacity") (fun () ->
-      ignore (Heap.create ~capacity:(-1) ()));
-  Alcotest.check_raises "very negative capacity"
-    (Invalid_argument "Heap.create: negative capacity") (fun () ->
-      ignore (Heap.create ~capacity:min_int ()));
-  (* Zero still clamps to one slot and the heap grows normally. *)
-  let h = Heap.create ~capacity:0 () in
-  Alcotest.(check bool) "zero-capacity heap is empty" true (Heap.is_empty h);
-  Heap.push h 2.0 2;
-  Heap.push h 1.0 1;
-  Heap.push h 3.0 3;
-  Alcotest.(check bool) "grows past the clamp" true (Heap.pop_min h = Some (1.0, 1));
-  (* Capacity one is taken as given. *)
-  let h1 = Heap.create ~capacity:1 () in
-  Heap.push h1 1.0 1;
-  Alcotest.(check int) "capacity one usable" 1 (Heap.length h1)
-
-let test_heap_empty () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check int) "length" 0 (Heap.length h);
-  Alcotest.(check bool) "pop none" true (Heap.pop_min h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek_min h = None)
-
-let test_heap_sorted_drain () =
-  let rng = Rng.create 77 in
-  let h = Heap.create () in
-  let keys = Array.init 1000 (fun _ -> Rng.float rng 100.0) in
-  Array.iteri (fun i k -> Heap.push h k i) keys;
-  Alcotest.(check int) "length" 1000 (Heap.length h);
-  let prev = ref neg_infinity in
-  let count = ref 0 in
-  let rec drain () =
-    match Heap.pop_min h with
-    | None -> ()
-    | Some (k, _) ->
-      Alcotest.(check bool) "nondecreasing" true (k >= !prev);
-      prev := k;
-      incr count;
-      drain ()
-  in
-  drain ();
-  Alcotest.(check int) "all drained" 1000 !count
-
-let test_heap_peek_matches_pop () =
-  let h = Heap.create () in
-  Heap.push h 3.0 "c";
-  Heap.push h 1.0 "a";
-  Heap.push h 2.0 "b";
-  (match Heap.peek_min h with
-  | Some (k, v) ->
-    check_float "peek key" 1.0 k;
-    Alcotest.(check string) "peek val" "a" v
-  | None -> Alcotest.fail "expected peek");
-  (match Heap.pop_min h with
-  | Some (k, v) ->
-    check_float "pop key" 1.0 k;
-    Alcotest.(check string) "pop val" "a" v
-  | None -> Alcotest.fail "expected pop");
-  Alcotest.(check int) "length after pop" 2 (Heap.length h)
-
-let test_heap_interleaved () =
-  let h = Heap.create ~capacity:2 () in
-  Heap.push h 5.0 5;
-  Heap.push h 1.0 1;
-  Alcotest.(check bool) "pop 1" true (Heap.pop_min h = Some (1.0, 1));
-  Heap.push h 0.5 0;
-  Heap.push h 3.0 3;
-  Alcotest.(check bool) "pop 0.5" true (Heap.pop_min h = Some (0.5, 0));
-  Alcotest.(check bool) "pop 3" true (Heap.pop_min h = Some (3.0, 3));
-  Alcotest.(check bool) "pop 5" true (Heap.pop_min h = Some (5.0, 5));
-  Alcotest.(check bool) "empty again" true (Heap.is_empty h)
-
-let test_heap_clear () =
-  let h = Heap.create () in
-  for i = 1 to 10 do
-    Heap.push h (float_of_int i) i
-  done;
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
-  Heap.push h 2.0 2;
-  Alcotest.(check bool) "usable after clear" true (Heap.pop_min h = Some (2.0, 2))
-
-let test_heap_duplicate_keys () =
-  let h = Heap.create () in
-  Heap.push h 1.0 "x";
-  Heap.push h 1.0 "y";
-  Heap.push h 1.0 "z";
-  let popped = List.init 3 (fun _ -> Option.get (Heap.pop_min h)) in
-  List.iter (fun (k, _) -> check_float "all key 1" 1.0 k) popped;
-  let vals = List.map snd popped |> List.sort compare in
-  Alcotest.(check (list string)) "all present" [ "x"; "y"; "z" ] vals
-
 (* --- Stats --- *)
 
 let test_stats_mean () =
@@ -398,20 +299,6 @@ let test_table_markdown () =
 
 (* --- QCheck properties --- *)
 
-let qcheck_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list (float_bound_exclusive 1000.0))
-    (fun keys ->
-      let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h k i) keys;
-      let rec drain acc =
-        match Heap.pop_min h with
-        | None -> List.rev acc
-        | Some (k, _) -> drain (k :: acc)
-      in
-      let drained = drain [] in
-      drained = List.sort compare keys)
-
 let qcheck_percentile_bounds =
   QCheck.Test.make ~name:"percentile stays within min/max" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_bound_exclusive 100.0))
@@ -457,17 +344,6 @@ let () =
           Alcotest.test_case "copy replays" `Quick test_rng_copy;
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "capacity edge cases" `Quick
-            test_heap_capacity_edge_cases;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "sorted drain" `Quick test_heap_sorted_drain;
-          Alcotest.test_case "peek matches pop" `Quick test_heap_peek_matches_pop;
-          Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "duplicate keys" `Quick test_heap_duplicate_keys;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
@@ -493,5 +369,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_heap_sorts; qcheck_percentile_bounds; qcheck_rng_int_bound ] );
+          [ qcheck_percentile_bounds; qcheck_rng_int_bound ] );
     ]
