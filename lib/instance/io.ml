@@ -51,6 +51,7 @@ type scanner = {
   mutable hi : int;
   word_lo : int array;  (* bounds of the current line's first words *)
   word_hi : int array;
+  parsed : float array;  (* the slot [Decimal.float_in] writes *)
 }
 
 let buffer_bytes = 4096
@@ -69,6 +70,7 @@ let scanner ~length fill =
     hi = 0;
     word_lo = Array.make max_words 0;
     word_hi = Array.make max_words 0;
+    parsed = [| 0.0 |];
   }
 
 let string_scanner text =
@@ -160,26 +162,33 @@ let split sc =
   done;
   !n
 
-let word sc k = Bytes.sub_string sc.buf sc.word_lo.(k) (sc.word_hi.(k) - sc.word_lo.(k))
-
 let rec same_from buf lo s j =
   j = String.length s || (Bytes.get buf (lo + j) = String.get s j && same_from buf lo s (j + 1))
 
 let word_is sc k s =
   sc.word_hi.(k) - sc.word_lo.(k) = String.length s && same_from sc.buf sc.word_lo.(k) s 0
 
-(* [int_of_string] of [buf.[lo .. hi - 1]]. *)
+(* [int_of_string] of [buf.[lo .. hi - 1]], and below [float_of_string]
+   of word [k]: converted in the buffer when {!Decimal} takes the token,
+   else copied out for the standard conversion, which gives its value
+   or its error. *)
 let int_in sc lo hi =
-  match int_of_string_opt (Bytes.sub_string sc.buf lo (hi - lo)) with
-  | Some v -> v
-  | None -> fail "expected integer in %S" (line sc)
+  match Decimal.int_in sc.buf lo hi with
+  | -1 -> (
+    match int_of_string_opt (Bytes.sub_string sc.buf lo (hi - lo)) with
+    | Some v -> v
+    | None -> fail "expected integer in %S" (line sc))
+  | v -> v
 
 let int_of sc k = int_in sc sc.word_lo.(k) sc.word_hi.(k)
 
 let float_of sc k =
-  match float_of_string_opt (word sc k) with
-  | Some v -> v
-  | None -> fail "expected float in %S" (line sc)
+  let lo = sc.word_lo.(k) and hi = sc.word_hi.(k) in
+  if Decimal.float_in sc.buf lo hi sc.parsed then sc.parsed.(0)
+  else
+    match float_of_string_opt (Bytes.sub_string sc.buf lo (hi - lo)) with
+    | Some v -> v
+    | None -> fail "expected float in %S" (line sc)
 
 (* How many edge lines the rest of the input can hold: an edge line
    has at least 7 bytes ("e 0 1 1") and a newline, which the last line

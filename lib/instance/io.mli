@@ -22,7 +22,13 @@
     reading allocates only the result, never a copy of the file: the
     edge lines feed {!Ufp_graph.Graph.of_edge_stream} directly, which
     builds the graph's CSR adjacency as it goes (counted by
-    [graph.stream_builds]). *)
+    [graph.stream_builds]).
+
+    Each number reads exactly as [int_of_string_opt] or
+    [float_of_string_opt] reads its token, value and error alike. Plain
+    decimal tokens (all that {!to_string} writes) are converted where
+    they sit in the buffer, without allocating ({!Decimal}); any other
+    token is copied out for the standard conversion. *)
 
 val to_string : Instance.t -> string
 

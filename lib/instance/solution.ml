@@ -50,17 +50,11 @@ let check ?(repetitions = false) inst sol =
   | Error _ as e -> e
   | Ok () ->
     let loads = edge_loads inst sol in
-    let bad = ref None in
-    Array.iteri
-      (fun eid load ->
-        if !bad = None && not (Ufp_prelude.Float_tol.leq load (Graph.capacity g eid))
-        then bad := Some (eid, load))
-      loads;
-    (match !bad with
-    | None -> Ok ()
-    | Some (eid, load) ->
+    (match Ufp_prelude.Float_tol.first_not_leq loads (Graph.capacities g) with
+    | -1 -> Ok ()
+    | eid ->
       Error
-        (Printf.sprintf "edge %d overloaded: load %g > capacity %g" eid load
+        (Printf.sprintf "edge %d overloaded: load %g > capacity %g" eid loads.(eid)
            (Graph.capacity g eid)))
 
 let is_feasible ?repetitions inst sol =

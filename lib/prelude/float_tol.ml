@@ -54,12 +54,31 @@ let contention_tol = 1e-9
 
 let div_guard = 1e-9
 
-let scale a b = Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
+(* [max 1 (max |a| |b|)] in plain comparisons, so a caller's floats
+   stay unboxed. It differs from [Float.max] only when [a] or [b] is
+   NaN, and then every comparison below is false either way. *)
+let[@inline] scale a b =
+  let a = Float.abs a and b = Float.abs b in
+  let s = if a >= b then a else b in
+  if s >= 1.0 then s else 1.0
 
 let approx_eq ?(eps = default_eps) a b = Float.abs (a -. b) <= eps *. scale a b
 
 let leq ?(eps = default_eps) a b = a <= b +. (eps *. scale a b)
 
 let geq ?(eps = default_eps) a b = a >= b -. (eps *. scale a b)
+
+(* [leq] at [default_eps], written out so [scale] inlines into the
+   loop. *)
+let rec first_not_leq_from (a : float array) (b : float array) i =
+  if i = Array.length a then -1
+  else begin
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    if x <= y +. (default_eps *. scale x y) then first_not_leq_from a b (i + 1) else i
+  end
+
+let first_not_leq a b =
+  if Array.length b <> Array.length a then invalid_arg "Float_tol.first_not_leq";
+  first_not_leq_from a b 0
 
 let clamp ~lo ~hi x = Float.min hi (Float.max lo x)

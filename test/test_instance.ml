@@ -8,6 +8,7 @@ module Instance = Ufp_instance.Instance
 module Solution = Ufp_instance.Solution
 module Workloads = Ufp_instance.Workloads
 module Io = Ufp_instance.Io
+module Decimal = Ufp_instance.Decimal
 module Rng = Ufp_prelude.Rng
 module Float_tol = Ufp_prelude.Float_tol
 
@@ -840,7 +841,88 @@ let test_io_reader_crafted () =
       "\xef\xbb\xbfufp 1\n"; "ufp  1 \r\n"; "ufp 01\n"; "";
       head ^ "edges 1\ne 0 1 2\nrequests 0\ntrailing words here\n";
       head ^ "edges 0\nrequests\n"; head ^ "edges 0\nrequests 1 2\n";
+      (* Numbers just inside or just outside a limit of Decimal's fast
+         paths: 18 and 19 significant digits, q = -26 and q = -27 at
+         the table's lower end, a subnormal, a capacity that reads as
+         infinity, 18- and 19-digit vertex ids, a signed id. *)
+      edges "e 0 1 1.23456789012345678"; edges "e 0 1 1.234567890123456789";
+      edges "e 0 1 1.2345678901234567e-10"; edges "e 0 1 1.2345678901234567e-11";
+      edges "e 0 1 4.9e-324"; edges "e 0 1 1.7976931348623159e308";
+      request "r 0 1 0.060888119098279359 1";
+      edges "e 999999999999999999 1 1"; edges "e 1000000000000000000 1 1";
+      edges "e +1 2 1";
     ]
+
+(* A scale-10 RMAT instance: edge factor 16, capacities in [140, 210]
+   (so 16,384 edge lines, most capacities with 17 significant digits
+   once written), 50 hub requests. *)
+let rmat10 () =
+  let rng = Rng.create 10 in
+  let g =
+    Gen.rmat rng ~scale:10 ~edge_factor:16 ~capacity_lo:140.0 ~capacity_hi:210.0 ()
+  in
+  Instance.create g (Workloads.hub_requests rng g ~count:50 ())
+
+(* Whether Decimal's fast path takes the token. *)
+let fast_int w = Decimal.int_in (Bytes.of_string w) 0 (String.length w) >= 0
+
+let fast_float w = Decimal.float_in (Bytes.of_string w) 0 (String.length w) [| 0.0 |]
+
+(* A whole token read as the reader reads it: Decimal's fast path, else
+   the standard conversion. *)
+let decimal_float s =
+  let out = [| 0.0 |] in
+  if Decimal.float_in (Bytes.of_string s) 0 (String.length s) out then Some out.(0)
+  else float_of_string_opt s
+
+let decimal_int s =
+  match Decimal.int_in (Bytes.of_string s) 0 (String.length s) with
+  | -1 -> int_of_string_opt s
+  | v -> Some v
+
+(* Every number the writer writes takes Decimal's fast path, so the
+   reader allocates per edge line only the stream's tuple and its boxed
+   capacity: at most 8 minor words per edge line, requests and buffer
+   included (a copy and a C conversion per token cost ~20). *)
+let test_io_reader_allocation () =
+  let text = Io.to_string (rmat10 ()) in
+  List.iter
+    (fun l ->
+      let fast =
+        match String.split_on_char ' ' l with
+        | [ "e"; u; v; c ] -> fast_int u && fast_int v && fast_float c
+        | [ "r"; src; dst; d; v ] -> fast_int src && fast_int dst && fast_float d && fast_float v
+        | [ _; k ] -> fast_int k
+        | _ -> l = ""
+      in
+      if not fast then Alcotest.failf "%S leaves the fast path" l)
+    (String.split_on_char '\n' text);
+  let before = Gc.minor_words () in
+  let parsed = Io.of_string text in
+  let words = Gc.minor_words () -. before in
+  match parsed with
+  | Error m -> Alcotest.fail m
+  | Ok inst ->
+    let lines = Graph.n_edges (Instance.graph inst) in
+    Alcotest.(check int) "edge lines" 16_384 lines;
+    if words > 8.0 *. float_of_int lines then
+      Alcotest.failf "%.0f minor words for %d edge lines" words lines
+
+(* [Solution.check] scans the loads against the capacity column without
+   boxing a float per edge: fewer than 2 minor words per edge on a
+   solved scale-10 RMAT instance, what is left being the path checks.
+   The loads and the copy of the capacity column, m words each, are
+   allocated in the major heap and not counted here. *)
+let test_solution_check_allocation () =
+  let inst = Instance.normalize (rmat10 ()) in
+  let sol = (Ufp_core.Bounded_ufp.run ~eps:0.3 inst).Ufp_core.Bounded_ufp.solution in
+  let before = Gc.minor_words () in
+  let checked = Solution.check inst sol in
+  let words = Gc.minor_words () -. before in
+  (match checked with Ok () -> () | Error m -> Alcotest.fail m);
+  let m = Graph.n_edges (Instance.graph inst) in
+  if words >= 2.0 *. float_of_int m then
+    Alcotest.failf "%.0f minor words for %d edges" words m
 
 let reader_text rng text =
   match Rng.int rng 4 with
@@ -892,6 +974,119 @@ let qcheck_solution_reader_matches_oracle =
       readers_agree solution_readers_disagree
         (reader_text rng (Io.solution_to_string sol)))
 
+(* Decimal's fast paths with their fallbacks are the standard
+   conversions, bit for bit: on random doubles printed six ways, on
+   random digit strings with a point, a sign and an exponent, on exact
+   ties between two doubles, on the significands 1, 2^53 - 1, 2^53,
+   2^53 + 1, 10^17 - 1, 10^18 - 1 and a random one for every q from
+   two below the table (q >= -26) to two above it (q <= 55), and on
+   tokens at known hard cases and at the edges of the token syntax. *)
+let float_tokens =
+  [
+    "9007199254740993"; "9007199254740995"; "7.3177701707893310e+15";
+    "1.00000000000000011102230246251565404236316680908203125"; "4.9e-324";
+    "2.2250738585072011e-308"; "1.7976931348623157e308"; "1.7976931348623159e308";
+    "1e23"; "0"; "-0"; "+0.0"; ".5"; "5."; "1e"; "e5"; "1_0.5"; "0x1p3"; "nan";
+    "-inf"; "infinity"; "0." ^ String.make 99_999 '0' ^ "1e1000000";
+  ]
+
+let int_tokens =
+  [
+    "-0"; "+2"; "0x1"; "0_0"; "999999999999999999"; "9999999999999999999";
+    "000000000000000000001";
+  ]
+
+let show_float = function None -> "None" | Some x -> Printf.sprintf "%h" x
+
+let float_token_agrees s =
+  let got = decimal_float s and want = float_of_string_opt s in
+  let same =
+    match (got, want) with
+    | Some x, Some y ->
+      (Float.is_nan x && Float.is_nan y)
+      || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | None, None -> true
+    | _ -> false
+  in
+  same || QCheck.Test.fail_reportf "float %S: %s, want %s" s (show_float got) (show_float want)
+
+let int_token_agrees s =
+  let got = decimal_int s and want = int_of_string_opt s in
+  got = want
+  || QCheck.Test.fail_reportf "int %S: %s, want %s" s
+       (Option.fold ~none:"None" ~some:string_of_int got)
+       (Option.fold ~none:"None" ~some:string_of_int want)
+
+let digit_string rng ~point =
+  let n = 1 + Rng.int rng 25 in
+  let at = if point then Rng.int rng (n + 1) else -1 in
+  let b = Buffer.create 48 in
+  (match Rng.int rng 3 with 0 -> Buffer.add_char b '-' | 1 -> Buffer.add_char b '+' | _ -> ());
+  for k = 0 to n - 1 do
+    if k = at then Buffer.add_char b '.';
+    Buffer.add_char b (Char.chr (Char.code '0' + Rng.int rng 10))
+  done;
+  if at = n then Buffer.add_char b '.';
+  if point && Rng.bool rng then Buffer.add_string b (Printf.sprintf "e%d" (Rng.int_in rng (-60) 80));
+  Buffer.contents b
+
+(* A token exactly halfway between the neighbouring doubles m 2^e and
+   (m + 1) 2^e, m in [2^52, 2^53), which must round to even: for
+   e = -1 and e = 0 with two decimals or one; for e >= 1 the tie
+   (2m + 1) 2^(e - 1) is written w e q, with 5^q dividing 2m + 1. *)
+let halfway_token rng =
+  let m () = (1 lsl 52) + Rng.int rng (1 lsl 52) in
+  match Rng.int_in rng (-1) 8 with
+  | -1 ->
+    let m = m () in
+    Printf.sprintf "%d.%s" (m / 2) (if m land 1 = 0 then "25" else "75")
+  | 0 -> Printf.sprintf "%d.5" (m ())
+  | e ->
+    let q = Rng.int rng e in
+    let p = List.fold_left ( * ) 1 (List.init q (fun _ -> 5)) in
+    let odd = ((1 lsl 53) / p + Rng.int rng ((1 lsl 53) / p)) lor 1 in
+    Printf.sprintf "%de%d" (odd lsl (e - 1 - q)) q
+
+let qcheck_decimal_matches_stdlib =
+  QCheck.Test.make ~name:"decimal tokens read as float_of_string_opt/int_of_string_opt"
+    ~count:200 QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 5000) in
+      let printed =
+        List.concat_map
+          (fun _ ->
+            let x = Int64.float_of_bits (Rng.bits64 rng) in
+            [
+              Printf.sprintf "%.17g" x; Printf.sprintf "%.16g" x; Printf.sprintf "%.15g" x;
+              Printf.sprintf "%.12e" x; Printf.sprintf "%.20f" x; Printf.sprintf "%h" x;
+            ])
+          (List.init 30 Fun.id)
+      in
+      let decimals = List.init 60 (fun _ -> digit_string rng ~point:true) in
+      let ties = List.init 30 (fun _ -> halfway_token rng) in
+      let integers = List.init 30 (fun _ -> digit_string rng ~point:false) in
+      let limits =
+        List.concat_map
+          (fun q ->
+            List.map
+              (fun w -> Printf.sprintf "%de%d" w q)
+              [
+                1; (1 lsl 53) - 1; 1 lsl 53; (1 lsl 53) + 1; 99_999_999_999_999_999;
+                999_999_999_999_999_999; 1 + Rng.int rng 999_999_999_999_999_999;
+              ])
+          (List.init (55 - -26 + 5) (fun k -> -28 + k))
+      in
+      List.for_all float_token_agrees
+        (printed @ decimals @ ties @ integers @ limits @ float_tokens)
+      (* A tie of at most 18 digits is rounded by the fast path itself. *)
+      && List.for_all
+           (fun s ->
+             let w = List.hd (String.split_on_char 'e' s) in
+             String.length w - Bool.to_int (String.contains w '.') > 18
+             || fast_float s
+             || QCheck.Test.fail_reportf "tie %S left the fast path" s)
+           ties
+      && List.for_all int_token_agrees (integers @ decimals @ int_tokens @ float_tokens))
+
 let qcheck_normalize_preserves_feasibility =
   QCheck.Test.make ~name:"normalisation preserves solution feasibility" ~count:50
     QCheck.small_int (fun seed ->
@@ -939,6 +1134,7 @@ let () =
           Alcotest.test_case "check errors" `Quick test_solution_check_errors;
           Alcotest.test_case "repetitions" `Quick test_solution_repetitions;
           Alcotest.test_case "pp" `Quick test_solution_pp;
+          Alcotest.test_case "check allocation" `Quick test_solution_check_allocation;
         ] );
       ( "workloads",
         [
@@ -959,6 +1155,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "negative counts" `Quick test_io_negative_counts;
           Alcotest.test_case "reader crafted lines" `Quick test_io_reader_crafted;
+          Alcotest.test_case "reader allocation" `Quick test_io_reader_allocation;
           Alcotest.test_case "file round trip" `Quick test_io_file_round_trip;
           Alcotest.test_case "solution round trip" `Quick test_solution_io_round_trip;
           Alcotest.test_case "solution file" `Quick test_solution_io_file;
@@ -988,5 +1185,6 @@ let () =
             qcheck_solution_parser_never_crashes;
             qcheck_reader_matches_oracle;
             qcheck_solution_reader_matches_oracle;
+            qcheck_decimal_matches_stdlib;
           ] );
     ]

@@ -245,6 +245,19 @@ let test_float_tol_golden_values () =
    exact "div_guard" 1e-9 Float_tol.div_guard)
   [@lint.allow "R1" "golden values: the lint sweep renames, it does not retune"]
 
+(* The scan keeps its floats unboxed: a 16k-element pass allocates
+   nothing. *)
+let test_first_not_leq_allocation_free () =
+  let a = Array.init 16_384 (fun i -> float_of_int (i mod 97)) in
+  let b = Array.map (fun x -> x +. 0.5) a in
+  let before = Gc.minor_words () in
+  let i = Float_tol.first_not_leq a b in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no violation" (-1) i;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  Alcotest.check_raises "lengths differ" (Invalid_argument "Float_tol.first_not_leq")
+    (fun () -> ignore (Float_tol.first_not_leq a [| 1.0 |]))
+
 (* --- Table --- *)
 
 let render table =
@@ -321,6 +334,46 @@ let qcheck_rng_int_bound =
       done;
       !ok)
 
+(* The tolerance comparisons keep their [Float.max] definition, and
+   [first_not_leq] is a loop of [leq] at the default tolerance, on
+   arrays mixing NaN, infinities, signed zeros, and pairs within
+   [default_eps] of each other, relatively or absolutely. *)
+let qcheck_first_not_leq =
+  QCheck.Test.make ~name:"first_not_leq finds the first index leq rejects" ~count:300
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let special = [| nan; infinity; neg_infinity; 0.0; -0.0; 1.0; -1.0 |] in
+      let value () =
+        match Rng.int rng 3 with
+        | 0 -> Rng.pick rng special
+        | 1 -> Rng.float_in rng (-2.0) 2.0
+        | _ -> Rng.float_in rng (-1e12) 1e12
+      in
+      let n = Rng.int rng 40 in
+      let a = Array.init n (fun _ -> value ()) in
+      let near x = Rng.float_in rng 0.0 2.0 *. Float_tol.default_eps *. x in
+      let b =
+        Array.map
+          (fun x ->
+            match Rng.int rng 4 with
+            | 0 -> value ()
+            | 1 -> x
+            | 2 -> x -. near (Float.abs x)
+            | _ -> x -. near 1.0)
+          a
+      in
+      let eps = Float_tol.default_eps in
+      let tol x y = eps *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
+      let defined x y =
+        Float_tol.leq x y = (x <= y +. tol x y)
+        && Float_tol.geq x y = (x >= y -. tol x y)
+        && Float_tol.approx_eq x y = (Float.abs (x -. y) <= tol x y)
+      in
+      let rec plain i =
+        if i = n then -1 else if Float_tol.leq a.(i) b.(i) then plain (i + 1) else i
+      in
+      Array.for_all2 defined a b && Float_tol.first_not_leq a b = plain 0)
+
 let () =
   Alcotest.run "prelude"
     [
@@ -358,6 +411,8 @@ let () =
           Alcotest.test_case "comparisons" `Quick test_float_tol;
           Alcotest.test_case "golden values" `Quick
             test_float_tol_golden_values;
+          Alcotest.test_case "first_not_leq allocation free" `Quick
+            test_first_not_leq_allocation_free;
         ] );
       ( "table",
         [
@@ -369,5 +424,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_percentile_bounds; qcheck_rng_int_bound ] );
+          [ qcheck_percentile_bounds; qcheck_rng_int_bound; qcheck_first_not_leq ] );
     ]
