@@ -25,21 +25,17 @@ trace-demo:
 
 # Multicore payment demo (see docs/PARALLELISM.md): compute truthful
 # payments across 2 domains with metrics + a multi-track trace, then
-# validate the trace and run the seq-vs-par experiment (its table
-# includes the bitwise seq/par equality check).
+# validate the trace.
 par-demo:
 	dune exec bin/ufp_cli.exe -- generate -t grid --rows 4 --cols 4 --capacity 40 -r 40 -o par-demo.inst
 	dune exec bin/ufp_cli.exe -- payments par-demo.inst --jobs 2 --metrics text --trace par-demo.jsonl
 	dune exec bin/trace_check.exe par-demo.jsonl
-	dune exec bin/ufp_cli.exe -- experiment EXP-PAR-PAYMENTS --quick
 
-# Phase-profiler + OpenMetrics demo (see docs/OBSERVABILITY.md):
-# one solve with the GC-attributing profiler and the Prometheus-format
-# metrics dump on, both validated.
+# Phase-profiler demo (see docs/OBSERVABILITY.md): one solve with the
+# GC-attributing profiler and the JSON metrics dump on.
 profile-demo:
 	dune exec bin/ufp_cli.exe -- generate -t grid --capacity 50 -r 200 -o profile-demo.inst
-	dune exec bin/ufp_cli.exe -- solve profile-demo.inst --profile profile-demo.json --metrics openmetrics --metrics-out profile-demo.om
-	dune exec bin/openmetrics_check.exe profile-demo.om
+	dune exec bin/ufp_cli.exe -- solve profile-demo.inst --profile profile-demo.json --metrics json --metrics-out profile-demo-metrics.json
 
 bench:
 	dune exec bench/main.exe
@@ -53,7 +49,8 @@ bench-csv:
 # Perf artifacts, all self-describing rows for ufp-bench-diff (row
 # catalogue in EXPERIMENTS.md):
 #   BENCH_PR6.json — end-to-end RMAT solve, seq vs 2-domain pool (no
-#                    TEPS trials; EXP-RMAT and perfbench measure those)
+#                    TEPS trials; BENCH_PR10.json and perfbench's
+#                    dijkstra.mteps time that kernel)
 #   BENCH_PR8.json — telemetry hot-path micros, the CSR Dijkstra pair
 #                    and two CI-sized end-to-end anchors
 #   BENCH_PR9.json — per-index claims vs fixed-chunk modelled makespan

@@ -25,7 +25,6 @@ module Registry = Ufp_experiments.Registry
 module Rng = Ufp_prelude.Rng
 module Metrics = Ufp_obs.Metrics
 module Obs_trace = Ufp_obs.Trace
-module Openmetrics = Ufp_obs.Openmetrics
 module Profile = Ufp_obs.Profile
 module Pool = Ufp_par.Pool
 
@@ -44,17 +43,12 @@ let load_instance path =
 let metrics_arg =
   Arg.(
     value
-    & opt
-        (some
-           (enum
-              [ ("text", `Text); ("json", `Json); ("openmetrics", `Openmetrics) ]))
-        None
+    & opt (some (enum [ ("text", `Text); ("json", `Json) ])) None
     & info [ "metrics" ] ~docv:"FORMAT"
         ~doc:
           "Report the work-counter deltas of the run (Dijkstra \
            relaxations, selector cache traffic, dual updates, payment \
-           probes, ...) as a $(b,text) table, a $(b,json) object, or an \
-           $(b,openmetrics) (Prometheus text) exposition. See \
+           probes, ...) as a $(b,text) table or a $(b,json) object. See \
            docs/OBSERVABILITY.md for the catalogue and formats.")
 
 let metrics_out_arg =
@@ -64,8 +58,8 @@ let metrics_out_arg =
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:
           "Write the $(b,--metrics) rendering to $(docv) instead of \
-           stdout, keeping it clean for scrapers and validators \
-           (bin/openmetrics_check.ml) when the solve itself prints.")
+           stdout, so the table or JSON object stays apart from what the \
+           command itself prints.")
 
 let trace_arg =
   Arg.(
@@ -118,7 +112,6 @@ let with_observability ~metrics ~metrics_out ~trace ~profile f =
       | `Json ->
         output_string oc (Metrics.to_json delta);
         output_char oc '\n'
-      | `Openmetrics -> output_string oc (Openmetrics.render delta)
     in
     (match metrics_out with
     | None -> render stdout

@@ -94,22 +94,6 @@ let all =
       run = Exp_obs_overhead.run;
     };
     {
-      id = "EXP-PAR-PAYMENTS";
-      paper_artifact = "infrastructure";
-      description =
-        "multicore payment engine: critical-value payments across 1/2/4/8 \
-         domains — speedup, probe counts, bitwise-identical payments";
-      run = Exp_par_payments.run;
-    };
-    {
-      id = "EXP-RMAT";
-      paper_artifact = "infrastructure";
-      description =
-        "Graph500-style scale test: RMAT generation via the streaming CSR \
-         builder + many-source Dijkstra trials, TEPS from obs counters";
-      run = Exp_rmat.run;
-    };
-    {
       id = "EXP-GAP";
       paper_artifact = "Section 1 motivation";
       description = "integrality gap OPT_LP/OPT_ILP collapses to 1 as B grows";

@@ -149,7 +149,8 @@ let check_packable fn ~n ~m =
   if n > Csr.Cells.max_packed + 1 then invalid_arg (fn ^ ": vertex count too large");
   if m > Csr.Cells.max_packed + 1 then invalid_arg (fn ^ ": edge count too large")
 
-(* The counting sort shared by [build_csr] and [of_edge_stream]: given
+(* The second half of the counting sort, shared by [sort] and
+   [of_edge_stream] (which counts degrees as it drains its stream): given
    [row_start] holding vertex [u]'s degree at [u + 1], prefix-sums it
    into row offsets and writes the first [m] edges of the columns into
    their cells in increasing edge id, which pins every row to
@@ -176,21 +177,37 @@ let scatter ~directed ~n ~m ~tails ~heads ~row_start ~cursor =
   done;
   { Csr.row_start; cells }
 
-let build_csr g =
-  let n = g.n in
-  check_packable "Graph.csr" ~n ~m:g.m;
-  Ufp_obs.Metrics.incr m_csr_builds;
+(* Degree count, then [scatter]: the one counting sort over columns
+   already in memory, for a graph's CSR and for [arcs_csr]. *)
+let sort ~directed ~n ~m ~tails ~heads =
   let row_start = Array.make (n + 1) 0 in
-  for i = 0 to g.m - 1 do
-    let u = g.tails.(i) in
+  for i = 0 to m - 1 do
+    let u = tails.(i) in
     row_start.(u + 1) <- row_start.(u + 1) + 1;
-    if not g.directed then begin
-      let v = g.heads.(i) in
+    if not directed then begin
+      let v = heads.(i) in
       row_start.(v + 1) <- row_start.(v + 1) + 1
     end
   done;
-  scatter ~directed:g.directed ~n ~m:g.m ~tails:g.tails ~heads:g.heads ~row_start
-    ~cursor:(Array.make (max n 1) 0)
+  scatter ~directed ~n ~m ~tails ~heads ~row_start ~cursor:(Array.make (max n 1) 0)
+
+let build_csr g =
+  check_packable "Graph.csr" ~n:g.n ~m:g.m;
+  Ufp_obs.Metrics.incr m_csr_builds;
+  sort ~directed:g.directed ~n:g.n ~m:g.m ~tails:g.tails ~heads:g.heads
+
+let arcs_csr ~n ~tails ~heads =
+  let m = Array.length tails in
+  if n < 0 then invalid_arg "Graph.arcs_csr: negative vertex count";
+  if Array.length heads <> m then invalid_arg "Graph.arcs_csr: columns differ in length";
+  check_packable "Graph.arcs_csr" ~n ~m;
+  (* [scatter] stores heads unchecked, so every endpoint is checked here. *)
+  for i = 0 to m - 1 do
+    let u = tails.(i) and v = heads.(i) in
+    if u < 0 || u >= n || v < 0 || v >= n then
+      invalid_arg "Graph.arcs_csr: endpoint out of range"
+  done;
+  sort ~directed:true ~n ~m ~tails ~heads
 
 let csr g =
   match g.csr with

@@ -175,6 +175,17 @@ val csr : t -> Csr.t
     {!Ufp_core.Selector} does at creation) so worker domains only ever
     read the frozen cells. *)
 
+val arcs_csr : n:int -> tails:int array -> heads:int array -> Csr.t
+(** [arcs_csr ~n ~tails ~heads] is the packed CSR of the directed arcs
+    [i = 0 .. length tails - 1], arc [i] running from [tails.(i)] to
+    [heads.(i)], over vertices [0 .. n-1]: the counting sort {!csr}
+    runs on a directed graph's edge columns, so slot [k] is
+    [(heads.(i), i)] and every row lists its arcs in increasing index.
+    For residual networks built beside a graph ({!Maxflow}); it leaves
+    the [graph.csr_builds] counter alone. Raises [Invalid_argument]
+    when [n < 0], the columns differ in length, an endpoint lies
+    outside [[0, n)], or the counts cannot be packed (as {!csr}). *)
+
 val csr_view : t -> Csr.t
 (** [csr_view] is {!csr}, kept as an alias because the perfbench
     harness ([perfbench/main.ml]) still calls it. *)

@@ -3,17 +3,17 @@ module Float_tol = Ufp_prelude.Float_tol
 type result = { value : float; flow : float array }
 
 (* Residual network: arcs in pairs, arc [a] and its reverse [a lxor 1].
-   Adjacency is CSR-style flat slots (mirroring Graph.Csr): vertex
-   [u]'s outgoing arcs occupy slots [adj_start.(u) ..
-   adj_start.(u+1) - 1], in arc-insertion order, each slot carrying
-   the (arc index, head vertex) pair packed to an 8-byte cell of
-   Graph.Csr.Cells, so the BFS/DFS hot loops read one 64-bit word per
-   slot instead of walking cons chains. *)
+   Adjacency is the Graph.Csr of the arcs ({!Graph.arcs_csr}): vertex
+   [u]'s outgoing arcs occupy slots [row_start.(u) ..
+   row_start.(u+1) - 1], in arc-insertion order, each slot packing the
+   (head vertex, arc index) pair into one 8-byte cell, so the BFS/DFS
+   hot loops read one 64-bit word per slot instead of walking cons
+   chains. *)
 type residual = {
   n : int;
   mutable cap : float array;
-  adj_start : int array;  (* length n + 1 *)
-  adj : Graph.Csr.Cells.t;  (* (arc, head) per slot leaving each vertex *)
+  row_start : int array;  (* length n + 1 *)
+  cells : Graph.Csr.Cells.t;  (* (head, arc) per slot leaving each vertex *)
   (* Original-edge bookkeeping: for arc [a], [orig.(a)] is the edge id
      it was built from, or -1 for auxiliary (super source/sink) arcs. *)
   orig : int array;
@@ -34,46 +34,31 @@ let build g ~extra_vertices ~extra_arcs =
   let n_arcs = (2 * m) + (2 * List.length extra_arcs) in
   let cap = Array.make (max n_arcs 1) 0.0 in
   let orig = Array.make (max n_arcs 1) (-1) in
-  (* Two passes, like Graph.build_csr: count per-vertex out-degrees,
-     prefix-sum into row offsets, then fill in arc order so each row
-     is pinned to insertion order. *)
-  let adj_start = Array.make (n + 1) 0 in
-  let count u = adj_start.(u + 1) <- adj_start.(u + 1) + 1 in
-  let each_pair f =
-    Graph.fold_edges
-      (fun e () ->
-        if Graph.is_directed g then
-          f e.Graph.u e.Graph.v e.Graph.capacity 0.0 e.Graph.id
-        else f e.Graph.u e.Graph.v e.Graph.capacity e.Graph.capacity e.Graph.id)
-      g ();
-    List.iter (fun (u, v, c) -> f u v c 0.0 (-1)) extra_arcs
-  in
-  each_pair (fun u v _ _ _ ->
-      count u;
-      count v);
-  for u = 1 to n do
-    adj_start.(u) <- adj_start.(u) + adj_start.(u - 1)
-  done;
-  let n_slots = max adj_start.(n) 1 in
-  let adj_arc = Array.make n_slots 0 in
-  let adj_head = Array.make n_slots 0 in
-  let cursor = Array.make (max n 1) 0 in
-  Array.blit adj_start 0 cursor 0 n;
+  (* Arc [2k] runs u -> v and arc [2k+1] v -> u, for the graph's edges
+     in id order, then the auxiliary arcs; the sort keeps each row in
+     arc order. *)
+  let tails = Array.make n_arcs 0 and heads = Array.make n_arcs 0 in
   let next = ref 0 in
-  each_pair (fun u v cap_uv cap_vu edge_id ->
-      let a = !next in
-      next := !next + 2;
-      cap.(a) <- cap_uv;
-      orig.(a) <- edge_id;
-      adj_arc.(cursor.(u)) <- a;
-      adj_head.(cursor.(u)) <- v;
-      cursor.(u) <- cursor.(u) + 1;
-      cap.(a + 1) <- cap_vu;
-      orig.(a + 1) <- edge_id;
-      adj_arc.(cursor.(v)) <- a + 1;
-      adj_head.(cursor.(v)) <- u;
-      cursor.(v) <- cursor.(v) + 1);
-  { n; cap; adj_start; adj = Graph.Csr.Cells.pack adj_arc adj_head; orig }
+  let add_pair u v cap_uv cap_vu edge_id =
+    let a = !next in
+    next := a + 2;
+    tails.(a) <- u;
+    heads.(a) <- v;
+    cap.(a) <- cap_uv;
+    orig.(a) <- edge_id;
+    tails.(a + 1) <- v;
+    heads.(a + 1) <- u;
+    cap.(a + 1) <- cap_vu;
+    orig.(a + 1) <- edge_id
+  in
+  Graph.fold_edges
+    (fun e () ->
+      let back = if Graph.is_directed g then 0.0 else e.Graph.capacity in
+      add_pair e.Graph.u e.Graph.v e.Graph.capacity back e.Graph.id)
+    g ();
+  List.iter (fun (u, v, c) -> add_pair u v c 0.0 (-1)) extra_arcs;
+  let { Graph.Csr.row_start; cells } = Graph.arcs_csr ~n ~tails ~heads in
+  { n; cap; row_start; cells; orig }
 
 let bfs_levels r ~src ~dst =
   let levels = Array.make r.n (-1) in
@@ -86,9 +71,9 @@ let bfs_levels r ~src ~dst =
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
-    for k = r.adj_start.(u) to r.adj_start.(u + 1) - 1 do
-      let w = Int64.to_int (Graph.Csr.Cells.unsafe_get64 r.adj (k lsl 3)) in
-      let a = w land Graph.Csr.Cells.max_packed and v = w lsr 32 in
+    for k = r.row_start.(u) to r.row_start.(u + 1) - 1 do
+      let w = Int64.to_int (Graph.Csr.Cells.unsafe_get64 r.cells (k lsl 3)) in
+      let v = w land Graph.Csr.Cells.max_packed and a = w lsr 32 in
       if r.cap.(a) > eps && levels.(v) < 0 then begin
         levels.(v) <- levels.(u) + 1;
         queue.(!tail) <- v;
@@ -98,16 +83,16 @@ let bfs_levels r ~src ~dst =
   done;
   if levels.(dst) < 0 then None else Some levels
 
-(* Blocking-flow DFS; [cursors.(u)] indexes into the packed [adj] row
+(* Blocking-flow DFS; [cursors.(u)] indexes into the packed [cells] row
    of [u], remembering which arcs this phase has exhausted. *)
 let rec dfs r levels cursors ~dst u pushed =
   if u = dst then pushed
   else begin
     let k = cursors.(u) in
-    if k >= r.adj_start.(u + 1) then 0.0
+    if k >= r.row_start.(u + 1) then 0.0
     else begin
-      let w = Int64.to_int (Graph.Csr.Cells.unsafe_get64 r.adj (k lsl 3)) in
-      let a = w land Graph.Csr.Cells.max_packed and v = w lsr 32 in
+      let w = Int64.to_int (Graph.Csr.Cells.unsafe_get64 r.cells (k lsl 3)) in
+      let v = w land Graph.Csr.Cells.max_packed and a = w lsr 32 in
       let sent =
         if r.cap.(a) > eps && levels.(v) = levels.(u) + 1 then
           dfs r levels cursors ~dst v (Float.min pushed r.cap.(a))
@@ -134,7 +119,7 @@ let run_dinic r ~src ~dst =
     | None -> continue := false
     | Some levels ->
       Ufp_obs.Metrics.incr m_phases;
-      let cursors = Array.sub r.adj_start 0 r.n in
+      let cursors = Array.sub r.row_start 0 r.n in
       let phase = ref true in
       while !phase do
         let sent = dfs r levels cursors ~dst src infinity in

@@ -190,18 +190,6 @@ let gauge_add g x =
     s.sg.(g) <- s.sg.(g) +. x
   end
 
-(* A set must override every shard's accumulated adds, so it zeroes
-   the slot across the registry before depositing the value in the
-   calling domain's shard. Like [reset], it belongs to quiescent
-   moments on the coordinating domain. *)
-let gauge_set g x =
-  let s = Domain.DLS.get shard_key in
-  if g >= Array.length s.sg then grow_sg s g;
-  List.iter
-    (fun s' -> if g < Array.length s'.sg then s'.sg.(g) <- 0.0)
-    (Atomic.get shards);
-  s.sg.(g) <- x
-
 let gauge_value g =
   List.fold_left
     (fun acc s -> if g < Array.length s.sg then acc +. s.sg.(g) else acc)
@@ -358,8 +346,8 @@ let diff before after =
       List.map (fun (name, h) -> (name, sub_hist name h)) after.histograms;
   }
 
-(* Zero every shard. A quiescent-moment operation like [gauge_set]:
-   racing writers may redeposit into already-zeroed slots. *)
+(* Zero every shard. A quiescent-moment operation: racing writers may
+   redeposit into already-zeroed slots. *)
 let reset () =
   List.iter
     (fun s ->

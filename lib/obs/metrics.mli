@@ -81,10 +81,6 @@ val value : counter -> int
 
 val gauge_add : gauge -> float -> unit
 
-val gauge_set : gauge -> float -> unit
-(** Override the accumulated value across all shards. Belongs to
-    quiescent moments on the coordinating domain, like {!reset}. *)
-
 val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit

@@ -1109,6 +1109,45 @@ let qcheck_column_store =
       done;
       true)
 
+(* [Graph.arcs_csr] is the counting sort behind [Graph.csr]: over a
+   random directed multigraph's own edge columns it writes the same row
+   offsets and both halves of the same cells, and counts no CSR
+   build. *)
+let qcheck_arcs_csr =
+  QCheck.Test.make ~name:"arcs_csr over the edge columns equals csr" ~count:200
+    (QCheck.int_bound 0x3FFFFFFF) (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 10 in
+      let g = Graph.create ~directed:true ~n in
+      for _ = 1 to Rng.int rng 40 do
+        let u = Rng.int rng n in
+        ignore (Graph.add_edge g ~u ~v:((u + 1 + Rng.int rng (n - 1)) mod n) ~capacity:1.0)
+      done;
+      let column f = Array.init (Graph.n_edges g) (fun i -> f (Graph.edge g i)) in
+      let builds () =
+        List.assoc "graph.csr_builds" (Ufp_obs.Metrics.snapshot ()).Ufp_obs.Metrics.counters
+      in
+      let before = builds () in
+      let arcs =
+        Graph.arcs_csr ~n ~tails:(column (fun e -> e.Graph.u)) ~heads:(column (fun e -> e.Graph.v))
+      in
+      let unbumped = builds () = before in
+      let c = Graph.csr g in
+      unbumped
+      && arcs.Graph.Csr.row_start = c.Graph.Csr.row_start
+      && cell_halves arcs = cell_halves c)
+
+let test_arcs_csr_validation () =
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument ("Graph.arcs_csr: " ^ msg)) f in
+  raises "negative vertex count" (fun () ->
+      ignore (Graph.arcs_csr ~n:(-1) ~tails:[||] ~heads:[||]));
+  raises "columns differ in length" (fun () ->
+      ignore (Graph.arcs_csr ~n:2 ~tails:[| 0 |] ~heads:[||]));
+  raises "endpoint out of range" (fun () ->
+      ignore (Graph.arcs_csr ~n:2 ~tails:[| 0 |] ~heads:[| 2 |]));
+  raises "endpoint out of range" (fun () ->
+      ignore (Graph.arcs_csr ~n:2 ~tails:[| -1 |] ~heads:[| 1 |]))
+
 (* A loaded, normalized directed RMAT graph, ready to traverse, holds
    its three edge columns and its one adjacency, the packed CSR: four
    words per edge (one 8-byte cell each) and one per vertex. Four per
@@ -1643,6 +1682,8 @@ let () =
             test_rescale_add_edge_detaches;
           Alcotest.test_case "rescale validation" `Quick test_rescale_validation;
           QCheck_alcotest.to_alcotest qcheck_column_store;
+          QCheck_alcotest.to_alcotest qcheck_arcs_csr;
+          Alcotest.test_case "arcs_csr validation" `Quick test_arcs_csr_validation;
           Alcotest.test_case "loaded graph words per edge" `Quick
             test_loaded_graph_words;
           Alcotest.test_case "load streams one csr build" `Quick

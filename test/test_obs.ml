@@ -16,7 +16,6 @@
 module Metrics = Ufp_obs.Metrics
 module Trace = Ufp_obs.Trace
 module Profile = Ufp_obs.Profile
-module Openmetrics = Ufp_obs.Openmetrics
 module Instance = Ufp_instance.Instance
 module Request = Ufp_instance.Request
 module Gen = Ufp_graph.Generators
@@ -50,9 +49,9 @@ let test_counter_ops () =
 
 let test_gauge_ops () =
   let g = Metrics.gauge "test.gauge_ops" in
-  Metrics.gauge_set g 1.5;
+  Metrics.gauge_add g 1.5;
   Metrics.gauge_add g 2.0;
-  check_float "set + add" 3.5 (Metrics.gauge_value g)
+  check_float "adds accumulate" 3.5 (Metrics.gauge_value g)
 
 let test_histogram_buckets () =
   let h = Metrics.histogram "test.hist" in
@@ -125,37 +124,6 @@ let test_renderings () =
     (contains md "nan=1");
   Alcotest.(check bool) "json carries the quarantine" true
     (contains (Metrics.to_json s) "\"nan\": 1")
-
-(* The Prometheus text exposition: sanitized names, counter [_total]
-   samples, cumulative buckets closed by [le="+Inf"], the NaN
-   quarantine surfacing as its own counter family, final [# EOF].
-   bin/openmetrics_check.ml re-validates the same dump end-to-end in
-   the runtest CLI smoke and in CI. *)
-let test_openmetrics_render () =
-  Metrics.reset ();
-  Alcotest.(check string) "names sanitized" "test_om_counter"
-    (Openmetrics.sanitize_name "test.om/counter");
-  let c = Metrics.counter "test.om/counter" in
-  Metrics.add c 3;
-  let h = Metrics.histogram "test.om_hist" in
-  List.iter (Metrics.observe h) [ 0.5; 3.0; Float.nan ];
-  let text = Openmetrics.render (Metrics.snapshot ()) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "dump contains %S" needle) true
-        (contains text needle))
-    [
-      "# TYPE test_om_counter counter";
-      "test_om_counter_total 3";
-      "# TYPE test_om_hist histogram";
-      "test_om_hist_bucket{le=\"1\"} 1";
-      "test_om_hist_bucket{le=\"+Inf\"} 2";
-      "test_om_hist_count 2";
-      "test_om_hist_nan_samples_total 1";
-    ];
-  let n = String.length text in
-  Alcotest.(check bool) "ends with # EOF" true
-    (n >= 6 && String.sub text (n - 6) 6 = "# EOF\n")
 
 (* --- trace unit tests --- *)
 
@@ -301,19 +269,6 @@ let test_metrics_domain_safe () =
     (Metrics.gauge_value g);
   let hs = List.assoc "test.par_hist" (Metrics.snapshot ()).Metrics.histograms in
   Alcotest.(check int) "no lost observations" (before_h + n) hs.Metrics.h_count
-
-(* [gauge_set] is documented for quiescent moments: after parallel
-   [gauge_add]s have joined, a set must override every shard's
-   deposits, not just the setting domain's. *)
-let test_gauge_set_overrides_all_shards () =
-  let g = Metrics.gauge "test.par_gauge_set" in
-  Pool.with_pool ~domains:3 (fun pool ->
-      Pool.parallel_for ~pool ~n:300 (fun _ -> Metrics.gauge_add g 1.0));
-  check_float "parallel adds all landed" 300.0 (Metrics.gauge_value g);
-  Metrics.gauge_set g 7.5;
-  check_float "set overrides every shard" 7.5 (Metrics.gauge_value g);
-  Metrics.gauge_add g 0.5;
-  check_float "adds resume on top of the set" 8.0 (Metrics.gauge_value g)
 
 (* --- the sharded-envelope law (QCheck) ---
 
@@ -629,8 +584,6 @@ let () =
           Alcotest.test_case "snapshot diff and reset" `Quick
             test_snapshot_diff_reset;
           Alcotest.test_case "table and json renderings" `Quick test_renderings;
-          Alcotest.test_case "openmetrics exposition" `Quick
-            test_openmetrics_render;
         ] );
       ( "trace",
         [
@@ -662,8 +615,6 @@ let () =
         [
           Alcotest.test_case "metrics lose no updates across domains" `Quick
             test_metrics_domain_safe;
-          Alcotest.test_case "gauge_set overrides all shards" `Quick
-            test_gauge_set_overrides_all_shards;
           Alcotest.test_case "trace tags and balances per domain" `Quick
             test_trace_domain_safe;
           QCheck_alcotest.to_alcotest envelope_law;
