@@ -32,6 +32,14 @@ module Metrics = Ufp_obs.Metrics
 
 (* --- bechamel micro-benchmarks: one per computational kernel --- *)
 
+(* The auction behind the Bounded-MUCA micro row and pr19's MUCA work
+   rows: 80 random 3-item bids on 10 items, at the Theorem 4.1
+   multiplicity for eps = 0.3. *)
+let muca_auction () =
+  Harness.random_auction ~seed:3 ~items:10
+    ~multiplicity:(int_of_float (Harness.capacity_for ~m:10 ~eps:0.3))
+    ~bids:80 ~bundle:3
+
 (* The CSR shortest-tree pair on one shared 12x12 grid: the path
    including its per-call weight-snapshot build, and the inner loop
    alone against a prebuilt snapshot (the steady-state Selector
@@ -117,11 +125,7 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Bounded_ufp.solve ~eps ufp_inst)))
   in
   (* Bounded-MUCA solve. *)
-  let auction =
-    Harness.random_auction ~seed:3 ~items:10
-      ~multiplicity:(int_of_float (Harness.capacity_for ~m:10 ~eps))
-      ~bids:80 ~bundle:3
-  in
+  let auction = muca_auction () in
   let bounded_muca =
     Test.make ~name:"bounded-muca-10items-80bids"
       (Staged.stage (fun () -> ignore (Bounded_muca.solve ~eps auction)))
@@ -588,12 +592,14 @@ let pr10 ~quick =
    deltas.  They are the same on every host and under every load, so
    unlike the wall-clock suites they bear the probe-count rows' tight
    threshold (0.1), and a change to the selector's cache or the kernel
-   shows as an exact work delta.  Three calls: a hub RMAT solve
+   shows as an exact work delta.  Five calls: a hub RMAT solve
    (rmat14-solve's shape two scales down, where tree rebuilds
    dominate), then grid-mechanism's pipeline on a small contended
    grid: the counterfactual critical values behind the payment hints
    (one partial re-solve per winner), and the hinted payments that
-   certify them (two full re-solves per winner).  Allocated words stay
+   certify them (two full re-solves per winner); then a Bounded-MUCA
+   solve on the micro row's auction and its critical-value payments,
+   which bisect with one full solve per probe.  Allocated words stay
    out: they differ between OCaml 5.1 and 5.2. *)
 let pr19 ~quick:_ =
   print_string "### BENCH-JSON-PR19: jobs-1 work counts\n";
@@ -652,7 +658,22 @@ let pr19 ~quick:_ =
              (Bounded_ufp.solve ~eps) grid_inst
             : float array))
   in
-  solve @ thresholds @ payments
+  let auction = muca_auction () in
+  let (), muca =
+    work_rows "solve-muca-10items-80bids"
+      [ ("pd.iterations", "iterations"); ("pd.dual_updates", "updates") ]
+      (fun () -> ignore (Bounded_muca.run ~eps:0.3 auction))
+  in
+  let (), muca_payments =
+    work_rows "payments-muca-10items-80bids"
+      [ ("mech.payment_probes", "probes") ]
+      (fun () ->
+        ignore
+          (Ufp_mech.Muca_mechanism.payments ~rel_tol:Float_tol.payment_rel_tol
+             (Bounded_muca.solve ~eps:0.3) auction
+            : float array))
+  in
+  solve @ thresholds @ payments @ muca @ muca_payments
 
 (* The suite each [--json-<name> FILE] flag runs, and the schema its
    file declares (EXPERIMENTS.md documents each version). *)

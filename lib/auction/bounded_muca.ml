@@ -1,9 +1,8 @@
-type trace_entry = {
-  iteration : int;
-  selected : int;
-  alpha : float;
-  d1 : float;
-  dual_bound : float;
+module Pd_engine = Ufp_core.Pd_engine
+
+type trace_entry = Pd_engine.trace_entry = {
+  iteration : int; selected : int; path : int list;
+  alpha : float; d1 : float; dual_bound : float;
 }
 
 type run = {
@@ -15,10 +14,7 @@ type run = {
   iterations : int;
 }
 
-let budget ~eps ~b = exp (eps *. (b -. 1.0))
-
-let theorem_ratio ~eps =
-  (1.0 +. (6.0 *. eps)) *. Float.exp 1.0 /. (Float.exp 1.0 -. 1.0)
+let theorem_ratio = Ufp_core.Bounded_ufp.theorem_ratio
 
 let run ?(eps = 0.1) auction =
   if not (eps > 0.0 && eps <= 1.0) then
@@ -26,75 +22,17 @@ let run ?(eps = 0.1) auction =
   if Auction.n_bids auction = 0 then invalid_arg "Bounded_muca: no bids";
   let m = Auction.n_items auction in
   if m = 0 then invalid_arg "Bounded_muca: no items";
-  let b = float_of_int (Auction.bound auction) in
-  let budget = budget ~eps ~b in
-  let y = Array.init m (fun u -> 1.0 /. float_of_int (Auction.multiplicity auction u)) in
-  let d1 = ref (float_of_int m) in
-  let d2 = ref 0.0 in
-  let pending = ref (List.init (Auction.n_bids auction) Fun.id) in
-  let allocation = ref [] in
-  let trace = ref [] in
-  let iterations = ref 0 in
-  let best_bound = ref infinity in
-  let budget_exhausted = ref false in
-  let continue = ref true in
-  while !continue do
-    if !pending = [] then continue := false
-    else if !d1 > budget then begin
-      budget_exhausted := true;
-      continue := false
-    end
-    else begin
-      (* Bid minimising the normalised bundle price; ties to the lowest
-         index (the pending list is kept increasing). *)
-      let price (bid : Auction.bid) =
-        List.fold_left (fun acc u -> acc +. y.(u)) 0.0 bid.Auction.bundle
-        /. bid.Auction.value
-      in
-      let best = ref None in
-      List.iter
-        (fun i ->
-          let alpha = price (Auction.bid auction i) in
-          match !best with
-          | Some (a, _) when a <= alpha -> ()
-          | _ -> best := Some (alpha, i))
-        !pending;
-      match !best with
-      | None -> continue := false
-      | Some (alpha, i) ->
-        incr iterations;
-        let bound = if alpha > 0.0 then (!d1 /. alpha) +. !d2 else infinity in
-        best_bound := Float.min !best_bound bound;
-        let bid = Auction.bid auction i in
-        List.iter
-          (fun u ->
-            let c = float_of_int (Auction.multiplicity auction u) in
-            let old = y.(u) in
-            y.(u) <- old *. exp (eps *. b /. c);
-            d1 := !d1 +. (c *. (y.(u) -. old)))
-          bid.Auction.bundle;
-        d2 := !d2 +. bid.Auction.value;
-        pending := List.filter (fun j -> j <> i) !pending;
-        allocation := i :: !allocation;
-        trace :=
-          { iteration = !iterations; selected = i; alpha; d1 = !d1; dual_bound = bound }
-          :: !trace
-    end
-  done;
-  let allocation = List.rev !allocation in
-  let value = Auction.Allocation.value auction allocation in
-  let certified_upper_bound =
-    (* With zero iterations under an exhausted budget there is no
-       Claim 3.6 certificate; [infinity] reports that honestly. *)
-    if !budget_exhausted then !best_bound else Float.min !best_bound value
+  let bids = Auction.bids auction in
+  let { Pd_engine.trace; final_y; budget_exhausted; certified_upper_bound;
+        iterations; _ } =
+    Pd_engine.execute_bundles
+      (Pd_engine.algorithm_1 ~eps ~b:(float_of_int (Auction.bound auction)))
+      ~capacities:
+        (Array.init m (fun u -> float_of_int (Auction.multiplicity auction u)))
+      ~bundles:(Array.map (fun (b : Auction.bid) -> b.Auction.bundle) bids)
+      ~values:(Array.map (fun (b : Auction.bid) -> b.Auction.value) bids)
   in
-  {
-    allocation;
-    trace = List.rev !trace;
-    final_y = y;
-    budget_exhausted = !budget_exhausted;
-    certified_upper_bound;
-    iterations = !iterations;
-  }
+  { allocation = List.map (fun t -> t.selected) trace; trace; final_y;
+    budget_exhausted; certified_upper_bound; iterations }
 
 let solve ?eps auction = (run ?eps auction).allocation

@@ -51,34 +51,19 @@ let run ?(eps = 0.1) ?(pool = `Seq) inst =
   Trace.with_span "bounded_ufp.run" @@ fun () ->
   (* Each iteration allocates one request for good, so the loop ends
      after at most |R| iterations: the engine's guard is lifted. *)
-  let { Pd_engine.solution; trace; iterations; final_y; budget_exhausted } =
+  let { Pd_engine.solution; trace; iterations; final_y; budget_exhausted;
+        certified_upper_bound } =
     Pd_engine.execute ~max_iterations:max_int ~pool
       (Pd_engine.algorithm_1 ~eps ~b) inst
   in
-  let value = Solution.value inst solution in
   Log.info (fun m ->
-      m "done: %d iterations, value %.6g, budget_exhausted %b" iterations value
-        budget_exhausted);
+      m "done: %d iterations, value %.6g, budget_exhausted %b" iterations
+        (Solution.value inst solution) budget_exhausted);
   let final_z = Array.make (Instance.n_requests inst) 0.0 in
   List.iter
     (fun (a : Solution.allocation) ->
       final_z.(a.request) <- (Instance.request inst a.request).Request.value)
     solution;
-  let best_bound =
-    List.fold_left (fun acc t -> Float.min acc t.dual_bound) infinity trace
-  in
-  let certified_upper_bound =
-    if budget_exhausted then
-      (* Claim 3.6 certificates were collected per iteration; with zero
-         iterations (budget below m: the Theorem 3.1 premise fails)
-         there is no certificate at all. *)
-      best_bound
-    else
-      (* Every routable request was allocated: the solution value is
-         itself an upper bound on what any allocation can achieve among
-         routable requests, and unroutable ones contribute nothing. *)
-      Float.min best_bound value
-  in
   { solution; trace; final_y; final_z; budget_exhausted; certified_upper_bound;
     iterations; eps }
 

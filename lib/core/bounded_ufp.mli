@@ -12,8 +12,8 @@
     {!Pd_engine.algorithm_1}: the loop, its [pd.*] counters and its
     [pd.select] trace instants live in the engine; this module adds
     the argument checks, the [bounded_ufp.run] trace span, and the
-    result record below ([final_z] and the certified bound are derived
-    from the engine's trace).
+    result record below ([final_z] is derived from the engine's trace,
+    and the certified bound is the engine's).
 
     Guarantees (Theorem 3.1): for instances with
     [B >= ln m / eps^2], the output is feasible, the value is within

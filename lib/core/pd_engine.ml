@@ -42,9 +42,9 @@ let capacity_slack = Ufp_prelude.Float_tol.capacity_slack
 
 (* The algorithm-level work counters (docs/OBSERVABILITY.md). This is
    their only registration site: every primal-dual run in the library
-   goes through [execute], so the values are pure functions of the
-   selection trace and identical across pool modes (a test_obs.ml
-   law). *)
+   goes through [execute] or [execute_bundles], so the values are pure
+   functions of the selection trace and identical across pool modes (a
+   test_obs.ml law). *)
 let m_runs = Metrics.counter "pd.runs"
 
 let m_iterations = Metrics.counter "pd.iterations"
@@ -92,19 +92,30 @@ type run = {
   iterations : int;
   final_y : float array;
   budget_exhausted : bool;
+  certified_upper_bound : float;
 }
 
-(* Everything an iteration reads or writes. [execute] starts it fresh;
-   [counterfactual] starts it fresh, then replays a trace prefix into
-   it. *)
+(* What the loop reads of the pending requests and their candidates;
+   [distance i] is the dual length of request [i]'s candidate. *)
+type source = {
+  capacity : int -> float;
+  demand : int -> float;
+  value : int -> float;
+  distance : int -> float;
+  is_empty : unit -> bool;
+  select : unit -> Selector.choice option;
+  update_path : demand:float -> int list -> unit;  (* after its dual update *)
+  remove : int -> unit;
+}
+
+(* Everything an iteration reads or writes. [execute] and
+   [execute_bundles] start it fresh; [counterfactual] starts it fresh,
+   then replays a trace prefix into it. *)
 type state = {
   config : config;
-  inst : Instance.t;
-  g : Graph.t;
+  source : source;
   b : float;
   y : float array;
-  consume_residual : float -> int list -> unit;
-  sel : Selector.t;
   mutable d1 : float;  (* sum_e c_e y_e *)
   (* D2 = sum of z_r = v_r over the selected requests; it stays 0 in
      the with-repetitions problem, whose dual (Figure 5) has no z. *)
@@ -114,20 +125,24 @@ type state = {
   mutable budget_exhausted : bool;
 }
 
-let start ?(pool = `Seq) config inst =
+(* [y] holds the capacities, inverted here into the initial duals 1/c. *)
+let start config ~b y source =
   if not (config.eps > 0.0 && config.eps <= 1.0) then
     invalid_arg "Pd_engine: eps must be in (0, 1]";
+  if b < 1.0 then invalid_arg "Pd_engine: requires B >= 1";
+  for e = 0 to Array.length y - 1 do
+    y.(e) <- 1.0 /. y.(e)
+  done;
+  { config; source = source y; b; y; d1 = float_of_int (Array.length y);
+    d2 = 0.0; iterations = 0; trace = []; budget_exhausted = false }
+
+(* Graph paths from the Selector, over the graph's capacity column. *)
+let start_paths ?(pool = `Seq) config inst =
   if not (Instance.is_normalized inst) then
     invalid_arg "Pd_engine: instance must be normalised";
   let g = Instance.graph inst in
   if Graph.n_edges g = 0 then invalid_arg "Pd_engine: graph has no edges";
-  let b = Graph.min_capacity g in
-  if b < 1.0 then invalid_arg "Pd_engine: requires B >= 1";
-  let m = Graph.n_edges g in
-  let y = Graph.capacities g in
-  for e = 0 to m - 1 do
-    y.(e) <- 1.0 /. y.(e)
-  done;
+  start config ~b:(Graph.min_capacity g) (Graph.capacities g) @@ fun y ->
   (* The residual array exists (and is maintained) only when the config
      actually filters paths by it; Budget-mode runs skip the dead
      bookkeeping entirely. *)
@@ -146,47 +161,70 @@ let start ?(pool = `Seq) config inst =
     end
     else (Selector.Uniform (fun e -> y.(e)), fun _ _ -> ())
   in
-  {
-    config;
-    inst;
-    g;
-    b;
-    y;
-    consume_residual;
-    sel = Selector.create ~pool ~weights inst;
-    d1 = float_of_int m (* sum_e c_e / c_e *);
-    d2 = 0.0;
-    iterations = 0;
-    trace = [];
-    budget_exhausted = false;
-  }
+  let sel = Selector.create ~pool ~weights inst in
+  { capacity = Graph.capacity g;
+    demand = (fun i -> (Instance.request inst i).Request.demand);
+    value = (fun i -> (Instance.request inst i).Request.value);
+    distance = Selector.distance sel;
+    is_empty = (fun () -> Selector.is_empty sel);
+    select = (fun () -> Selector.select sel);
+    update_path =
+      (fun ~demand path ->
+        consume_residual demand path;
+        Selector.update_path sel path);
+    remove = Selector.remove sel }
 
-(* Route request [i] on [path]: inflate the duals along it, consume
-   its residual, announce the path to the selector and, without
-   repetitions, retire the request. The loop and the counterfactual's
-   replay share this code, so a replayed prefix leaves the duals
-   bitwise where the run left them. *)
+(* Fixed bundles: bid [i]'s one candidate is its bundle. A scan over
+   the pending bids (one is, when the loop selects) takes the least
+   [distance i /. v_i], Algorithm 2's price bit for bit (not
+   [(1/v_i) *. distance i]), and keeps the first minimum. *)
+let bundle_source ~capacities ~bundles ~values y =
+  let won = Array.make (Array.length bundles) false in
+  let distance i = List.fold_left (fun acc u -> acc +. y.(u)) 0.0 bundles.(i) in
+  { capacity = (fun u -> capacities.(u)); demand = (fun _ -> 1.0);
+    value = (fun i -> values.(i)); distance;
+    is_empty = (fun () -> Array.for_all Fun.id won);
+    select =
+      (fun () ->
+        let best = ref (-1) and alpha = ref infinity in
+        for i = 0 to Array.length bundles - 1 do
+          if not won.(i) then begin
+            let a = distance i /. values.(i) in
+            if !best < 0 || not (!alpha <= a) then begin
+              best := i;
+              alpha := a
+            end
+          end
+        done;
+        Some { Selector.request = !best; path = bundles.(!best); alpha = !alpha });
+    update_path = (fun ~demand:_ _ -> ());
+    remove = (fun i -> won.(i) <- true) }
+
+(* Route request [i] on [path]: inflate the duals along it, hand the
+   path to the source (which consumes its residual and patches the
+   selector) and, without repetitions, retire the request. The loop
+   and the counterfactual's replay share this code, so a replayed
+   prefix leaves the duals bitwise where the run left them. *)
 let commit st i path =
-  let r = Instance.request st.inst i in
+  let src = st.source in
+  let demand = src.demand i in
   let d1_before = st.d1 in
   let d1 = ref st.d1 in
   List.iter
     (fun e ->
       Metrics.incr m_dual_updates;
-      let c = Graph.capacity st.g e in
+      let c = src.capacity e in
       let old = st.y.(e) in
-      st.y.(e) <-
-        old *. st.config.inflation ~b:st.b ~demand:r.Request.demand ~capacity:c;
+      st.y.(e) <- old *. st.config.inflation ~b:st.b ~demand ~capacity:c;
       d1 := !d1 +. (c *. (st.y.(e) -. old)))
     path;
   st.d1 <- !d1;
   Metrics.gauge_add g_d1_growth (st.d1 -. d1_before);
   Metrics.observe h_path_edges (float_of_int (List.length path));
-  st.consume_residual r.Request.demand path;
-  Selector.update_path st.sel path;
+  src.update_path ~demand path;
   if st.config.remove_selected then begin
-    st.d2 <- st.d2 +. r.Request.value;
-    Selector.remove st.sel i
+    st.d2 <- st.d2 +. src.value i;
+    src.remove i
   end
 
 (* The loop, from the current state until its stop rule fires.
@@ -195,7 +233,7 @@ let commit st i path =
 let loop ~max_iterations ~observe st =
   let continue = ref true in
   while !continue do
-    if Selector.is_empty st.sel then continue := false
+    if st.source.is_empty () then continue := false
     else if
       match st.config.stop with
       | Budget bound -> st.d1 > bound
@@ -205,7 +243,7 @@ let loop ~max_iterations ~observe st =
       continue := false
     end
     else begin
-      match Selector.select st.sel with
+      match st.source.select () with
       | Some { Selector.request = i; path; alpha }
         when match st.config.stop with
              | Budget _ -> true
@@ -245,17 +283,34 @@ let loop ~max_iterations ~observe st =
     end
   done
 
-let execute ?(max_iterations = 1_000_000) ?pool config inst =
-  let st = start ?pool config inst in
+(* One run from a fresh state to its stop. *)
+let run ~max_iterations st =
   Metrics.incr m_runs;
   loop ~max_iterations ~observe:ignore st;
-  let solution =
-    List.rev_map
-      (fun t -> { Solution.request = t.selected; path = t.path })
-      st.trace
-  in
-  { solution; trace = List.rev st.trace; iterations = st.iterations;
-    final_y = st.y; budget_exhausted = st.budget_exhausted }
+  let trace = List.rev st.trace in
+  let best = List.fold_left (fun acc t -> Float.min acc t.dual_bound) infinity trace in
+  { solution =
+      List.rev_map (fun t -> { Solution.request = t.selected; path = t.path }) st.trace;
+    trace; iterations = st.iterations; final_y = st.y;
+    budget_exhausted = st.budget_exhausted;
+    (* Claim 3.6 ([infinity] after no iteration), or D2 once every
+       routable request won; no certificate for other configs *)
+    certified_upper_bound =
+      (match st.config with
+      | { stop = Budget _; remove_selected = true; respect_residual = false; _ } ->
+        if st.budget_exhausted then best else Float.min best st.d2
+      | _ -> infinity) }
+
+let execute ?(max_iterations = 1_000_000) ?pool config inst =
+  run ~max_iterations (start_paths ?pool config inst)
+
+(* Each bid wins at most once, so the guard is lifted. *)
+let execute_bundles config ~capacities ~bundles ~values =
+  if config.respect_residual || not config.remove_selected then
+    invalid_arg "Pd_engine.execute_bundles: needs remove_selected, no residual";
+  run ~max_iterations:max_int
+    (start config ~b:(Array.fold_left Float.min infinity capacities)
+       (Array.copy capacities) (bundle_source ~capacities ~bundles ~values))
 
 (* Winner [w] = [trace.(k).selected], declaring any [v <= v_w], raises
    its own [alpha_w = (d_w / v) L_w] and leaves every other request's
@@ -279,18 +334,18 @@ let counterfactual config inst trace k =
     invalid_arg "Pd_engine.counterfactual: trace index out of range";
   let w = trace.(k).selected in
   let demand = (Instance.request inst w).Request.demand in
-  let st = start config inst in
+  let st = start_paths config inst in
   for j = 0 to k - 1 do
     commit st trace.(j).selected trace.(j).path
   done;
-  Selector.remove st.sel w;
+  st.source.remove w;
   st.iterations <- k;
   let c = ref infinity in
   loop ~max_iterations:max_int st ~observe:(fun alpha ->
-      c := Float.min !c (demand *. Selector.distance st.sel w /. alpha));
+      c := Float.min !c (demand *. st.source.distance w /. alpha));
   if
     (not st.budget_exhausted)
     && (not (st.d1 > bound))
-    && Selector.distance st.sel w < infinity
+    && st.source.distance w < infinity
   then 0.0
   else !c

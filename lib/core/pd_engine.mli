@@ -1,6 +1,5 @@
 (** The primal-dual iterative path minimizer: the one loop behind
-    Algorithm 1, Algorithm 3, the BKV-style threshold rule and the
-    EXP-ABLATION variants.
+    Algorithms 1, 2 and 3, the threshold rule and EXP-ABLATION.
 
     Each iteration selects the pending request minimising the
     normalised shortest-path length [(d_r/v_r) sum_{e in p} y_e] under
@@ -10,12 +9,13 @@
     and whether paths are filtered by residual capacity.
 
     {!Bounded_ufp}, {!Bounded_ufp_repeat} and
-    {!Baselines.threshold_pd} are thin wrappers over {!execute}, and
+    {!Baselines.threshold_pd} are thin wrappers over {!execute},
+    [Ufp_auction.Bounded_muca] over {!execute_bundles}, and
     {!counterfactual} resumes the same loop from a replayed trace
-    prefix to price one winner. The
-    engine is checked against a literal transcription of the loop in
+    prefix to price one winner. Bitwise QCheck laws check the engine
+    against a literal transcription of the path loop in
     [test/test_core.ml] (a fresh Dijkstra per pending request, no
-    {!Selector}) by a bitwise QCheck law. *)
+    {!Selector}) and Algorithm 2's loop in [test/test_auction.ml]. *)
 
 type stop_rule =
   | Budget of float
@@ -65,6 +65,11 @@ type run = {
   iterations : int;
   final_y : float array;  (** dual edge weights at termination *)
   budget_exhausted : bool;  (** the loop ended on a [Budget] stop *)
+  certified_upper_bound : float;
+      (** Claim 3.6's OPT bound, for a [Budget] stop with
+          [remove_selected] and no [respect_residual] ({!algorithm_1}):
+          the least [dual_bound], capped by [D2] unless the budget
+          stopped the run; [infinity] (no certificate) otherwise *)
 }
 
 exception
@@ -117,6 +122,22 @@ val execute :
     {!Ufp_obs.Trace} on, each iteration emits a [pd.select] instant;
     the engine opens no span, so the loop's time is the self time of
     the caller's span ([bounded_ufp.run], ...). *)
+
+val execute_bundles :
+  config -> capacities:float array -> bundles:int list array ->
+  values:float array -> run
+(** The loop over fixed bundles, Algorithm 2 under {!algorithm_1}: item
+    [u] is a dual of capacity [capacities.(u)], every demand is 1, and
+    bid [i]'s one candidate is its bundle [bundles.(i)] (item ids below
+    the item count), priced [(sum_{u in U_i} y_u) / values.(i)] (that
+    division, not [1/v_i] times the sum; values positive) by a scan
+    over the pending bids, ties towards the lowest index. Solution
+    paths are bundles. Counters and [pd.select] instants as for
+    {!execute}: [pd.dual_updates] counts the winners' bundle items, and
+    [pd.path_edges] observes bundle sizes. Each bid wins at most once,
+    so no iteration guard applies. Raises [Invalid_argument] as
+    {!execute} does, and under [respect_residual] or without
+    [remove_selected]. *)
 
 val counterfactual :
   config -> Ufp_instance.Instance.t -> trace_entry array -> int -> float

@@ -1,5 +1,5 @@
-(* Tests for Ufp_auction: auction, bounded_muca, lower_bound,
-   reasonable_bundle, baselines, lp. *)
+(* Tests for Ufp_auction: auction, bounded_muca (against its
+   hand-written loop), lower_bound, reasonable_bundle, baselines, lp. *)
 
 module Auction = Ufp_auction.Auction
 module Bounded_muca = Ufp_auction.Bounded_muca
@@ -7,6 +7,9 @@ module Lower_bound = Ufp_auction.Lower_bound
 module Reasonable_bundle = Ufp_auction.Reasonable_bundle
 module Baselines = Ufp_auction.Baselines
 module Lp = Ufp_auction.Lp
+module Workloads = Ufp_auction.Workloads
+module Metrics = Ufp_obs.Metrics
+module Trace = Ufp_obs.Trace
 module Rng = Ufp_prelude.Rng
 module Float_tol = Ufp_prelude.Float_tol
 
@@ -185,6 +188,191 @@ let test_muca_monotone_manual () =
       Alcotest.(check bool) "still wins with smaller bundle" true
         (List.mem w (Bounded_muca.solve ~eps:0.3 shrunk))
     | [] -> assert false)
+
+(* --- Bounded_muca against its hand-written loop --- *)
+
+(* Algorithm 2 written out by hand, sharing nothing with Pd_engine: a
+   list of pending bids scanned for the least (sum_u y_u) / v, ties to
+   the lowest index. *)
+module Muca_oracle = struct
+  type trace_entry = {
+    iteration : int;
+    selected : int;
+    alpha : float;
+    d1 : float;
+    dual_bound : float;
+  }
+
+  type run = {
+    allocation : Auction.Allocation.t;
+    trace : trace_entry list;
+    final_y : float array;
+    budget_exhausted : bool;
+    certified_upper_bound : float;
+    iterations : int;
+  }
+
+  let budget ~eps ~b = exp (eps *. (b -. 1.0))
+
+  let run ?(eps = 0.1) auction =
+    if not (eps > 0.0 && eps <= 1.0) then
+      invalid_arg "Bounded_muca: eps must be in (0, 1]";
+    if Auction.n_bids auction = 0 then invalid_arg "Bounded_muca: no bids";
+    let m = Auction.n_items auction in
+    if m = 0 then invalid_arg "Bounded_muca: no items";
+    let b = float_of_int (Auction.bound auction) in
+    let budget = budget ~eps ~b in
+    let y = Array.init m (fun u -> 1.0 /. float_of_int (Auction.multiplicity auction u)) in
+    let d1 = ref (float_of_int m) in
+    let d2 = ref 0.0 in
+    let pending = ref (List.init (Auction.n_bids auction) Fun.id) in
+    let allocation = ref [] in
+    let trace = ref [] in
+    let iterations = ref 0 in
+    let best_bound = ref infinity in
+    let budget_exhausted = ref false in
+    let continue = ref true in
+    while !continue do
+      if !pending = [] then continue := false
+      else if !d1 > budget then begin
+        budget_exhausted := true;
+        continue := false
+      end
+      else begin
+        (* Bid minimising the normalised bundle price; ties to the lowest
+           index (the pending list is kept increasing). *)
+        let price (bid : Auction.bid) =
+          List.fold_left (fun acc u -> acc +. y.(u)) 0.0 bid.Auction.bundle
+          /. bid.Auction.value
+        in
+        let best = ref None in
+        List.iter
+          (fun i ->
+            let alpha = price (Auction.bid auction i) in
+            match !best with
+            | Some (a, _) when a <= alpha -> ()
+            | _ -> best := Some (alpha, i))
+          !pending;
+        match !best with
+        | None -> continue := false
+        | Some (alpha, i) ->
+          incr iterations;
+          let bound = if alpha > 0.0 then (!d1 /. alpha) +. !d2 else infinity in
+          best_bound := Float.min !best_bound bound;
+          let bid = Auction.bid auction i in
+          List.iter
+            (fun u ->
+              let c = float_of_int (Auction.multiplicity auction u) in
+              let old = y.(u) in
+              y.(u) <- old *. exp (eps *. b /. c);
+              d1 := !d1 +. (c *. (y.(u) -. old)))
+            bid.Auction.bundle;
+          d2 := !d2 +. bid.Auction.value;
+          pending := List.filter (fun j -> j <> i) !pending;
+          allocation := i :: !allocation;
+          trace :=
+            { iteration = !iterations; selected = i; alpha; d1 = !d1; dual_bound = bound }
+            :: !trace
+      end
+    done;
+    let allocation = List.rev !allocation in
+    let value = Auction.Allocation.value auction allocation in
+    let certified_upper_bound =
+      (* With zero iterations under an exhausted budget there is no
+         Claim 3.6 certificate; [infinity] reports that honestly. *)
+      if !budget_exhausted then !best_bound else Float.min !best_bound value
+    in
+    {
+      allocation;
+      trace = List.rev !trace;
+      final_y = y;
+      budget_exhausted = !budget_exhausted;
+      certified_upper_bound;
+      iterations = !iterations;
+    }
+end
+
+(* Auctions for the oracle law: the three Workloads generators, with
+   multiplicities from 1 up to twice Theorem 4.1's premise
+   ln m / eps^2, so runs stop on the budget (low B, often before the
+   first iteration) and on an empty pool (high B); and the Figure 4
+   partition instances, where every bundle ties at zero load, so only
+   the tie rule decides the first selections. *)
+let law_auction (kind, seed, draw) eps =
+  let rng = Rng.create seed in
+  let items = 4 + (seed mod 9) and bids = 5 + (draw mod 40) in
+  let premise = int_of_float (Float.ceil (log (float_of_int items) /. (eps *. eps))) in
+  let multiplicity = 1 + (draw / 40 mod (2 * premise)) in
+  match kind with
+  | 0 -> Workloads.uniform rng ~items ~multiplicity ~bids ()
+  | 1 -> Workloads.intervals rng ~items ~multiplicity ~bids ()
+  | 2 -> Workloads.weighted_items rng ~items ~multiplicity ~bids ()
+  | _ ->
+    (Lower_bound.make ~p:(3 + (2 * (seed mod 3))) ~b:(2 + (2 * (draw mod 16))) ())
+      .Lower_bound.auction
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* The engine law for Algorithm 2: Bounded_muca.run (Pd_engine over
+   fixed bundles) makes the hand-written loop's run bit for bit, step
+   by step (bid, alpha, d1, dual bound, and the bid's bundle as the
+   path) and in its result (winners, final duals, stop reason,
+   iteration count, certificate). *)
+let qcheck_muca_matches_oracle =
+  QCheck.Test.make ~count:400
+    ~name:"Bounded-MUCA matches its hand-written loop bit for bit"
+    QCheck.(
+      pair
+        (triple (int_range 0 3) (int_range 0 1000) (int_range 0 10_000))
+        (oneofl ~print:string_of_float [ 0.1; 0.3; 0.5; 1.0 ]))
+    (fun (shape, eps) ->
+      let a = law_auction shape eps in
+      let o = Muca_oracle.run ~eps a and r = Bounded_muca.run ~eps a in
+      let same_step (o : Muca_oracle.trace_entry) (e : Bounded_muca.trace_entry) =
+        o.Muca_oracle.iteration = e.Bounded_muca.iteration
+        && o.Muca_oracle.selected = e.Bounded_muca.selected
+        && e.Bounded_muca.path = (Auction.bid a o.Muca_oracle.selected).Auction.bundle
+        && same_bits o.Muca_oracle.alpha e.Bounded_muca.alpha
+        && same_bits o.Muca_oracle.d1 e.Bounded_muca.d1
+        && same_bits o.Muca_oracle.dual_bound e.Bounded_muca.dual_bound
+      in
+      let ot = o.Muca_oracle.trace and rt = r.Bounded_muca.trace in
+      if not (List.compare_lengths ot rt = 0 && List.for_all2 same_step ot rt)
+      then QCheck.Test.fail_reportf "the traces differ";
+      o.Muca_oracle.allocation = r.Bounded_muca.allocation
+      && Array.for_all2 same_bits o.Muca_oracle.final_y r.Bounded_muca.final_y
+      && o.Muca_oracle.budget_exhausted = r.Bounded_muca.budget_exhausted
+      && o.Muca_oracle.iterations = r.Bounded_muca.iterations
+      && same_bits o.Muca_oracle.certified_upper_bound
+           r.Bounded_muca.certified_upper_bound)
+
+(* A Bounded_muca run is an engine run: it counts under pd.* (one run,
+   its iterations, one dual update per item of each winning bundle)
+   and, with the tracer on, emits one pd.select instant per
+   iteration. *)
+let test_muca_is_engine_run () =
+  let a = random_auction ~multiplicity:20 ~bids:12 11 in
+  let names = [ "pd.runs"; "pd.iterations"; "pd.dual_updates" ] in
+  let counts () = List.map (fun n -> Metrics.value (Metrics.counter n)) names in
+  let before = counts () in
+  Trace.start ();
+  let run = Bounded_muca.run ~eps:0.3 a in
+  Trace.stop ();
+  let after = counts () in
+  let selects = ref 0 in
+  Trace.iter_events (fun ev -> if ev.Trace.ev_name = "pd.select" then incr selects);
+  Trace.clear ();
+  let items =
+    List.fold_left
+      (fun acc i -> acc + List.length (Auction.bid a i).Auction.bundle)
+      0 run.Bounded_muca.allocation
+  in
+  Alcotest.(check bool) "the run accepted bids" true (run.Bounded_muca.iterations > 0);
+  Alcotest.(check (list int)) "pd.runs, pd.iterations, pd.dual_updates"
+    [ 1; run.Bounded_muca.iterations; items ]
+    (List.map2 ( - ) after before);
+  Alcotest.(check int) "one pd.select per iteration" run.Bounded_muca.iterations
+    !selects
 
 (* --- Lower_bound --- *)
 
@@ -395,8 +583,6 @@ let test_muca_lp_empty () =
 
 (* --- Workloads --- *)
 
-module Workloads = Ufp_auction.Workloads
-
 let test_workload_uniform () =
   let rng = Rng.create 4 in
   let a = Workloads.uniform rng ~items:10 ~multiplicity:5 ~bids:20 () in
@@ -482,60 +668,6 @@ let test_muca_matches_reasonable_bundle () =
       direct sim.Reasonable_bundle.allocation
   done
 
-(* --- Online_muca --- *)
-
-module Online_muca = Ufp_auction.Online_muca
-
-let test_online_muca_feasible () =
-  for seed = 1 to 5 do
-    let a = random_auction ~multiplicity:4 ~bids:20 seed in
-    let run = Online_muca.route ~eps:0.3 a in
-    Alcotest.(check bool)
-      (Printf.sprintf "feasible seed %d" seed)
-      true
-      (Auction.Allocation.is_feasible a run.Online_muca.allocation);
-    Alcotest.(check int) "one event per bid" 20 (List.length run.Online_muca.log)
-  done
-
-let test_online_muca_log_consistent () =
-  let a = random_auction ~multiplicity:4 ~bids:20 9 in
-  let run = Online_muca.route ~eps:0.3 a in
-  List.iter
-    (fun (e : Online_muca.event) ->
-      if e.Online_muca.accepted then
-        Alcotest.(check bool) "accepted price <= 1" true (e.Online_muca.price <= 1.0)
-      else
-        Alcotest.(check bool) "rejected price > 1 or sold out" true
-          (e.Online_muca.price > 1.0 || e.Online_muca.price = infinity))
-    run.Online_muca.log
-
-let test_online_muca_monotone_per_order () =
-  let a = random_auction ~multiplicity:10 ~bids:15 3 in
-  match Online_muca.solve ~eps:0.3 a with
-  | [] -> Alcotest.fail "expected winners"
-  | w :: _ ->
-    let b = Auction.bid a w in
-    let improved =
-      Auction.with_bid a w
-        (Auction.make_bid ~bundle:b.Auction.bundle ~value:(b.Auction.value *. 3.0))
-    in
-    Alcotest.(check bool) "still accepted" true
-      (List.mem w (Online_muca.solve ~eps:0.3 improved))
-
-let test_online_muca_order_validation () =
-  let a = random_auction ~bids:4 1 in
-  Alcotest.check_raises "bad order"
-    (Invalid_argument "Online_muca.route: order must be a permutation")
-    (fun () -> ignore (Online_muca.route ~order:[| 0; 0; 1; 2 |] a))
-
-let test_online_muca_rejects_worthless () =
-  let a =
-    Auction.create ~multiplicities:[| 4 |]
-      [| Auction.make_bid ~bundle:[ 0 ] ~value:0.01 |]
-  in
-  (* Price = (1/4) / 0.01 = 25 > 1: rejected. *)
-  Alcotest.(check (list int)) "rejected" [] (Online_muca.solve ~eps:0.3 a)
-
 (* --- QCheck --- *)
 
 let qcheck_muca_feasible =
@@ -574,6 +706,8 @@ let () =
           Alcotest.test_case "trace" `Quick test_muca_trace;
           Alcotest.test_case "validation" `Quick test_muca_validation;
           Alcotest.test_case "monotone manual" `Quick test_muca_monotone_manual;
+          Alcotest.test_case "is an engine run" `Quick test_muca_is_engine_run;
+          QCheck_alcotest.to_alcotest qcheck_muca_matches_oracle;
         ] );
       ( "lower-bound",
         [
@@ -608,17 +742,6 @@ let () =
         [
           Alcotest.test_case "matches reasonable bundle minimizer" `Quick
             test_muca_matches_reasonable_bundle;
-        ] );
-      ( "online-muca",
-        [
-          Alcotest.test_case "feasible" `Quick test_online_muca_feasible;
-          Alcotest.test_case "log consistent" `Quick test_online_muca_log_consistent;
-          Alcotest.test_case "monotone per order" `Quick
-            test_online_muca_monotone_per_order;
-          Alcotest.test_case "order validation" `Quick
-            test_online_muca_order_validation;
-          Alcotest.test_case "rejects worthless" `Quick
-            test_online_muca_rejects_worthless;
         ] );
       ( "workloads",
         [

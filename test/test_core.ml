@@ -779,7 +779,34 @@ let test_engine_validation () =
       ignore
         (Pd_engine.execute
            { (Pd_engine.algorithm_1 ~eps:0.3 ~b:12.0) with Pd_engine.eps = 0.0 }
-           inst))
+           inst));
+  (* Fixed bundles run only under configs where each bid wins once. *)
+  let bundles config () =
+    ignore
+      (Pd_engine.execute_bundles config ~capacities:[| 2.0 |] ~bundles:[| [ 0 ] |]
+         ~values:[| 1.0 |])
+  in
+  let needs =
+    Invalid_argument "Pd_engine.execute_bundles: needs remove_selected, no residual"
+  in
+  Alcotest.check_raises "bundles with repetitions" needs
+    (bundles (Pd_engine.algorithm_3 ~eps:0.3 ~b:2.0));
+  Alcotest.check_raises "bundles with residual filter" needs
+    (bundles (Pd_engine.threshold_rule ~eps:0.3 ~b:2.0))
+
+(* Claim 3.6's certificate is filled for algorithm_1 runs only: the
+   threshold rule leaves routable requests behind, and Algorithm 3's
+   Claim 5.2 bound is Bounded_ufp_repeat's own. *)
+let test_engine_certificate_scope () =
+  let inst = grid_instance ~rows:3 ~cols:3 ~capacity:12.0 ~count:6 2 in
+  let bound config = (Pd_engine.execute config inst).Pd_engine.certified_upper_bound in
+  Alcotest.(check bool) "algorithm_1 certifies" true
+    (Float.is_finite (bound (Pd_engine.algorithm_1 ~eps:0.3 ~b:12.0)));
+  List.iter
+    (fun (label, config) ->
+      Alcotest.(check bool) label true (Float.equal infinity (bound config)))
+    [ ("algorithm_3", Pd_engine.algorithm_3 ~eps:0.3 ~b:12.0);
+      ("threshold_rule", Pd_engine.threshold_rule ~eps:0.3 ~b:12.0) ]
 
 let test_engine_iteration_guard () =
   (* A repetitions config with an absurd budget would loop forever;
@@ -1379,6 +1406,7 @@ let () =
           Alcotest.test_case "reproduces threshold-PD" `Quick
             test_engine_reproduces_threshold_pd;
           Alcotest.test_case "validation" `Quick test_engine_validation;
+          Alcotest.test_case "certificate scope" `Quick test_engine_certificate_scope;
           Alcotest.test_case "iteration guard" `Quick test_engine_iteration_guard;
           Alcotest.test_case "counterfactual by hand" `Quick
             test_engine_counterfactual_by_hand;
