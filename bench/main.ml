@@ -273,14 +273,23 @@ let with_out path f =
    a bench-diff across trajectories can tell a code regression from a
    host or toolchain change (EXPERIMENTS.md, "Provenance"). *)
 let provenance_json () =
-  let git_rev =
+  (* The exit status and first output line of one git command. *)
+  let git args =
     try
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+      let ic = Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") in
       let line = try String.trim (input_line ic) with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> line
-      | _ -> "unknown"
-    with _ -> "unknown"
+      (Unix.close_process_in ic, line)
+    with _ -> (Unix.WEXITED 127, "")
+  in
+  (* A tree whose tracked files differ from HEAD did not produce HEAD's
+     numbers, so its rev carries a "-dirty" mark. *)
+  let git_rev =
+    match git "rev-parse --short HEAD" with
+    | Unix.WEXITED 0, rev when rev <> "" -> (
+      match git "diff --quiet HEAD --" with
+      | Unix.WEXITED 1, _ -> rev ^ "-dirty"
+      | _ -> rev)
+    | _ -> "unknown"
   in
   Printf.sprintf
     "{ \"git_rev\": %S, \"ocaml_version\": %S, \"recommended_domains\": %d }"
@@ -596,8 +605,8 @@ let pr10 ~quick =
    (rmat14-solve's shape two scales down, where tree rebuilds
    dominate), then grid-mechanism's pipeline on a small contended
    grid: the counterfactual critical values behind the payment hints
-   (one partial re-solve per winner), and the hinted payments that
-   certify them (two full re-solves per winner); then a Bounded-MUCA
+   (one partial re-solve per winner), and the hinted payments that pay
+   them as they are (one winner-set solve, no probe); then a Bounded-MUCA
    solve on the micro row's auction and its critical-value payments,
    which bisect with one full solve per probe.  Allocated words stay
    out: they differ between OCaml 5.1 and 5.2. *)

@@ -21,6 +21,8 @@ module Baselines = Ufp_core.Baselines
 module Exact = Ufp_lp.Exact
 module Mcf = Ufp_lp.Mcf
 module Ufp_mechanism = Ufp_mech.Ufp_mechanism
+module Single_param = Ufp_mech.Single_param
+module Audit = Ufp_core.Audit
 module Registry = Ufp_experiments.Registry
 module Rng = Ufp_prelude.Rng
 module Metrics = Ufp_obs.Metrics
@@ -29,7 +31,6 @@ module Profile = Ufp_obs.Profile
 module Pool = Ufp_par.Pool
 
 open Cmdliner
-module Float_tol = Ufp_prelude.Float_tol
 
 let load_instance path =
   match Io.load path with
@@ -340,9 +341,9 @@ let solve path algo_name eps seed jobs verbose audit out metrics
       Printf.printf "note: --audit applies to bounded-ufp only\n";
       true
     | Some run ->
-      let report = Ufp_core.Audit.bounded_ufp_run inst run in
-      Format.printf "%a" Ufp_core.Audit.pp report;
-      report.Ufp_core.Audit.all_passed
+      let report = Audit.bounded_ufp_run inst run in
+      Format.printf "%a" Audit.pp report;
+      report.Audit.all_passed
   in
   (match out with
   | Some out_path ->
@@ -382,33 +383,75 @@ let solve_cmd =
 
 (* --- payments --- *)
 
-let payments path eps jobs metrics metrics_out trace profile =
+(* [payments --audit]: the forward run's own audit, then the two-probe
+   certificate of every winner's payment, fanned out over the pool like
+   the counterfactuals. Each certificate is a pure function of its
+   winner, so the report does not depend on the job count. *)
+let audit_payments ~pool algo inst run won pay =
+  let model = Ufp_mechanism.model algo in
+  let certified =
+    Pool.parallel_mapi ~pool ~n:(Array.length pay) (fun i ->
+        (not won.(i))
+        || Single_param.certify model inst ~agent:i ~payment:pay.(i))
+  in
+  let winners = Array.fold_left (fun n w -> if w then n + 1 else n) 0 won in
+  let failed =
+    List.filter (fun i -> not certified.(i)) (List.init (Array.length pay) Fun.id)
+  in
+  let detail =
+    match failed with
+    | [] ->
+      Printf.sprintf
+        "%d winners: each wins at payment + d and, above d, loses at \
+         payment - d (d = rel_tol/4 * max 1 payment)"
+        winners
+    | _ ->
+      Printf.sprintf "%d of %d winners fail: %s" (List.length failed) winners
+        (String.concat ", "
+           (List.map (fun i -> Printf.sprintf "request %d pays %.9g" i pay.(i)) failed))
+  in
+  let forward = Audit.bounded_ufp_run inst run in
+  let certificate =
+    { Audit.check = "critical-value"; passed = failed = []; detail }
+  in
+  {
+    Audit.findings = forward.Audit.findings @ [ certificate ];
+    all_passed = forward.Audit.all_passed && failed = [];
+  }
+
+let payments path eps jobs audit metrics metrics_out trace profile =
   let inst = Instance.normalize (load_instance path) in
   warn_premise inst ~eps;
   let algo = Bounded_ufp.solve ~eps in
-  let won, pay =
+  let won, pay, report =
     Pool.with_jobs jobs @@ fun pool ->
     with_observability ~metrics ~metrics_out ~trace ~profile (fun () ->
         (* One recorded forward solve serves double duty: its solution
            is the winner set, and its trace is where each winner's
-           counterfactual resumes. The counterfactuals' exact critical
-           values are the hints the bisections below certify. *)
+           counterfactual resumes. Each counterfactual's exact critical
+           value is that winner's payment. *)
         let run = Bounded_ufp.run ~eps inst in
         let won = Array.make (Instance.n_requests inst) false in
         List.iter
           (fun a -> won.(a.Solution.request) <- true)
           run.Bounded_ufp.solution;
         let hints = Ufp_mechanism.acceptance_thresholds ~pool inst run in
-        ( won,
-          Ufp_mechanism.payments ~rel_tol:Float_tol.payment_rel_tol
+        let pay =
+          Ufp_mechanism.payments
             ~warm:(`Hinted (fun i -> hints.(i)))
-            ~pool algo inst ))
+            ~pool algo inst
+        in
+        let report =
+          if audit then Some (audit_payments ~pool algo inst run won pay)
+          else None
+        in
+        (won, pay, report))
   in
   Printf.printf "truthful mechanism: Bounded-UFP(%.2f) + critical-value payments\n"
     eps;
   (match pool_description jobs with
   | None -> ()
-  | Some d -> Printf.printf "payment probes: %s\n" d);
+  | Some d -> Printf.printf "pricing: %s\n" d);
   Printf.printf "%-8s %-10s %-10s %-6s %-12s\n" "request" "demand" "value" "wins"
     "payment";
   Array.iteri
@@ -421,14 +464,27 @@ let payments path eps jobs metrics metrics_out trace profile =
     pay;
   let revenue = Array.fold_left ( +. ) 0.0 pay in
   Printf.printf "total revenue: %.6f\n" revenue;
-  0
+  (* As under [solve --audit], a failed finding fails the command. *)
+  match report with
+  | None -> 0
+  | Some report ->
+    Format.printf "%a" Audit.pp report;
+    if report.Audit.all_passed then 0 else 1
+
+let payments_audit_arg =
+  Arg.(value & flag & info [ "audit" ]
+         ~doc:"Audit the forward run as $(b,solve --audit) does, then \
+               certify every winner's payment with two probes: it must \
+               win when it declares its payment plus a quarter of the \
+               payment tolerance, and lose when it declares that much \
+               less. Exits 1 when a check fails.")
 
 let payments_cmd =
   let doc = "run the truthful mechanism and print critical-value payments" in
   Cmd.v (Cmd.info "payments" ~doc)
     Term.(
-      const payments $ file_arg $ eps_arg $ jobs_arg $ metrics_arg
-      $ metrics_out_arg $ trace_arg $ profile_arg)
+      const payments $ file_arg $ eps_arg $ jobs_arg $ payments_audit_arg
+      $ metrics_arg $ metrics_out_arg $ trace_arg $ profile_arg)
 
 (* --- lp --- *)
 

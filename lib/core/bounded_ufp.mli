@@ -83,10 +83,13 @@ val critical_values :
     replayed up to the winner's selection, and the run without the
     winner resumes from there, folding its threshold
     [d_w L_w / alpha_sel] at each iteration. That is one partial
-    re-solve per winner where a bisection spends ~21 full ones, and
+    re-solve per winner where a bisection spends ~21 full ones.
     {!Ufp_mech.Ufp_mechanism.acceptance_thresholds} hands the values to
-    the payment bisection as certified hints. Values carry a few ulps
-    of float rounding.
+    [payments ~warm:(`Hinted _)], which charges them as they are
+    (Theorem 2.3's critical-value payments); [ufp payments --audit]
+    certifies each with two full solves
+    ({!Ufp_mech.Single_param.certify}). Values carry a few ulps of
+    float rounding.
 
     [pool] (default [`Seq]) fans the winners out across domains, one
     claim per request; each counterfactual is sequential on a private

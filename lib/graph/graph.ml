@@ -290,6 +290,10 @@ let capacities g =
   done;
   c
 
+let first_over_capacity g loads =
+  if Array.length loads <> g.m then invalid_arg "Graph.first_over_capacity";
+  Ufp_prelude.Float_tol.first_not_leq loads g.caps
+
 let min_capacity g =
   if g.m = 0 then invalid_arg "Graph.min_capacity: no edges";
   let c = ref (Float.Array.get g.caps 0) in

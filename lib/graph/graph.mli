@@ -207,6 +207,14 @@ val capacities : t -> float array
     edge. The caller owns it (the solvers' dual and residual arrays
     start as this copy). *)
 
+val first_over_capacity : t -> float array -> int
+(** [first_over_capacity g loads] is the least edge id [e] whose load
+    [loads.(e)] exceeds its capacity beyond
+    {!Ufp_prelude.Float_tol.leq}'s default tolerance, or [-1] when every
+    edge fits. It reads the capacity column in place, so it allocates
+    nothing. Raises [Invalid_argument] unless [loads] has one slot per
+    edge. *)
+
 val min_capacity : t -> float
 (** [min_capacity g] is [min_e c_e]; the paper's bound [B] when demands
     are normalised to (0,1]. Raises [Invalid_argument] on an edgeless

@@ -50,7 +50,7 @@ let check ?(repetitions = false) inst sol =
   | Error _ as e -> e
   | Ok () ->
     let loads = edge_loads inst sol in
-    (match Ufp_prelude.Float_tol.first_not_leq loads (Graph.capacities g) with
+    (match Graph.first_over_capacity g loads with
     | -1 -> Ok ()
     | eid ->
       Error

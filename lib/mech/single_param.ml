@@ -7,7 +7,9 @@ let m_probes = Metrics.counter "mech.payment_probes"
 
 let m_warm_hits = Metrics.counter "mech.warm_start_hits"
 
-let m_hint_misses = Metrics.counter "mech.hint_misses"
+let m_checks = Metrics.counter "mech.certificate_checks"
+
+let m_failures = Metrics.counter "mech.certificate_failures"
 
 let h_probes_per_winner = Metrics.histogram "mech.probes_per_winner"
 
@@ -30,15 +32,18 @@ let default_v_hi model inst =
   done;
   4.0 *. Float.max !total 1.0
 
-let critical_value ?v_hi ?(rel_tol = Float_tol.payment_rel_tol)
-    ?(known_winner = false) ?lo_hint model inst ~agent =
-  Trace.with_span "mech.critical_value" @@ fun () ->
+(* The one probe: does [agent] win when it alone re-declares [v]? *)
+let wins_at model inst agent v =
+  Metrics.incr m_probes;
+  is_winner model (model.set_value inst agent v) agent
+
+(* [critical_value] without a hint. *)
+let bisect ?v_hi ~rel_tol ~known_winner model inst ~agent =
   let v_hi = match v_hi with Some v -> v | None -> default_v_hi model inst in
   let probes = ref 0 in
   let wins v =
     incr probes;
-    Metrics.incr m_probes;
-    is_winner model (model.set_value inst agent v) agent
+    wins_at model inst agent v
   in
   (* Warm start, upper end: a caller that already knows this agent wins
      at its declaration (the winner array of the forward solve) has
@@ -81,27 +86,8 @@ let critical_value ?v_hi ?(rel_tol = Float_tol.payment_rel_tol)
          the answer (floored at absolute [rel_tol] for sub-unit
          critical values). *)
       let lo = ref 0.0 and hi = ref hi0 in
-      let too_wide () = !hi -. !lo > rel_tol *. Float.max 1.0 !hi in
-      (* Hinted start: the hint [h] claims to be the critical value, but
-         the bracket trusts only probes. One probe at [h + delta] and
-         one at [h - delta] certify an exact hint: a win and a loss
-         leave a bracket [2 delta = rel_tol/2 * max 1 h] wide, inside
-         the stop rule. Each probe runs only strictly inside the
-         bracket (so above 0, where declarations live) and tightens
-         whichever side it lands on, so any hint keeps the invariant;
-         a wrong one costs its probes and the bisection below. *)
-      (match lo_hint with
-      | Some h ->
-        let delta = 0.25 *. rel_tol *. Float.max 1.0 h in
-        let certify v =
-          if v > !lo && v < !hi then if wins v then hi := v else lo := v
-        in
-        certify (h +. delta);
-        certify (h -. delta);
-        if too_wide () then Metrics.incr m_hint_misses
-      | None -> ());
-      if known_winner || Option.is_some lo_hint then Metrics.incr m_warm_hits;
-      while too_wide () do
+      if known_winner then Metrics.incr m_warm_hits;
+      while !hi -. !lo > rel_tol *. Float.max 1.0 !hi do
         let mid = 0.5 *. (!lo +. !hi) in
         if mid > 0.0 && wins mid then hi := mid else lo := mid
       done;
@@ -109,6 +95,37 @@ let critical_value ?v_hi ?(rel_tol = Float_tol.payment_rel_tol)
   in
   Metrics.observe h_probes_per_winner (float_of_int !probes);
   result
+
+let critical_value ?v_hi ?(rel_tol = Float_tol.payment_rel_tol)
+    ?(known_winner = false) ?lo_hint model inst ~agent =
+  Trace.with_span "mech.critical_value" @@ fun () ->
+  match lo_hint with
+  | Some h ->
+    (* Pay the counterfactual: a hint is the caller's exact critical
+       value (for Algorithm 1, the counterfactual run's [min_t d_i L_i(t)
+       / alpha_sel(t)]), so it is the answer, at no probe. [certify] is
+       the two-probe check of such a value. *)
+    Metrics.incr m_warm_hits;
+    Metrics.observe h_probes_per_winner 0.0;
+    Some h
+  | None -> bisect ?v_hi ~rel_tol ~known_winner model inst ~agent
+
+let certify model inst ~agent ~payment =
+  Trace.with_span "mech.certify" @@ fun () ->
+  Metrics.incr m_checks;
+  (* [delta] is a quarter of the bisection's stop rule at [payment], so
+     a certified payment lies within [payment_rel_tol/4 * max 1
+     payment] of the true critical value. Below a payment of [delta]
+     the lower probe would leave the positive declarations and is
+     skipped. *)
+  let delta = 0.25 *. Float_tol.payment_rel_tol *. Float.max 1.0 payment in
+  let below = payment -. delta in
+  let ok =
+    wins_at model inst agent (payment +. delta)
+    && (below <= 0.0 || not (wins_at model inst agent below))
+  in
+  if not ok then Metrics.incr m_failures;
+  ok
 
 let payments ?v_hi ?rel_tol ?(warm = `Declared) ?(pool = `Seq) model inst =
   let winners = model.winners inst in
@@ -119,11 +136,11 @@ let payments ?v_hi ?rel_tol ?(warm = `Declared) ?(pool = `Seq) model inst =
      per-agent probes independent, hence safe to fan out. *)
   let v_hi = match v_hi with Some v -> v | None -> default_v_hi model inst in
   (* [winners.(i)] certifies [known_winner] for every warm mode except
-     [`Cold]; [`Hinted] additionally hands [critical_value] the
-     caller's claimed critical value to certify. Warm payments
-     agree with cold ones within the bisection tolerance but not
-     bitwise (different midpoint sequences) — the warm-vs-cold QCheck
-     law in test/test_mech.ml pins the tolerance bound. *)
+     [`Cold]; [`Hinted] hands [critical_value] the caller's exact
+     critical value, which it returns as it is. Warm payments agree
+     with cold ones within the bisection tolerance but not bitwise
+     (different midpoint sequences, or none) — the warm-vs-cold QCheck
+     laws in test/test_mech.ml pin the tolerance bound. *)
   let known_winner, lo_hint =
     match warm with
     | `Cold -> (false, fun _ -> None)

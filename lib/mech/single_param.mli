@@ -27,18 +27,18 @@ val default_v_hi : 'inst model -> 'inst -> float
     per instance instead of once per probe. *)
 
 type warm = [ `Cold | `Declared | `Hinted of int -> float ]
-(** How {!payments} seeds each winner's bisection bracket.
-    [`Cold]: probe the [v_hi] ceiling first, bisect [0, v_hi] — the
-    pre-warm-start behaviour, kept as the reference for the
-    warm-vs-cold law. [`Declared]: the winner array already certifies
-    the agent wins at its declaration, so skip the ceiling probe and
-    bisect [0, declared]. [`Hinted h]: additionally take [h i] as a
-    claimed critical value (for Algorithm 1, the exact one from
-    {!Ufp_mechanism.acceptance_thresholds}) and certify it with two
-    probes (see [lo_hint] of {!critical_value}). Warm payments agree
-    with cold ones within the bisection tolerance, not bitwise (the
-    brackets close on different points); see docs/PARALLELISM.md,
-    "Warm-started critical-value bisections". *)
+(** How {!payments} prices each winner. [`Cold]: probe the [v_hi]
+    ceiling first, bisect [0, v_hi] — the pre-warm-start behaviour,
+    kept as the reference for the warm-vs-cold law. [`Declared]: the
+    winner array already certifies the agent wins at its declaration,
+    so skip the ceiling probe and bisect [0, declared]. [`Hinted h]:
+    [h i] is winner [i]'s exact critical value (for Algorithm 1, from
+    {!Ufp_mechanism.acceptance_thresholds}), paid as it is with no
+    probe (see [lo_hint] of {!critical_value}); {!certify} checks such
+    a value. Bisected payments land within the bisection tolerance
+    above the critical value, so the three modes agree within that
+    tolerance, not bitwise; see docs/PARALLELISM.md, "Warm-started
+    critical-value bisections". *)
 
 val critical_value :
   ?v_hi:float -> ?rel_tol:float -> ?known_winner:bool -> ?lo_hint:float ->
@@ -63,14 +63,31 @@ val critical_value :
     may therefore exceed a custom [v_hi]; {!payments} clamps at the
     declaration. Passing [true] for an agent that does not win at its
     declaration breaks the bisection invariant — only hand it a
-    winner. [lo_hint] is a claimed critical value [h] (e.g. a
-    counterfactual's exact one): two probes, at [h + delta] and then
-    [h - delta] with [delta = rel_tol/4 * max 1 h], each run only when
-    strictly inside the current bracket, tighten whichever side they
-    land on. An exact hint leaves a bracket inside the stop rule for 2
-    probes (1 when [h = 0]); otherwise [mech.hint_misses] counts the
-    call and the bisection finishes the bracket. So any hint keeps the
-    result's guarantee, and a wrong one costs only probes. *)
+    winner.
+
+    [lo_hint] is the caller's exact critical value [h] for a winner
+    (for Algorithm 1, the counterfactual run's, which Theorem 2.3 makes
+    the truthful payment): the result is [Some h], bitwise, with no
+    probe and no bisection, whatever [known_winner] and [v_hi] say. The
+    call still counts under [mech.warm_start_hits] and observes 0
+    [mech.probes_per_winner]. Nothing here checks [h]; {!certify} does,
+    at two probes. *)
+
+val certify : 'inst model -> 'inst -> agent:int -> payment:float -> bool
+(** [certify model inst ~agent ~payment] is the two-probe certificate
+    of a critical-value payment: with [delta = rel_tol/4 * max 1
+    payment], where [rel_tol] is the bisection's default
+    [Float_tol.payment_rel_tol = 1e-6], [agent] must win when it
+    declares [payment + delta], and lose when it declares [payment -
+    delta] — a probe made only when [payment - delta > 0], since
+    declarations are positive. On a value-monotone rule a [true] result
+    puts the critical value within [delta] of [payment]; an exact
+    critical value passes at no more than 2 probes. Each probe is one
+    run of the allocation on a [set_value] copy, counted under
+    [mech.payment_probes]; each call counts under
+    [mech.certificate_checks], and each [false] under
+    [mech.certificate_failures]. [ufp payments --audit] certifies every
+    winner this way. *)
 
 val payments :
   ?v_hi:float -> ?rel_tol:float -> ?warm:warm -> ?pool:Ufp_par.Pool.choice ->
@@ -78,15 +95,17 @@ val payments :
 (** Critical-value payment for every winner, [0.] for losers — the
     truthful mechanism of Theorem 2.3. A winner whose critical value
     exceeds its declaration (possible only through bisection
-    tolerance) is charged its declaration. [warm] (default
-    [`Declared]) seeds each winner's bracket — see {!warm}; the
-    winner array computed here is what certifies [`Declared]. [v_hi]
-    is the probe ceiling for [`Cold] bisections (compute it once for
-    batch calls); under the warm modes each winner's bracket top is
-    its own declaration, so a [v_hi] below a declaration is ignored
-    rather than allowed to undercut the critical value.
+    tolerance, or a hint above it) is charged its declaration. [warm]
+    (default [`Declared]) chooses how each winner is priced — see
+    {!warm}; the winner array computed here is what certifies
+    [`Declared], and [`Hinted h] pays each winner [i] bitwise
+    [Float.min (h i) v_i] at no probe. [v_hi] is the probe ceiling for
+    [`Cold] bisections (compute it once for batch calls); under the
+    warm modes each winner's bracket top is its own declaration, so a
+    [v_hi] below a declaration is ignored rather than allowed to
+    undercut the critical value.
 
-    [pool] fans the per-winner bisections out across domains
+    [pool] fans the per-winner pricing out across domains
     ([`Seq], the default, keeps everything on the calling domain).
     The result is bitwise identical either way {e at any fixed warm
     mode}: each agent's probes run on a private [set_value] copy of

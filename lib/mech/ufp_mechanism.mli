@@ -23,9 +23,10 @@ val payments :
   ?rel_tol:float -> ?warm:Single_param.warm -> ?pool:Ufp_par.Pool.choice ->
   algo -> Ufp_instance.Instance.t -> float array
 (** Critical-value payments at the declared demands. [pool] fans the
-    per-winner bisections out across domains with bitwise-identical
+    per-winner pricing out across domains with bitwise-identical
     results; [warm] (default [`Declared]) seeds each winner's
-    bisection bracket (see {!Single_param.payments}). *)
+    bisection bracket, or with [`Hinted] replaces the bisection by the
+    hinted value (see {!Single_param.payments}). *)
 
 val acceptance_thresholds :
   ?pool:Ufp_par.Pool.choice ->
@@ -34,12 +35,12 @@ val acceptance_thresholds :
     [payments ~warm:(`Hinted ...)] with {!Ufp_core.Bounded_ufp.solve}
     at [run]'s [eps]. Slot [i] holds winner [i]'s exact critical value
     from one counterfactual run ({!Ufp_core.Bounded_ufp.critical_values}),
-    or [0.] for a request the solve never routed. The payment does not
-    rest on them: {!Single_param.critical_value} certifies each hint
-    with two probes and bisects on when they fail, so an exact hint
-    costs 2 probes (1 at a critical value of 0) and a wrong one costs
-    probes, never the payment's tolerance. [pool] (default [`Seq])
-    fans the winners out, with a bitwise-identical result. *)
+    or [0.] for a request the solve never routed. The payment is that
+    value, clamped at the declaration, at no probe: nothing on the
+    payment path checks it. {!Single_param.certify} does, with at most
+    two probes per winner, and [ufp payments --audit] runs it for every
+    winner. [pool] (default [`Seq]) fans the winners out, with a
+    bitwise-identical result. *)
 
 val utility :
   ?v_hi:float -> ?rel_tol:float -> algo -> Ufp_instance.Instance.t ->

@@ -70,15 +70,15 @@ let geq ?(eps = default_eps) a b = a >= b -. (eps *. scale a b)
 
 (* [leq] at [default_eps], written out so [scale] inlines into the
    loop. *)
-let rec first_not_leq_from (a : float array) (b : float array) i =
+let rec first_not_leq_from (a : float array) (b : floatarray) i =
   if i = Array.length a then -1
   else begin
-    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    let x = Array.unsafe_get a i and y = Float.Array.unsafe_get b i in
     if x <= y +. (default_eps *. scale x y) then first_not_leq_from a b (i + 1) else i
   end
 
 let first_not_leq a b =
-  if Array.length b <> Array.length a then invalid_arg "Float_tol.first_not_leq";
+  if Float.Array.length b < Array.length a then invalid_arg "Float_tol.first_not_leq";
   first_not_leq_from a b 0
 
 let clamp ~lo ~hi x = Float.min hi (Float.max lo x)

@@ -120,10 +120,13 @@ val leq : ?eps:float -> float -> float -> bool
 val geq : ?eps:float -> float -> float -> bool
 (** [geq a b] is [a >= b] up to tolerance. *)
 
-val first_not_leq : float array -> float array -> int
-(** [first_not_leq a b] is the least [i] with [not (leq a.(i) b.(i))],
-    or [-1] when there is none, and allocates nothing. Raises
-    [Invalid_argument] when the arrays differ in length. *)
+val first_not_leq : float array -> floatarray -> int
+(** [first_not_leq a b] is the least [i] with [not (leq a.(i)
+    (Float.Array.get b i))], or [-1] when there is none, and allocates
+    nothing. [b] may be longer than [a] (a growable column, such as
+    {!Ufp_graph.Graph}'s capacities); only its first [Array.length a]
+    slots are read. Raises [Invalid_argument] when [b] is shorter than
+    [a]. *)
 
 val clamp : lo:float -> hi:float -> float -> float
 (** Clamp into [\[lo, hi\]]. *)

@@ -911,18 +911,28 @@ let test_io_reader_allocation () =
 (* [Solution.check] scans the loads against the capacity column without
    boxing a float per edge: fewer than 2 minor words per edge on a
    solved scale-10 RMAT instance, what is left being the path checks.
-   The loads and the copy of the capacity column, m words each, are
-   allocated in the major heap and not counted here. *)
+   It reads that column in place, so the one array it allocates
+   directly in the major heap is its loads (m words and a header);
+   a copy of the capacities would be a second. *)
 let test_solution_check_allocation () =
   let inst = Instance.normalize (rmat10 ()) in
   let sol = (Ufp_core.Bounded_ufp.run ~eps:0.3 inst).Ufp_core.Bounded_ufp.solution in
+  let direct_major_words () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let major_before = direct_major_words () in
   let before = Gc.minor_words () in
   let checked = Solution.check inst sol in
   let words = Gc.minor_words () -. before in
+  let major = direct_major_words () -. major_before in
   (match checked with Ok () -> () | Error m -> Alcotest.fail m);
   let m = Graph.n_edges (Instance.graph inst) in
   if words >= 2.0 *. float_of_int m then
-    Alcotest.failf "%.0f minor words for %d edges" words m
+    Alcotest.failf "%.0f minor words for %d edges" words m;
+  if major > float_of_int (m + 1) then
+    Alcotest.failf "%.0f words allocated directly in the major heap for %d edges"
+      major m
 
 let reader_text rng text =
   match Rng.int rng 4 with

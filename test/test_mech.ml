@@ -30,6 +30,13 @@ let () =
   at_exit (fun () ->
       if Lazy.is_val law_pool then Pool.shutdown (Lazy.force law_pool))
 
+let m_probes = Metrics.counter "mech.payment_probes"
+
+let probes_during f =
+  let before = Metrics.value m_probes in
+  let result = f () in
+  (result, Metrics.value m_probes - before)
+
 (* --- Single_param on a toy second-price auction ---
 
    Instance = array of declared values; one item; the winner is the
@@ -113,6 +120,37 @@ let test_toy_spot_check () =
   Alcotest.(check bool) "no beating misreport" true
     (sc.Single_param.best_misreport = None);
   check_float "truthful utility" 2.0 sc.Single_param.truthful_utility
+
+(* A hint is the payment: bitwise, at no probe, clamped at the
+   declaration. *)
+let test_toy_hinted_payments () =
+  let vs = [| 3.0; 7.0; 5.0 |] in
+  let pay, probes =
+    probes_during (fun () ->
+        Single_param.payments ~warm:(`Hinted (fun _ -> 5.0)) toy_model vs)
+  in
+  Alcotest.(check (array (float 0.0))) "hint paid as is" [| 0.0; 5.0; 0.0 |] pay;
+  Alcotest.(check int) "no probe" 0 probes;
+  let pay = Single_param.payments ~warm:(`Hinted (fun _ -> 9.0)) toy_model vs in
+  Alcotest.(check (float 0.0)) "hint above the declaration" 7.0 pay.(1)
+
+(* The two-probe certificate of agent 1's critical value, the second
+   price 5: it passes the exact value at two probes and fails it moved
+   by 1e-3 either way. A lone bidder's critical value is 0, where only
+   the upper probe runs. *)
+let test_toy_certify () =
+  let vs = [| 3.0; 7.0; 5.0 |] in
+  let certify vs payment =
+    probes_during (fun () -> Single_param.certify toy_model vs ~agent:1 ~payment)
+  in
+  Alcotest.(check (pair bool int)) "exact" (true, 2) (certify vs 5.0);
+  Alcotest.(check bool) "too high" false (fst (certify vs 5.001));
+  Alcotest.(check bool) "too low" false (fst (certify vs 4.999));
+  let lone =
+    probes_during (fun () ->
+        Single_param.certify toy_model [| 7.0 |] ~agent:0 ~payment:0.0)
+  in
+  Alcotest.(check (pair bool int)) "zero" (true, 1) lone
 
 let test_toy_is_winner () =
   let vs = [| 3.0; 7.0; 5.0 |] in
@@ -548,13 +586,6 @@ let array_bitwise_equal a b =
 (* The Ufp_par determinism contract, end to end: fanning the
    per-winner bisections out changes neither a single payment bit nor
    the total probe count. *)
-let m_probes = Metrics.counter "mech.payment_probes"
-
-let probes_during f =
-  let before = Metrics.value m_probes in
-  let result = f () in
-  (result, Metrics.value m_probes - before)
-
 let qcheck_parallel_payments_bitwise_ufp =
   QCheck.Test.make ~name:"UFP payments: parallel bitwise equals sequential"
     ~count:10 QCheck.small_int (fun seed ->
@@ -666,7 +697,7 @@ let qcheck_warm_hinted_equals_cold_ufp =
    - Above [rel_tol], the winner wins a tolerance above the value and
      loses a tolerance below it.
    - A 2-domain pool returns the [`Seq] bits.
-   - A hinted bisection certifies the value with at most 2 probes.
+   - [Single_param.certify] passes the value with at most 2 probes.
    The instances are contended: each capacity sits just above
    [1 + ln m / eps], where Algorithm 1's budget [exp (eps (B - 1))]
    barely exceeds the starting dual mass [m]. The budget then ends the
@@ -706,13 +737,17 @@ let oracle_instance kind seed eps =
     Instance.create g
       (Workloads.hub_requests rng g ~count:(48 + (seed mod 24)) ~sources:3 ())
 
+(* An [oracle_instance] family and seed, and an eps. *)
+let oracle_arb =
+  QCheck.(
+    pair
+      (pair (int_range 0 3) (int_range 0 1000))
+      (oneofl ~print:string_of_float [ 0.3; 0.6 ]))
+
 let qcheck_exact_critical_values =
   QCheck.Test.make ~count:24
     ~name:"UFP exact critical values: cold bisection brackets them, probes certify them"
-    QCheck.(
-      pair
-        (pair (int_range 0 3) (int_range 0 1000))
-        (oneofl ~print:string_of_float [ 0.3; 0.6 ]))
+    oracle_arb
     (fun ((kind, seed), eps) ->
       let inst = oracle_instance kind seed eps in
       let run = Bounded_ufp.run ~eps inst in
@@ -751,16 +786,83 @@ let qcheck_exact_critical_values =
               if wins w (c -. d) then
                 QCheck.Test.fail_reportf "winner %d wins below %.17g" w c
             end;
-            let _, probes =
+            let certified, probes =
               probes_during (fun () ->
-                  Single_param.critical_value ~rel_tol ~known_winner:true
-                    ~lo_hint:c model inst ~agent:w)
+                  Single_param.certify model inst ~agent:w ~payment:c)
             in
-            if probes > 2 then
-              QCheck.Test.fail_reportf "winner %d: hint %.17g took %d probes" w
-                c probes
+            if (not certified) || probes > 2 then
+              QCheck.Test.fail_reportf
+                "winner %d: certificate of %.17g %s after %d probes" w c
+                (if certified then "passed" else "failed")
+                probes
           end)
         exact;
+      true)
+
+(* Pay the counterfactual: hinted payments are the exact critical
+   values themselves, clamped at the declaration, bitwise, and cost no
+   probe beyond the winner-set solve. *)
+let qcheck_hinted_pays_counterfactual =
+  QCheck.Test.make ~count:24
+    ~name:"UFP hinted payments pay the counterfactual bitwise, at no probe"
+    oracle_arb
+    (fun ((kind, seed), eps) ->
+      let inst = oracle_instance kind seed eps in
+      let run = Bounded_ufp.run ~eps inst in
+      let c = Bounded_ufp.critical_values inst run in
+      let won = Array.make (Instance.n_requests inst) false in
+      List.iter (fun a -> won.(a.Solution.request) <- true) run.Bounded_ufp.solution;
+      let pay, probes =
+        probes_during (fun () ->
+            Ufp_mechanism.payments ~warm:(`Hinted (fun i -> c.(i)))
+              (Bounded_ufp.solve ~eps) inst)
+      in
+      if probes <> 0 then QCheck.Test.fail_reportf "%d probes" probes;
+      Array.iteri
+        (fun i p ->
+          let expected =
+            if won.(i) then Float.min c.(i) (Instance.request inst i).Request.value
+            else 0.0
+          in
+          if not (Float.equal p expected) then
+            QCheck.Test.fail_reportf "request %d pays %.17g, expected %.17g" i p
+              expected)
+        pay;
+      true)
+
+(* The audit's certificate: every exact critical value passes at no more
+   than 2 probes, and the certificate catches a payment moved up or down
+   by 4 rel_tol (relative, floored at 1) — the bracket [rel_tol/4] wide
+   on each side cannot hold it. Below [4 rel_tol] a payment moved down
+   leaves the positive declarations, so only larger values are moved. *)
+let qcheck_certify_exact_values =
+  QCheck.Test.make ~count:24
+    ~name:"UFP certify passes exact critical values and fails them moved by 4 rel_tol"
+    oracle_arb
+    (fun ((kind, seed), eps) ->
+      let inst = oracle_instance kind seed eps in
+      let run = Bounded_ufp.run ~eps inst in
+      let exact = Bounded_ufp.critical_values inst run in
+      let model = Ufp_mechanism.model (Bounded_ufp.solve ~eps) in
+      let rel_tol = Float_tol.payment_rel_tol in
+      let certify w payment = Single_param.certify model inst ~agent:w ~payment in
+      List.iter
+        (fun a ->
+          let w = a.Solution.request in
+          let c = exact.(w) in
+          let ok, probes = probes_during (fun () -> certify w c) in
+          if (not ok) || probes > 2 then
+            QCheck.Test.fail_reportf "winner %d: exact %.17g %s after %d probes" w c
+              (if ok then "passed" else "failed")
+              probes;
+          if c > 4.0 *. rel_tol then begin
+            let shift = 4.0 *. rel_tol *. Float.max 1.0 c in
+            if certify w (c +. shift) then
+              QCheck.Test.fail_reportf "winner %d: %.17g + %.3g passes" w c shift;
+            if certify w (c -. shift) then
+              QCheck.Test.fail_reportf "winner %d: %.17g - %.3g passes" w c shift
+          end)
+        run.Bounded_ufp.solution;
       true)
 
 (* The seq/par bitwise law must also hold on the warm path: warm mode
@@ -821,6 +923,8 @@ let () =
           Alcotest.test_case "utility" `Quick test_toy_utility;
           Alcotest.test_case "spot check" `Quick test_toy_spot_check;
           Alcotest.test_case "is_winner" `Quick test_toy_is_winner;
+          Alcotest.test_case "hinted payments" `Quick test_toy_hinted_payments;
+          Alcotest.test_case "certify" `Quick test_toy_certify;
           Alcotest.test_case "accuracy on large instances" `Quick
             test_critical_value_accuracy_large_instance;
         ] );
@@ -873,5 +977,7 @@ let () =
             qcheck_warm_hinted_equals_cold_ufp;
             qcheck_parallel_warm_bitwise_ufp;
             qcheck_exact_critical_values;
+            qcheck_hinted_pays_counterfactual;
+            qcheck_certify_exact_values;
           ] );
     ]

@@ -249,14 +249,20 @@ let test_float_tol_golden_values () =
    nothing. *)
 let test_first_not_leq_allocation_free () =
   let a = Array.init 16_384 (fun i -> float_of_int (i mod 97)) in
-  let b = Array.map (fun x -> x +. 0.5) a in
+  let b = Float.Array.map_from_array (fun x -> x +. 0.5) a in
   let before = Gc.minor_words () in
   let i = Float_tol.first_not_leq a b in
   let words = Gc.minor_words () -. before in
   Alcotest.(check int) "no violation" (-1) i;
   Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  (* A longer [b] (a growable column) is read only up to [a]'s length:
+     its extra slots, which every [a.(i)] exceeds, stay unread. *)
+  let longer = Float.Array.make (Array.length a + 8) (-1.0) in
+  Float.Array.blit b 0 longer 0 (Array.length a);
+  Alcotest.(check int) "longer b, extra slots unread" (-1)
+    (Float_tol.first_not_leq a longer);
   Alcotest.check_raises "lengths differ" (Invalid_argument "Float_tol.first_not_leq")
-    (fun () -> ignore (Float_tol.first_not_leq a [| 1.0 |]))
+    (fun () -> ignore (Float_tol.first_not_leq a (Float.Array.make 1 1.0)))
 
 (* --- Table --- *)
 
@@ -372,7 +378,8 @@ let qcheck_first_not_leq =
       let rec plain i =
         if i = n then -1 else if Float_tol.leq a.(i) b.(i) then plain (i + 1) else i
       in
-      Array.for_all2 defined a b && Float_tol.first_not_leq a b = plain 0)
+      Array.for_all2 defined a b
+      && Float_tol.first_not_leq a (Float.Array.map_from_array Fun.id b) = plain 0)
 
 let () =
   Alcotest.run "prelude"
