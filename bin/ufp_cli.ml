@@ -84,18 +84,14 @@ let profile_arg =
            span recording; composes with $(b,--trace), $(b,--metrics) \
            and $(b,--jobs).")
 
-(* --trace and --profile both read the trace ring after the run, so
-   each says when the ring overwrote its oldest events. *)
-let dropped_note () =
-  let d = Obs_trace.n_dropped () in
-  if d > 0 then Printf.sprintf " (%d oldest events dropped)" d else ""
-
 (* Wraps the measured part of a subcommand: snapshots the metric
    registry around [f], then renders the delta, the profile and/or the
    trace as requested.  With no flag given this is just [f ()] plus
    two cheap snapshots.  --profile turns the tracer on with GC
    sampling even without --trace; the two flags share one recording,
-   so combining them costs one run. *)
+   so combining them costs one run.  The profile folds every span as
+   it ends; only --trace reads the ring, so only it can lose events
+   and says when the ring overwrote its oldest. *)
 let with_observability ~metrics ~metrics_out ~trace ~profile f =
   let tracing = Option.is_some trace || Option.is_some profile in
   if tracing then Obs_trace.start ~gc:(Option.is_some profile) ();
@@ -124,14 +120,17 @@ let with_observability ~metrics ~metrics_out ~trace ~profile f =
     let p = Profile.of_trace () in
     Profile.save_json path p;
     Ufp_prelude.Table.print ~oc:stderr (Profile.to_table ~title:"profile" p);
-    Printf.eprintf "profile: %d events folded into %s%s\n"
-      (Obs_trace.n_events ()) path (dropped_note ())
+    Printf.eprintf "profile: %d spans folded into %s\n"
+      (List.fold_left (fun n ph -> n + ph.Profile.p_count) 0 p.Profile.phases)
+      path
   | None -> ());
   (match trace with
   | Some path ->
     Obs_trace.save_jsonl path;
+    let d = Obs_trace.n_dropped () in
     Printf.eprintf "trace: %d events written to %s%s\n" (Obs_trace.n_events ())
-      path (dropped_note ())
+      path
+      (if d > 0 then Printf.sprintf " (%d oldest events dropped)" d else "")
   | None -> ());
   result
 

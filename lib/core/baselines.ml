@@ -3,7 +3,6 @@ module Dijkstra = Ufp_graph.Dijkstra
 module Instance = Ufp_instance.Instance
 module Request = Ufp_instance.Request
 module Solution = Ufp_instance.Solution
-module Rng = Ufp_prelude.Rng
 module Trace = Ufp_obs.Trace
 
 let capacity_slack = Ufp_prelude.Float_tol.capacity_slack
@@ -58,55 +57,5 @@ let threshold_pd ?(eps = 0.1) ?(pool = `Seq) inst =
      (Pd_engine.threshold_rule ~eps ~b) inst)
     .Pd_engine.solution
 
-let randomized_rounding ?(eps = 0.1) ~seed inst =
-  if not (eps >= 0.0 && eps < 1.0) then
-    invalid_arg "Baselines.randomized_rounding: eps must be in [0, 1)";
-  let lp = Ufp_lp.Mcf.solve ~eps:(Float.max eps 0.05) inst in
-  let g = Instance.graph inst in
-  let rng = Rng.create seed in
-  (* Group the fractional decomposition by request. *)
-  let by_request = Hashtbl.create 16 in
-  List.iter
-    (fun (pf : Ufp_lp.Mcf.path_flow) ->
-      let cur =
-        Option.value ~default:[]
-          (Hashtbl.find_opt by_request pf.Ufp_lp.Mcf.pf_request)
-      in
-      Hashtbl.replace by_request pf.Ufp_lp.Mcf.pf_request
-        ((pf.Ufp_lp.Mcf.pf_path, pf.Ufp_lp.Mcf.pf_amount) :: cur))
-    lp.Ufp_lp.Mcf.flow;
-  (* Tentative selection: request r with probability (1 - eps) x_r. *)
-  let tentative = ref [] in
-  let requests_sorted =
-    Hashtbl.fold (fun i paths acc -> (i, paths) :: acc) by_request []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (i, paths) ->
-      let x_r = List.fold_left (fun acc (_, a) -> acc +. a) 0.0 paths in
-      if x_r > 0.0 && Rng.float rng 1.0 < (1.0 -. eps) *. x_r then begin
-        (* Draw a path proportionally to its fractional amount. *)
-        let u = Rng.float rng x_r in
-        let rec draw acc = function
-          | [] ->
-            ((assert false)
-            [@lint.allow "R4" "unreachable: u < x_r, the sum of path amounts"])
-          | [ (p, _) ] -> p
-          | (p, a) :: rest -> if u < acc +. a then p else draw (acc +. a) rest
-        in
-        tentative := (i, draw 0.0 paths) :: !tentative
-      end)
-    requests_sorted;
-  (* Alteration pass: admit in seeded random order, dropping overflows. *)
-  let arr = Array.of_list !tentative in
-  Rng.shuffle rng arr;
-  let residual = Graph.capacities g in
-  let admit acc (i, path) =
-    let d = (Instance.request inst i).Request.demand in
-    if List.for_all (fun e -> residual.(e) +. capacity_slack >= d) path then begin
-      List.iter (fun e -> residual.(e) <- residual.(e) -. d) path;
-      { Solution.request = i; path } :: acc
-    end
-    else acc
-  in
-  List.rev (Array.fold_left admit [] arr)
+let randomized_rounding ?eps ~seed inst =
+  (Rounding.round ?eps ~seed inst).Rounding.solution

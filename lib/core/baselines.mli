@@ -45,9 +45,10 @@ val threshold_pd :
 val randomized_rounding :
   ?eps:float -> seed:int -> Ufp_instance.Instance.t ->
   Ufp_instance.Solution.t
-(** Randomized rounding of the {!Ufp_lp.Mcf} fractional solution:
-    request [r] is tentatively selected with probability
-    [(1 - eps) * x_r] on a path drawn proportionally to its fractional
-    decomposition, then tentative allocations are admitted greedily in
-    a seeded random order, dropping any that would overflow an edge.
-    Deterministic given [seed]. [eps] defaults to [0.1]. *)
+(** The repaired solution of {!Rounding.round}: randomized rounding of
+    the {!Ufp_lp.Mcf} fractional solution. Request [r] is tentatively
+    selected with probability [(1 - eps) * x_r] on a path drawn
+    proportionally to its fractional decomposition, then tentative
+    allocations are admitted greedily in a seeded random order,
+    dropping any that would overflow an edge. Deterministic given
+    [seed]. [eps] defaults to [0.1]. *)

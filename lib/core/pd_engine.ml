@@ -58,8 +58,6 @@ let m_dual_updates = Metrics.counter "pd.dual_updates"
    pool modes). *)
 let m_residual_rejections = Metrics.counter "selector.residual_rejections"
 
-let g_d1_growth = Metrics.gauge "pd.d1_growth"
-
 let h_path_edges = Metrics.histogram "pd.path_edges"
 
 let algorithm_1 ~eps ~b =
@@ -208,7 +206,6 @@ let bundle_source ~capacities ~bundles ~values y =
 let commit st i path =
   let src = st.source in
   let demand = src.demand i in
-  let d1_before = st.d1 in
   let d1 = ref st.d1 in
   List.iter
     (fun e ->
@@ -219,7 +216,6 @@ let commit st i path =
       d1 := !d1 +. (c *. (st.y.(e) -. old)))
     path;
   st.d1 <- !d1;
-  Metrics.gauge_add g_d1_growth (st.d1 -. d1_before);
   Metrics.observe h_path_edges (float_of_int (List.length path));
   src.update_path ~demand path;
   if st.config.remove_selected then begin

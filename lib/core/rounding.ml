@@ -28,7 +28,7 @@ let round_flow ~flow ?(eps = 0.1) ~seed inst =
     invalid_arg "Rounding.round: eps must be in [0, 1)";
   let g = Instance.graph inst in
   let rng = Rng.create seed in
-  let tentative = ref [] in
+  let picked = ref [] in
   List.iter
     (fun (i, paths) ->
       let x_r = List.fold_left (fun acc (_, a) -> acc +. a) 0.0 paths in
@@ -41,14 +41,16 @@ let round_flow ~flow ?(eps = 0.1) ~seed inst =
           | [ (p, _) ] -> p
           | (p, a) :: rest -> if u < acc +. a then p else draw (acc +. a) rest
         in
-        tentative := { Solution.request = i; path = draw 0.0 paths } :: !tentative
+        picked := { Solution.request = i; path = draw 0.0 paths } :: !picked
       end)
     (group_flow flow);
-  let tentative = List.rev !tentative in
+  let tentative = List.rev !picked in
   let tentative_value = Solution.value inst tentative in
   let tentative_feasible = Solution.is_feasible inst tentative in
-  (* Alteration: admit in seeded random order, dropping overflows. *)
-  let arr = Array.of_list tentative in
+  (* Alteration: admit in seeded random order, dropping overflows. The
+     shuffle starts from the last-selected-first order, part of what a
+     seed determines. *)
+  let arr = Array.of_list !picked in
   Rng.shuffle rng arr;
   let residual = Graph.capacities g in
   let admit acc (a : Solution.allocation) =

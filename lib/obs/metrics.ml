@@ -1,24 +1,22 @@
 module Table = Ufp_prelude.Table
 
 (* Sharded cells (ISSUE 8): every domain owns a private shard — plain
-   int/float arrays indexed by metric slot — registered once in the
-   global shard list via a lock-free CAS push the first time the
-   domain touches any metric (Domain.DLS init). A hot-path update is
-   therefore a DLS lookup plus one unsynchronized array store: no RMW,
-   no shared cache line, no allocation. Totals exist only at read
-   time, when the coordinating domain folds the shard list.
+   arrays indexed by metric slot — registered once in the global shard
+   list via a lock-free CAS push the first time the domain touches any
+   metric (Domain.DLS init). A hot-path update is therefore a DLS
+   lookup plus one unsynchronized array store: no RMW, no shared cache
+   line, no allocation. Totals exist only at read time, when the
+   coordinating domain folds the shard list.
 
    Why aggregation-at-snapshot preserves the PR 3/4/5 laws:
 
    - integer cells (counters, histogram buckets/counts) sum exactly,
      so totals are independent of how updates were distributed across
      domains — the seq/par counter-agreement law holds unchanged;
-   - float cells (gauges, histogram sums) are written by one domain in
-     every instrumented engine (the PD loop and payment bisections run
-     on the coordinating domain), so the fold adds exact zeros from
-     the other shards and the total is bitwise the single shard's
-     value; when several domains do accumulate floats, the summands
-     the engines emit are integer-valued and still sum exactly;
+   - the one float cell, a histogram's sum, adds exactly while its
+     samples and their sum are integers below 2^53 (every histogram
+     the engines feed observes counts); other samples can round
+     differently depending on which domain observed which;
    - the shard-list order is fixed for the life of the process (CAS
      push, never removed), so two back-to-back snapshots fold in the
      same order — the deterministic-snapshot law compares structurally
@@ -41,23 +39,18 @@ module Table = Ufp_prelude.Table
 
 let n_buckets = 64
 
-type kind = KCounter | KGauge | KHistogram
+type kind = KCounter | KHistogram
 
-let kind_name = function
-  | KCounter -> "counter"
-  | KGauge -> "gauge"
-  | KHistogram -> "histogram"
+let kind_name = function KCounter -> "counter" | KHistogram -> "histogram"
 
 (* The catalogue: name -> (kind, slot). Consulted at registration and
    snapshot time only; the hot path carries the integer slot. *)
 let catalogue : (string, kind * int) Hashtbl.t = Hashtbl.create 64
 
 let counter_names = ref ([||] : string array)
-let gauge_names = ref ([||] : string array)
 let hist_names = ref ([||] : string array)
 
 type counter = int
-type gauge = int
 type histogram = int
 
 (* One histogram cell inside a shard. [hn]/[hsum] cover the finite
@@ -73,7 +66,6 @@ type hcell = {
 
 type shard = {
   mutable sc : int array;  (* counters, by slot *)
-  mutable sg : float array;  (* gauges, by slot *)
   mutable sh : hcell array;  (* histograms, by slot *)
 }
 
@@ -96,10 +88,6 @@ let register name kind =
         let s = Array.length !counter_names in
         counter_names := Array.append !counter_names [| name |];
         s
-      | KGauge ->
-        let s = Array.length !gauge_names in
-        gauge_names := Array.append !gauge_names [| name |];
-        s
       | KHistogram ->
         let s = Array.length !hist_names in
         hist_names := Array.append !hist_names [| name |];
@@ -109,19 +97,11 @@ let register name kind =
     slot
 
 let counter name = register name KCounter
-let gauge name = register name KGauge
 let histogram name = register name KHistogram
-
-(* One bump per shard ever merged into the registry — i.e. per domain
-   that touched a metric. Recorded in the registering shard itself at
-   creation, not at snapshot time, so back-to-back snapshots stay
-   structurally equal (the determinism law). *)
-let m_shard_merges = counter "obs.shard_merges"
 
 let new_shard () =
   {
     sc = Array.make (Array.length !counter_names) 0;
-    sg = Array.make (Array.length !gauge_names) 0.0;
     sh = Array.init (Array.length !hist_names) (fun _ -> new_hcell ());
   }
 
@@ -132,7 +112,6 @@ let rec push_shard s =
 let shard_key =
   Domain.DLS.new_key (fun () ->
       let s = new_shard () in
-      s.sc.(m_shard_merges) <- 1;
       push_shard s;
       s)
 
@@ -146,11 +125,6 @@ let grow_sc s slot =
   let a = Array.make (Int.max (slot + 1) (Array.length !counter_names)) 0 in
   Array.blit s.sc 0 a 0 (Array.length s.sc);
   s.sc <- a
-
-let grow_sg s slot =
-  let a = Array.make (Int.max (slot + 1) (Array.length !gauge_names)) 0.0 in
-  Array.blit s.sg 0 a 0 (Array.length s.sg);
-  s.sg <- a
 
 let grow_sh s slot =
   let n = Int.max (slot + 1) (Array.length !hist_names) in
@@ -180,20 +154,6 @@ let value c =
   List.fold_left
     (fun acc s -> if c < Array.length s.sc then acc + s.sc.(c) else acc)
     0 (Atomic.get shards)
-
-let gauge_add g x =
-  let s = Domain.DLS.get shard_key in
-  let a = s.sg in
-  if g < Array.length a then a.(g) <- a.(g) +. x
-  else begin
-    grow_sg s g;
-    s.sg.(g) <- s.sg.(g) +. x
-  end
-
-let gauge_value g =
-  List.fold_left
-    (fun acc s -> if g < Array.length s.sg then acc +. s.sg.(g) else acc)
-    0.0 (Atomic.get shards)
 
 (* Bucket of a sample: 0 for v < 1 (and for negatives, which compare
    false against >= 1.0), otherwise the base-2 exponent of v, capped
@@ -235,7 +195,6 @@ type hist_snapshot = {
 
 type snapshot = {
   counters : (string * int) list;
-  gauges : (string * float) list;
   histograms : (string * hist_snapshot) list;
 }
 
@@ -243,8 +202,7 @@ let by_name (a, _) (b, _) = String.compare a b
 
 let snapshot () =
   (* The snapshotter's own shard joins the registry before the fold,
-     so its updates (and the obs.shard_merges bump it carries) are
-     always part of the totals it reports. *)
+     so its updates are always part of the totals it reports. *)
   ensure_shard ();
   let ss = Atomic.get shards in
   let counters =
@@ -257,17 +215,6 @@ let snapshot () =
                  if slot < Array.length s.sc then acc + s.sc.(slot) else acc)
                0 ss ))
          !counter_names)
-  in
-  let gauges =
-    Array.to_list
-      (Array.mapi
-         (fun slot name ->
-           ( name,
-             List.fold_left
-               (fun acc s ->
-                 if slot < Array.length s.sg then acc +. s.sg.(slot) else acc)
-               0.0 ss ))
-         !gauge_names)
   in
   let histograms =
     Array.to_list
@@ -302,7 +249,6 @@ let snapshot () =
   in
   {
     counters = List.sort by_name counters;
-    gauges = List.sort by_name gauges;
     histograms = List.sort by_name histograms;
   }
 
@@ -311,9 +257,6 @@ let snapshot () =
    diffing snapshots from different process states). *)
 let diff before after =
   let base assoc name = Option.value ~default:0 (List.assoc_opt name assoc) in
-  let basef assoc name =
-    Option.value ~default:0.0 (List.assoc_opt name assoc)
-  in
   let sub_hist name (h : hist_snapshot) =
     match List.assoc_opt name before.histograms with
     | None -> h
@@ -338,10 +281,6 @@ let diff before after =
       List.map
         (fun (name, v) -> (name, v - base before.counters name))
         after.counters;
-    gauges =
-      List.map
-        (fun (name, v) -> (name, v -. basef before.gauges name))
-        after.gauges;
     histograms =
       List.map (fun (name, h) -> (name, sub_hist name h)) after.histograms;
   }
@@ -352,7 +291,6 @@ let reset () =
   List.iter
     (fun s ->
       Array.fill s.sc 0 (Array.length s.sc) 0;
-      Array.fill s.sg 0 (Array.length s.sg) 0.0;
       Array.iter
         (fun c ->
           Array.fill c.hb 0 n_buckets 0;
@@ -377,10 +315,6 @@ let to_table ?(title = "metrics") snap =
     (fun (name, v) -> Table.add_row t [ name; "counter"; Table.cell_i v ])
     snap.counters;
   List.iter
-    (fun (name, v) ->
-      Table.add_row t [ name; "gauge"; Printf.sprintf "%.6g" v ])
-    snap.gauges;
-  List.iter
     (fun (name, h) ->
       Table.add_row t
         [
@@ -397,25 +331,8 @@ let to_table ?(title = "metrics") snap =
     snap.histograms;
   t
 
-(* Minimal JSON escaping, enough for our own ASCII metric names. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s;
-  Buffer.contents buf
-
-(* JSON numbers may not be inf/nan; clamp gauges the way trace viewers
-   expect (string sentinel). *)
+(* JSON numbers may not be inf/nan: a non-finite histogram sum is
+   written as a string sentinel. *)
 let json_float v =
   if Float.is_nan v then "\"nan\""
   else if Float.equal v infinity then "\"inf\""
@@ -426,12 +343,9 @@ let to_json snap =
   let obj fields =
     "{" ^ String.concat ", " fields ^ "}"
   in
-  let field name v = Printf.sprintf "\"%s\": %s" (json_escape name) v in
+  let field name v = Printf.sprintf "\"%s\": %s" (Trace.json_escape name) v in
   let counters =
     obj (List.map (fun (n, v) -> field n (string_of_int v)) snap.counters)
-  in
-  let gauges =
-    obj (List.map (fun (n, v) -> field n (json_float v)) snap.gauges)
   in
   let hist (h : hist_snapshot) =
     obj
@@ -452,6 +366,5 @@ let to_json snap =
   obj
     [
       field "counters" counters;
-      field "gauges" gauges;
       field "histograms" histograms;
     ]

@@ -1,5 +1,5 @@
-(** The process-wide metrics registry: named counters, gauges and
-    log-scale histograms with O(1) hot-path updates, sharded per
+(** The process-wide metrics registry: named counters and log-scale
+    histograms with O(1) hot-path updates, sharded per
     domain.
 
     The primal-dual pipeline (Dijkstra relaxations, selector cache
@@ -24,9 +24,9 @@
       only its own shard; totals are folded over the shard list at
       read time. Integer cells sum exactly, so counter totals are
       bitwise independent of how updates were distributed across
-      domains; float accumulation (gauges, histogram sums) is exact
-      whenever the summands are (integer probe counts observed as
-      floats are). See docs/PARALLELISM.md.
+      domains; a histogram's float sum is exact only while its
+      samples and their sum are integers below 2{^53} (the counts the
+      engines observe are). See docs/PARALLELISM.md.
     + {b Registration is idempotent by name}: [counter "pd.iterations"]
       returns the same slot from every module, so each layer declares
       its own catalogue where it does the work (the [pd.*] counters in
@@ -43,13 +43,10 @@
     tears a cell, but each racing counter reads somewhere between the
     updates that finished and the ones that started — the envelope law
     in test_obs.ml. Only the update primitives
-    ([incr]/[add]/[observe]/[gauge_add]) may race freely. *)
+    ([incr]/[add]/[observe]) may race freely. *)
 
 type counter
 (** A monotone integer event count (e.g. heap pushes). *)
-
-type gauge
-(** A float accumulator / last-value cell (e.g. total [D1] growth). *)
 
 type histogram
 (** A base-2 log-scale histogram: bucket 0 holds values in [[0, 1)],
@@ -60,9 +57,6 @@ val counter : string -> counter
 (** [counter name] returns the registered counter of that [name],
     creating it at zero on first use. Raises [Invalid_argument] if the
     name is already registered as a different metric kind. *)
-
-val gauge : string -> gauge
-(** Same, for gauges. *)
 
 val histogram : string -> histogram
 (** Same, for histograms. *)
@@ -78,10 +72,6 @@ val value : counter -> int
 (** Fold the counter's slot over every shard. Exact once the writers
     have synchronized with the reader (pool join / [Pool.run]
     return). *)
-
-val gauge_add : gauge -> float -> unit
-
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 (** Record one sample. Negative samples land in bucket 0. NaN samples
@@ -107,7 +97,6 @@ type hist_snapshot = {
 
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)
-  gauges : (string * float) list;  (** sorted by name *)
   histograms : (string * hist_snapshot) list;  (** sorted by name *)
 }
 (** An immutable copy of every registered metric, aggregated over all
@@ -132,11 +121,10 @@ val bucket_label : int -> string
 val to_table : ?title:string -> snapshot -> Ufp_prelude.Table.t
 (** Render as a fixed-width table (columns metric/type/value);
     histograms get one summary row plus one row per nonzero bucket.
-    Zero-valued counters and gauges are kept — the catalogue itself is
+    Zero-valued counters are kept — the catalogue itself is
     information. *)
 
 val to_json : snapshot -> string
-(** Self-contained JSON object
-    [{"counters": {..}, "gauges": {..}, "histograms": {..}}]; histogram
-    values are
+(** Self-contained JSON object [{"counters": {..}, "histograms": {..}}];
+    histogram values are
     [{"count": n, "sum": s, "nan": k, "buckets": {"[2^k,2^k+1)": c}}]. *)

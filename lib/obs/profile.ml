@@ -1,12 +1,12 @@
 module Table = Ufp_prelude.Table
 
-(* Fold the span stream into a per-phase profile. A phase is a span
-   name (bounded_ufp.run, selector rebuilds, payment bisections, VCG
-   counterfactuals, ...); the stream is replayed per tid with an
-   explicit frame stack, so nested spans attribute self time the way
-   a sampling profiler would: a frame's self time is its duration
-   minus the durations of its direct children, and likewise for the
-   Gc.quick_stat word deltas when the trace sampled them. *)
+(* Per-phase totals of the spans that ended since the last Trace.start
+   or Trace.clear. A phase is a span name (bounded_ufp.run, selector
+   rebuilds, counterfactuals, certificate probes, ...); Trace.with_span
+   folds each span into its phase as the span ends, inside the
+   tracer's critical section, with self time (and, when the trace
+   samples the GC, self words) net of the spans it encloses — the way
+   a sampling profiler attributes. *)
 
 type phase = {
   p_name : string;
@@ -23,124 +23,49 @@ type t = {
   gc_sampled : bool;
 }
 
-(* One open span on some tid's stack. The child accumulators let the
-   parent subtract its children without a second pass. *)
-type frame = {
-  f_name : string;
-  f_ts : int64;
-  f_minor : float;
-  f_promoted : float;
-  f_major : float;
-  mutable f_child_ns : float;
-  mutable f_child_minor : float;
-  mutable f_child_promoted : float;
-  mutable f_child_major : float;
-}
+(* Per phase, its running sums in a float array: count, total ns, then
+   self ns, minor, promoted and major words. The array is stored flat,
+   so a span's end adds to it in place; replacing an immutable [phase]
+   per span instead doubled what tracing costs a solve (EXPERIMENTS.md,
+   EXP-OBS-OVERHEAD). Written only under Trace's lock; read by
+   [of_trace] from the orchestrating domain once the traced region has
+   joined. *)
+let totals : (string, float array) Hashtbl.t = Hashtbl.create 32
 
-type acc = {
-  mutable a_count : int;
-  mutable a_total_ns : float;
-  mutable a_self_ns : float;
-  mutable a_minor : float;
-  mutable a_promoted : float;
-  mutable a_major : float;
-}
+let gc_sampled = ref false
 
-let of_trace () =
-  let stacks : (int, frame list ref) Hashtbl.t = Hashtbl.create 8 in
-  let accs : (string, acc) Hashtbl.t = Hashtbl.create 32 in
-  let gc_sampled = ref false in
-  let stack tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add stacks tid s;
-      s
-  in
-  let acc name =
-    match Hashtbl.find_opt accs name with
+let reset ~gc =
+  Hashtbl.reset totals;
+  gc_sampled := gc
+
+let add_span s =
+  let a =
+    match Hashtbl.find_opt totals s.p_name with
     | Some a -> a
     | None ->
-      let a =
-        {
-          a_count = 0;
-          a_total_ns = 0.0;
-          a_self_ns = 0.0;
-          a_minor = 0.0;
-          a_promoted = 0.0;
-          a_major = 0.0;
-        }
-      in
-      Hashtbl.add accs name a;
+      let a = Array.make 6 0.0 in
+      Hashtbl.add totals s.p_name a;
       a
   in
-  Trace.iter_events (fun ev ->
-      if ev.Trace.ev_minor <> 0.0 then gc_sampled := true;
-      match ev.Trace.ev_ph with
-      | 'B' ->
-        let s = stack ev.Trace.ev_tid in
-        s :=
-          {
-            f_name = ev.Trace.ev_name;
-            f_ts = ev.Trace.ev_ts;
-            f_minor = ev.Trace.ev_minor;
-            f_promoted = ev.Trace.ev_promoted;
-            f_major = ev.Trace.ev_major;
-            f_child_ns = 0.0;
-            f_child_minor = 0.0;
-            f_child_promoted = 0.0;
-            f_child_major = 0.0;
-          }
-          :: !s
-      | 'E' -> (
-        let s = stack ev.Trace.ev_tid in
-        match !s with
-        | [] -> ()  (* orphan E: its B was overwritten by ring wrap *)
-        | f :: rest when f.f_name = ev.Trace.ev_name ->
-          s := rest;
-          let dur =
-            Float.max 0.0 (Int64.to_float (Int64.sub ev.Trace.ev_ts f.f_ts))
-          in
-          let minor = Float.max 0.0 (ev.Trace.ev_minor -. f.f_minor) in
-          let promoted =
-            Float.max 0.0 (ev.Trace.ev_promoted -. f.f_promoted)
-          in
-          let major = Float.max 0.0 (ev.Trace.ev_major -. f.f_major) in
-          let a = acc f.f_name in
-          a.a_count <- a.a_count + 1;
-          a.a_total_ns <- a.a_total_ns +. dur;
-          a.a_self_ns <- a.a_self_ns +. Float.max 0.0 (dur -. f.f_child_ns);
-          a.a_minor <-
-            a.a_minor +. Float.max 0.0 (minor -. f.f_child_minor);
-          a.a_promoted <-
-            a.a_promoted +. Float.max 0.0 (promoted -. f.f_child_promoted);
-          a.a_major <- a.a_major +. Float.max 0.0 (major -. f.f_child_major);
-          (match rest with
-          | parent :: _ ->
-            parent.f_child_ns <- parent.f_child_ns +. dur;
-            parent.f_child_minor <- parent.f_child_minor +. minor;
-            parent.f_child_promoted <- parent.f_child_promoted +. promoted;
-            parent.f_child_major <- parent.f_child_major +. major
-          | [] -> ())
-        | _ :: _ -> ()
-        (* name mismatch: a truncated ring interleaved two spans —
-           keep the stack rather than corrupt the attribution *))
-      | _ -> ());
-  let phases =
-    Hashtbl.fold
-      (fun name a rows ->
-        {
-          p_name = name;
-          p_count = a.a_count;
-          p_total_ns = a.a_total_ns;
-          p_self_ns = a.a_self_ns;
-          p_minor_w = a.a_minor;
-          p_promoted_w = a.a_promoted;
-          p_major_w = a.a_major;
-        }
-        :: rows)
-      accs []
+  a.(0) <- a.(0) +. float_of_int s.p_count;
+  a.(1) <- a.(1) +. s.p_total_ns;
+  a.(2) <- a.(2) +. s.p_self_ns;
+  a.(3) <- a.(3) +. s.p_minor_w;
+  a.(4) <- a.(4) +. s.p_promoted_w;
+  a.(5) <- a.(5) +. s.p_major_w
+
+let of_trace () =
+  let phase name a rows =
+    {
+      p_name = name;
+      p_count = int_of_float a.(0);
+      p_total_ns = a.(1);
+      p_self_ns = a.(2);
+      p_minor_w = a.(3);
+      p_promoted_w = a.(4);
+      p_major_w = a.(5);
+    }
+    :: rows
   in
   let phases =
     List.sort
@@ -148,7 +73,7 @@ let of_trace () =
         match Float.compare b.p_self_ns a.p_self_ns with
         | 0 -> String.compare a.p_name b.p_name
         | c -> c)
-      phases
+      (Hashtbl.fold phase totals [])
   in
   { phases; gc_sampled = !gc_sampled }
 

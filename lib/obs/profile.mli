@@ -1,18 +1,16 @@
-(** Phase profiler: folds the {!Trace} span stream into per-phase
-    wall-time and GC-allocation attribution.
+(** Phase profiler: per-phase wall-time and GC-allocation totals of
+    the {!Trace} spans.
 
-    Replays the retained ring events per recording domain with an
-    explicit frame stack, so nested spans split {e total} (inclusive)
-    from {e self} (exclusive) time exactly — the pd loop's self time
-    excludes the selector rebuilds it triggered, a payment bisection's
-    excludes the solver probes inside it. When the trace was started
-    with [~gc:true] (the [--profile] path), [Gc.quick_stat] deltas
-    attribute minor/promoted/major words the same way.
-
-    Orphaned [E] events whose [B] was overwritten by ring wrap-around
-    are skipped, exactly like the JSONL exporter; spans left open
-    (crash, truncation) are not counted. Run from the orchestrating
-    domain after [Trace.stop]. See docs/OBSERVABILITY.md. *)
+    {!Trace.with_span} folds each span into its phase (its name) as the
+    span ends, so the profile counts every span that ended since the
+    last [Trace.start] or [Trace.clear], however many events the trace
+    ring kept. Nested spans split {e total} (inclusive) from {e self}
+    (exclusive) time exactly, per recording domain — the pd loop's self
+    time excludes the selector rebuilds it triggered, a payment's
+    excludes the solves inside it. When the trace was started with
+    [~gc:true] (the [--profile] path), GC word deltas attribute
+    minor/promoted/major words the same way. Spans still open are not
+    counted. See docs/OBSERVABILITY.md. *)
 
 type phase = {
   p_name : string;  (** the span name *)
@@ -28,13 +26,14 @@ type phase = {
 type t = {
   phases : phase list;  (** sorted by self time, descending *)
   gc_sampled : bool;
-      (** whether the trace carried [Gc.quick_stat] samples; when
-          false the word columns are all zero and the renderings say
-          so *)
+      (** whether the trace was started with [~gc:true]; when false
+          the word columns are all zero and the renderings say so *)
 }
 
 val of_trace : unit -> t
-(** Profile whatever the tracer currently retains. *)
+(** The phases folded since the last [Trace.start] or [Trace.clear].
+    Run from the orchestrating domain once the traced work has joined
+    (after [Trace.stop], say). *)
 
 val to_table : ?title:string -> t -> Ufp_prelude.Table.t
 (** One row per phase: count, total/self milliseconds, and (when
@@ -47,3 +46,19 @@ val to_json : t -> string
 
 val save_json : string -> t -> unit
 (** {!to_json} to a file, newline-terminated. *)
+
+val json_float : float -> string
+(** A float as a JSON value: [%.17g] when finite, else its hex form
+    in quotes (JSON has no inf/nan). *)
+
+(** {1 Folding}
+
+    The tracer's side: both run inside its critical section. *)
+
+val reset : gc:bool -> unit
+(** Forget every folded span; [gc] is whether the spans folded next
+    carry GC word deltas. [Trace.start] and [Trace.clear] call it. *)
+
+val add_span : phase -> unit
+(** Add one ended span (a [phase] whose [p_count] is 1) to its phase's
+    totals. [Trace.with_span] calls it when the span ends. *)

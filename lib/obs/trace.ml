@@ -6,14 +6,6 @@ type event = {
   ev_ts : int64;  (* CLOCK_MONOTONIC nanoseconds *)
   ev_tid : int;  (* recording domain id; one Chrome track per domain *)
   ev_args : (string * arg) list;
-  (* Gc.quick_stat cumulative words at record time, sampled only when
-     the sink was started with ~gc:true (all zero otherwise). The
-     profiler (profile.ml) turns B/E differences into per-phase
-     allocation; deltas are meaningful per tid, since quick_stat
-     reads the calling domain's allocation counters. *)
-  ev_minor : float;
-  ev_promoted : float;
-  ev_major : float;
 }
 
 (* Ring buffer: [buf.(start + k mod cap)] for k < len are the retained
@@ -35,7 +27,8 @@ let on = ref false
    timestamp order even across domains — bin/trace_check.ml relies on
    global monotonicity. Events carry the recording domain's id as
    their Chrome [tid], so concurrent spans land on separate tracks
-   and nest per track. *)
+   and nest per track. A span's end folds the span into
+   [Profile]'s per-phase totals inside the same critical section. *)
 let lock = ((Mutex.create) [@lint.allow "R6" "the tracer's append lock; the \
    only lock outside lib/par, guarding the shared ring buffer"]) ()
 
@@ -44,8 +37,8 @@ let lock = ((Mutex.create) [@lint.allow "R6" "the tracer's append lock; the \
    goes through [lock] above, argued in docs/PARALLELISM.md. *)
 let ring : ring option ref = ref None
 
-(* Whether [record] samples Gc.quick_stat alongside the clock. Set
-   under [lock] by [start], read inside [record]'s critical section. *)
+(* Whether span begins and ends also read the GC word counters. Set
+   under [lock] by [start], read inside the critical section. *)
 let sample_gc = ref false
 
 let is_on () = !on
@@ -58,6 +51,7 @@ let start ?(capacity = 65536) ?(gc = false) () =
   ring :=
     Some { buf = Array.make capacity None; r_start = 0; r_len = 0; r_dropped = 0 };
   sample_gc := gc;
+  Profile.reset ~gc;
   on := true;
   Mutex.unlock lock
 
@@ -72,35 +66,23 @@ let clear () =
     r.r_start <- 0;
     r.r_len <- 0;
     r.r_dropped <- 0);
+  Profile.reset ~gc:!sample_gc;
   Mutex.unlock lock
 
-let record ~name ~ph ~args =
-  Mutex.lock lock;
+(* Appends one event stamped now and returns the stamp. The caller
+   holds [lock]. *)
+let append ~name ~ph ~args =
+  let ts = now_ns () in
   (match !ring with
   | None -> ()
   | Some r ->
-    let minor, promoted, major =
-      if !sample_gc then
-        (* [quick_stat]'s minor_words only advances at minor
-           collections; [Gc.minor_words ()] reads the calling domain's
-           live allocation pointer, so B/E deltas see allocations that
-           never triggered a collection. promoted/major have no such
-           cheap exact reader — collection-boundary granularity is the
-           honest precision there. *)
-        let q = Gc.quick_stat () in
-        (Gc.minor_words (), q.Gc.promoted_words, q.Gc.major_words)
-      else (0.0, 0.0, 0.0)
-    in
     let ev =
       {
         ev_name = name;
         ev_ph = ph;
-        ev_ts = now_ns ();
+        ev_ts = ts;
         ev_tid = (Domain.self () :> int);
         ev_args = args;
-        ev_minor = minor;
-        ev_promoted = promoted;
-        ev_major = major;
       }
     in
     let cap = Array.length r.buf in
@@ -114,15 +96,94 @@ let record ~name ~ph ~args =
       r.buf.((r.r_start + r.r_len) mod cap) <- Some ev;
       r.r_len <- r.r_len + 1
     end);
-  Mutex.unlock lock
+  ts
 
-let instant ?(args = []) name = if !on then record ~name ~ph:'i' ~args
+let instant ?(args = []) name =
+  if !on then begin
+    Mutex.lock lock;
+    ignore (append ~name ~ph:'i' ~args : int64);
+    Mutex.unlock lock
+  end
+
+(* --- span folding ---
+
+   A reading of the calling domain's clocks: nanoseconds since [base_ns]
+   (so the float stays an exact integer) and, under ~gc:true, its GC
+   word counters. [Gc.quick_stat]'s minor_words only advances at minor
+   collections; [Gc.minor_words ()] reads the calling domain's live
+   allocation pointer, so span deltas see allocations that never
+   triggered a collection. promoted/major have no such cheap exact
+   reader — collection-boundary granularity is the honest precision
+   there. *)
+type reading = { ns : float; minor : float; promoted : float; major : float }
+
+let base_ns = now_ns ()
+
+let read ts =
+  let ns = Int64.to_float (Int64.sub ts base_ns) in
+  if not !sample_gc then { ns; minor = 0.0; promoted = 0.0; major = 0.0 }
+  else
+    let q = Gc.quick_stat () in
+    {
+      ns;
+      minor = Gc.minor_words ();
+      promoted = q.Gc.promoted_words;
+      major = q.Gc.major_words;
+    }
+
+(* Written out field by field, with no closure or polymorphic call, so
+   the floats stay unboxed: a span's end allocates only records. *)
+let[@inline] pos d = if d > 0.0 then d else 0.0
+
+let minus a b =
+  {
+    ns = pos (a.ns -. b.ns);
+    minor = pos (a.minor -. b.minor);
+    promoted = pos (a.promoted -. b.promoted);
+    major = pos (a.major -. b.major);
+  }
+
+let plus a b =
+  {
+    ns = a.ns +. b.ns;
+    minor = a.minor +. b.minor;
+    promoted = a.promoted +. b.promoted;
+    major = a.major +. b.major;
+  }
+
+(* What the calling domain has billed to its ended spans as self
+   amounts. Spans nest per domain and a span's children end before it
+   does, so what a span's domain billed between its begin and its end
+   is exactly what its children took: its self amounts are its totals
+   minus that difference, and no explicit frame stack is needed. *)
+let billed_key =
+  Domain.DLS.new_key (fun () ->
+      ref { ns = 0.0; minor = 0.0; promoted = 0.0; major = 0.0 })
 
 let with_span ?(args = []) name f =
   if not !on then f ()
   else begin
-    record ~name ~ph:'B' ~args;
-    Fun.protect ~finally:(fun () -> record ~name ~ph:'E' ~args:[]) f
+    let billed = Domain.DLS.get billed_key in
+    Mutex.lock lock;
+    let b = read (append ~name ~ph:'B' ~args) in
+    Mutex.unlock lock;
+    let billed_at_b = !billed in
+    Fun.protect f ~finally:(fun () ->
+        Mutex.lock lock;
+        let total = minus (read (append ~name ~ph:'E' ~args:[])) b in
+        let self = minus total (minus !billed billed_at_b) in
+        Profile.add_span
+          {
+            Profile.p_name = name;
+            p_count = 1;
+            p_total_ns = total.ns;
+            p_self_ns = self.ns;
+            p_minor_w = self.minor;
+            p_promoted_w = self.promoted;
+            p_major_w = self.major;
+          };
+        Mutex.unlock lock;
+        billed := plus !billed self)
   end
 
 let n_events () = match !ring with None -> 0 | Some r -> r.r_len
@@ -160,10 +221,7 @@ let json_escape s =
 
 let arg_json = function
   | Int i -> string_of_int i
-  | Float f ->
-    if not (Float.is_finite f) then
-      Printf.sprintf "\"%h\"" f (* inf/nan are not JSON numbers *)
-    else Printf.sprintf "%.17g" f
+  | Float f -> Profile.json_float f
   | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
 
 let event_line ~t0 ev =

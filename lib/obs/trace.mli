@@ -17,7 +17,9 @@
     steps. The ring buffer overwrites its oldest events when full; the
     exporter drops orphaned [E] events whose [B] was overwritten, so
     the output is always balanced ([bin/trace_check.ml] verifies
-    this).
+    this). The ring serves the export alone: each span is folded into
+    {!Profile}'s per-phase totals as it ends, so the profile counts
+    every span whatever the ring kept.
 
     {b Domain safety}: the tracer is process-global and domain-safe.
     Appends are serialised by an internal lock (the parallel payment
@@ -27,9 +29,11 @@
     land on separate tracks, nest correctly per track, and the
     exported stream stays balanced {e per tid}. Timestamps are taken
     under the same lock, so the exported stream is globally monotone
-    in [ts] even across domains. [start]/[stop]/[clear] and the
-    export functions belong to the orchestrating domain, outside any
-    parallel region. See docs/PARALLELISM.md. *)
+    in [ts] even across domains, and a span's end is folded into the
+    profile in the same critical section: one lock per event.
+    [start]/[stop]/[clear] and the export functions belong to the
+    orchestrating domain, outside any parallel region and any open
+    span. See docs/PARALLELISM.md. *)
 
 type arg = Int of int | Float of float | Str of string
 (** Typed span/event argument, rendered into the Chrome [args]
@@ -41,14 +45,8 @@ type event = {
   ev_ts : int64;  (** CLOCK_MONOTONIC nanoseconds *)
   ev_tid : int;  (** recording domain id *)
   ev_args : (string * arg) list;
-  ev_minor : float;
-      (** [Gc.quick_stat] minor words at record time; 0 unless the
-          sink was started with [~gc:true] *)
-  ev_promoted : float;  (** promoted words, same sampling rule *)
-  ev_major : float;  (** major words, same sampling rule *)
 }
-(** A retained ring-buffer event, as consumed by [Profile.of_trace]
-    via {!iter_events}. *)
+(** A retained ring-buffer event, as read by {!iter_events}. *)
 
 val is_on : unit -> bool
 (** Whether a recording sink is installed. Use to guard argument-list
@@ -56,24 +54,27 @@ val is_on : unit -> bool
     again themselves. *)
 
 val start : ?capacity:int -> ?gc:bool -> unit -> unit
-(** Install the ring-buffer sink (clearing any previous buffer).
-    [capacity] is the maximum retained event count (default 65536;
-    oldest events are overwritten beyond that). When [gc] is true
-    (default false) every event also samples [Gc.quick_stat], feeding
-    the profiler's allocation attribution — roughly doubling the cost
-    of a record, so it is opt-in via [--profile]. *)
+(** Install the ring-buffer sink, clearing any previous buffer and
+    the profile's totals. [capacity] is the maximum retained event
+    count (default 65536; oldest events are overwritten beyond that).
+    When [gc] is true (default false) every span's begin and end also
+    read the domain's GC word counters, feeding the profiler's
+    allocation attribution — several times the cost of an unsampled
+    span, so it is opt-in via [--profile]. *)
 
 val stop : unit -> unit
 (** Return to the no-op sink. The recorded buffer is kept until the
     next {!start} or {!clear}, so exporting after [stop] is valid. *)
 
 val clear : unit -> unit
-(** Drop all recorded events (the sink state is unchanged). *)
+(** Drop all recorded events and the profile's totals (the sink state
+    is unchanged). *)
 
 val with_span : ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] records a [B] event, runs [f], and records the
-    matching [E] event — also on exception. When tracing is off this
-    is just [f ()]. *)
+    matching [E] event — also on exception — folding the span into
+    its phase of the profile. When tracing is off this is just
+    [f ()]. *)
 
 val instant : ?args:(string * arg) list -> string -> unit
 (** Record a point event (phase [i]). No-op when tracing is off. *)
@@ -87,8 +88,8 @@ val n_dropped : unit -> int
 val iter_events : (event -> unit) -> unit
 (** Fold the retained events, oldest first. Raw ring order: after a
     wrap-around the stream may open with [E] events whose [B] was
-    overwritten (the JSONL exporter and the profiler both skip
-    those). Belongs to the orchestrating domain, after [stop]. *)
+    overwritten (the JSONL exporter skips those). Belongs to the
+    orchestrating domain, after [stop]. *)
 
 val export_jsonl : out_channel -> unit
 (** Write the retained events, oldest first, one Chrome [trace_event]
@@ -99,3 +100,7 @@ val export_jsonl : out_channel -> unit
 
 val save_jsonl : string -> unit
 (** {!export_jsonl} to a file. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal: quotes, backslashes and control
+    characters escaped. *)

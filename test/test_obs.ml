@@ -1,8 +1,9 @@
 (* Tests for the observability layer (lib/obs/) and its laws.
 
    Unit coverage: registry idempotence and kind checking, snapshot
-   diff/reset algebra, histogram bucketing, ring-buffer tracing and
-   the balance guarantee of the JSONL exporter.
+   diff/reset algebra, histogram bucketing, ring-buffer tracing, the
+   balance guarantee of the JSONL exporter, and the profile's fold of
+   every span as it ends.
 
    Laws (ISSUE 3):
      - determinism: two runs of Pd_engine.execute on the same instance
@@ -39,19 +40,13 @@ let test_registration_idempotent () =
   Alcotest.(check int) "same cell" 2 (Metrics.value a);
   Alcotest.check_raises "kind mismatch rejected"
     (Invalid_argument "Ufp_obs.Metrics: \"test.idem\" is already a counter")
-    (fun () -> ignore (Metrics.gauge "test.idem"))
+    (fun () -> ignore (Metrics.histogram "test.idem"))
 
 let test_counter_ops () =
   let c = Metrics.counter "test.counter_ops" in
   Metrics.incr c;
   Metrics.add c 41;
   Alcotest.(check int) "incr + add" 42 (Metrics.value c)
-
-let test_gauge_ops () =
-  let g = Metrics.gauge "test.gauge_ops" in
-  Metrics.gauge_add g 1.5;
-  Metrics.gauge_add g 2.0;
-  check_float "adds accumulate" 3.5 (Metrics.gauge_value g)
 
 let test_histogram_buckets () =
   let h = Metrics.histogram "test.hist" in
@@ -241,18 +236,53 @@ let test_profile_without_gc () =
   let ph = List.find (fun ph -> ph.Profile.p_name = "prof.plain") p.Profile.phases in
   check_float "no words attributed" 0.0 ph.Profile.p_minor_w
 
+(* Spans are folded as they end, so the profile counts spans the ring
+   overwrote long ago: 4,000 nested spans from two pool tasks pass
+   through a 64-event ring. Each domain's self amounts stay net of the
+   spans it nests, whichever domain ran which task. *)
+let test_profile_outlives_the_ring () =
+  let per_task = 1000 in
+  let churn () =
+    for _ = 1 to 50 do
+      ignore (Sys.opaque_identity (Array.make 100 0.0))
+    done
+  in
+  Trace.start ~capacity:64 ~gc:true ();
+  Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
+      Ufp_par.Pool.parallel_for ~pool ~n:2 (fun _ ->
+          for _ = 1 to per_task do
+            Trace.with_span "ring.outer" (fun () ->
+                Trace.with_span "ring.inner" churn)
+          done));
+  Trace.stop ();
+  let p = Profile.of_trace () and dropped = Trace.n_dropped () in
+  Trace.clear ();
+  let find name =
+    List.find (fun ph -> ph.Profile.p_name = name) p.Profile.phases
+  in
+  let outer = find "ring.outer" and inner = find "ring.inner" in
+  Alcotest.(check int) "every outer span" (2 * per_task) outer.Profile.p_count;
+  Alcotest.(check int) "every inner span" (2 * per_task) inner.Profile.p_count;
+  List.iter
+    (fun ph ->
+      Alcotest.(check bool) (ph.Profile.p_name ^ " self <= total") true
+        (ph.Profile.p_self_ns <= ph.Profile.p_total_ns))
+    [ outer; inner ];
+  Alcotest.(check bool) "inner words not billed to outer self" true
+    (outer.Profile.p_minor_w < inner.Profile.p_minor_w /. 10.0);
+  Alcotest.(check bool) "the ring still drops" true (dropped > 0)
+
 (* --- domain safety (the Ufp_par contract) --- *)
 
 module Pool = Ufp_par.Pool
 
-(* Counter, gauge and histogram updates racing from 3 domains must
-   lose nothing: integer RMWs commute, and the float CAS loop adds
-   integer-valued summands exactly. *)
+(* Counter and histogram updates racing from 3 domains must lose
+   nothing: each domain writes its own shard, and snapshots sum the
+   shards' integer cells exactly. *)
 let test_metrics_domain_safe () =
   let c = Metrics.counter "test.par_counter" in
-  let g = Metrics.gauge "test.par_gauge" in
   let h = Metrics.histogram "test.par_hist" in
-  let before_c = Metrics.value c and before_g = Metrics.gauge_value g in
+  let before_c = Metrics.value c in
   let before_h =
     (List.assoc "test.par_hist" (Metrics.snapshot ()).Metrics.histograms)
       .Metrics.h_count
@@ -261,12 +291,8 @@ let test_metrics_domain_safe () =
   Pool.with_pool ~domains:3 (fun pool ->
       Pool.parallel_for ~pool ~n (fun i ->
           Metrics.incr c;
-          Metrics.gauge_add g 2.0;
           Metrics.observe h (float_of_int (i mod 5))));
   Alcotest.(check int) "no lost increments" (before_c + n) (Metrics.value c);
-  check_float "no lost gauge adds"
-    (before_g +. (2.0 *. float_of_int n))
-    (Metrics.gauge_value g);
   let hs = List.assoc "test.par_hist" (Metrics.snapshot ()).Metrics.histograms in
   Alcotest.(check int) "no lost observations" (before_h + n) hs.Metrics.h_count
 
@@ -547,10 +573,6 @@ let engine_agreement_law =
                   label name v_seq v_pool)
             (exact_work s_seq) (exact_work s_pool);
           if
-            List.assoc "pd.d1_growth" s_pool.Metrics.gauges
-            <> List.assoc "pd.d1_growth" s_seq.Metrics.gauges
-          then QCheck.Test.fail_reportf "%s: pd.d1_growth differs" label;
-          if
             List.assoc "pd.path_edges" s_pool.Metrics.histograms
             <> List.assoc "pd.path_edges" s_seq.Metrics.histograms
           then QCheck.Test.fail_reportf "%s: pd.path_edges differs" label;
@@ -577,7 +599,6 @@ let () =
           Alcotest.test_case "registration idempotent" `Quick
             test_registration_idempotent;
           Alcotest.test_case "counter ops" `Quick test_counter_ops;
-          Alcotest.test_case "gauge ops" `Quick test_gauge_ops;
           Alcotest.test_case "histogram bucketing" `Quick test_histogram_buckets;
           Alcotest.test_case "NaN observations quarantined" `Quick
             test_histogram_nan_quarantine;
@@ -610,6 +631,8 @@ let () =
             test_profile_phases;
           Alcotest.test_case "gc columns honest when unsampled" `Quick
             test_profile_without_gc;
+          Alcotest.test_case "every span counted past the ring" `Quick
+            test_profile_outlives_the_ring;
         ] );
       ( "domain-safety",
         [
