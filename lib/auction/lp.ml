@@ -1,3 +1,5 @@
+module Mcf = Ufp_lp.Mcf
+
 type result = {
   feasible_value : float;
   upper_bound : float;
@@ -7,37 +9,17 @@ type result = {
 
 let solve ?(eps = 0.1) auction =
   if not (eps > 0.0 && eps < 1.0) then invalid_arg "Lp.solve: eps must be in (0,1)";
-  let m = Auction.n_items auction in
-  let n = Auction.n_bids auction in
-  if m = 0 || n = 0 then
-    { feasible_value = 0.0; upper_bound = 0.0; fractions = Array.make n 0.0; iterations = 0 }
-  else begin
-    let n_rows = m + n in
-    let delta =
-      (1.0 +. eps) /. (((1.0 +. eps) *. float_of_int n_rows) ** (1.0 /. eps))
-    in
-    let cap u = float_of_int (Auction.multiplicity auction u) in
-    let y = Array.init m (fun u -> delta /. cap u) in
-    let z = Array.make n delta in
-    let dual_total () =
-      let acc = ref 0.0 in
-      for u = 0 to m - 1 do
-        acc := !acc +. (cap u *. y.(u))
-      done;
-      !acc +. Array.fold_left ( +. ) 0.0 z
-    in
+  let bids = Auction.bids auction in
+  let n = Array.length bids in
+  (* Each bid's one column is its bundle, at demand 1: the cheapest
+     bid under the current duals, the first minimum winning. *)
+  let columns ~y ~z =
     let price i =
-      let bid = Auction.bid auction i in
+      let bid = bids.(i) in
       (z.(i) +. List.fold_left (fun acc u -> acc +. y.(u)) 0.0 bid.Auction.bundle)
       /. bid.Auction.value
     in
-    let raw = Array.make n 0.0 in
-    let raw_value = ref 0.0 in
-    let upper = ref infinity in
-    let iterations = ref 0 in
-    let continue = ref true in
-    while !continue do
-      (* Best column: the bid with the cheapest normalised price. *)
+    let best_column () =
       let best = ref 0 and best_price = ref (price 0) in
       for i = 1 to n - 1 do
         let p = price i in
@@ -46,28 +28,28 @@ let solve ?(eps = 0.1) auction =
           best_price := p
         end
       done;
-      let d = dual_total () in
-      upper := Float.min !upper (d /. !best_price);
-      if d >= 1.0 then continue := false
-      else begin
-        incr iterations;
-        let i = !best in
-        let bid = Auction.bid auction i in
-        (* Bottleneck in x units: the bid row caps at 1 and every item
-           row at c_u >= 1, so the step is always 1. *)
-        raw.(i) <- raw.(i) +. 1.0;
-        raw_value := !raw_value +. bid.Auction.value;
-        List.iter (fun u -> y.(u) <- y.(u) *. (1.0 +. (eps /. cap u))) bid.Auction.bundle;
-        z.(i) <- z.(i) *. (1.0 +. eps)
-      end
-    done;
-    let scale = log ((1.0 +. eps) /. delta) /. log (1.0 +. eps) in
-    {
-      feasible_value = !raw_value /. scale;
-      upper_bound = (if !upper = infinity then 0.0 else !upper);
-      fractions = Array.map (fun x -> x /. scale) raw;
-      iterations = !iterations;
-    }
-  end
+      Some (!best_price, !best, bids.(!best).Auction.bundle)
+    in
+    { Mcf.best_column; after_update = ignore }
+  in
+  let r =
+    Mcf.garg_konemann ~eps
+      ~capacities:
+        (Array.init (Auction.n_items auction) (fun u ->
+             float_of_int (Auction.multiplicity auction u)))
+      ~demands:(Array.make n 1.0)
+      ~values:(Array.map (fun (bid : Auction.bid) -> bid.Auction.value) bids)
+      columns
+  in
+  let fractions = Array.make n 0.0 in
+  List.iter
+    (fun (pf : Mcf.path_flow) -> fractions.(pf.Mcf.pf_request) <- pf.Mcf.pf_amount)
+    r.Mcf.flow;
+  {
+    feasible_value = r.Mcf.feasible_value;
+    upper_bound = r.Mcf.upper_bound;
+    fractions;
+    iterations = r.Mcf.iterations;
+  }
 
 let upper_bound ?eps auction = (solve ?eps auction).upper_bound

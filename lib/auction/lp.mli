@@ -3,11 +3,11 @@
     [EXP-MUCA-RATIO] experiment.
 
     The relaxation is the packing LP with a row per item (budget
-    [c_u]) and per bid (budget 1), and one column per bid. Solved by
-    the same Garg–Könemann multiplicative-weights loop; both a feasible
-    fractional value (lower bound on OPT_LP) and a scaled-dual
-    certificate (upper bound on OPT_LP, hence on the integral optimum)
-    are returned. *)
+    [c_u]) and per bid (budget 1), and one column per bid, its bundle
+    at demand 1. It runs {!Ufp_lp.Mcf.garg_konemann} over a scan of the
+    bids (the first minimum wins); both a feasible fractional value
+    (lower bound on OPT_LP) and a scaled-dual certificate (upper bound
+    on OPT_LP, hence on the integral optimum) are returned. *)
 
 type result = {
   feasible_value : float;

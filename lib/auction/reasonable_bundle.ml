@@ -1,5 +1,5 @@
+module Reasonable = Ufp_core.Reasonable
 module Rng = Ufp_prelude.Rng
-module Float_tol = Ufp_prelude.Float_tol
 
 type state = { auction : Auction.t; loads : int array }
 
@@ -41,56 +41,27 @@ type result = { allocation : Auction.Allocation.t; iterations : int }
 
 let run ~priority ~tie_break auction =
   let st = { auction; loads = Array.make (Auction.n_items auction) 0 } in
-  (* Group identical bids; pending lists kept increasing. *)
-  let groups : (int list * float, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  for i = Auction.n_bids auction - 1 downto 0 do
-    let b = Auction.bid auction i in
-    let key = (b.Auction.bundle, b.Auction.value) in
-    match Hashtbl.find_opt groups key with
-    | Some l -> l := i :: !l
-    | None -> Hashtbl.add groups key (ref [ i ])
-  done;
-  let fits (bid : Auction.bid) =
+  let bid = Auction.bid auction in
+  let fits (b : Auction.bid) =
     List.for_all
       (fun u -> st.loads.(u) + 1 <= Auction.multiplicity auction u)
-      bid.Auction.bundle
+      b.Auction.bundle
   in
-  let tie_rel = Float_tol.tie_rel in
-  let allocation = ref [] in
-  let iterations = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let best_priority = ref infinity in
-    let raw = ref [] in
-    Hashtbl.iter
-      (fun _key pending ->
-        match !pending with
-        | [] -> ()
-        | rep :: _ ->
-          let bid = Auction.bid auction rep in
-          if fits bid then begin
-            let p = priority st bid in
-            if p < !best_priority then best_priority := p;
-            raw := (p, rep) :: !raw
-          end)
-      groups;
-    if !raw = [] then continue := false
-    else begin
-      let cutoff =
-        !best_priority +. (tie_rel *. Float.max 1.0 (Float.abs !best_priority))
-      in
-      let tied =
-        List.filter_map (fun (p, i) -> if p <= cutoff then Some i else None) !raw
-        |> List.sort compare
-      in
-      let chosen = tie_break st tied in
-      incr iterations;
-      let bid = Auction.bid auction chosen in
-      List.iter (fun u -> st.loads.(u) <- st.loads.(u) + 1) bid.Auction.bundle;
-      allocation := chosen :: !allocation;
-      let key = (bid.Auction.bundle, bid.Auction.value) in
-      let pending = Hashtbl.find groups key in
-      pending := List.filter (fun i -> i <> chosen) !pending
-    end
-  done;
-  { allocation = List.rev !allocation; iterations = !iterations }
+  (* Each bid's one candidate is its bundle, while the bundle fits. *)
+  let selected =
+    Reasonable.minimize ~n_requests:(Auction.n_bids auction)
+      ~group:(fun i -> (bid i).Auction.bundle, (bid i).Auction.value)
+      ~candidates:(fun i ->
+        let b = bid i in
+        if fits b then Seq.return b.Auction.bundle else Seq.empty)
+      ~priority:(fun i _ -> priority st (bid i))
+      ~tie_break:(fun tied ->
+        let i =
+          tie_break st (List.map (fun c -> c.Reasonable.cand_request) tied)
+        in
+        { Reasonable.cand_request = i; cand_path = (bid i).Auction.bundle })
+      ~select:(fun c ->
+        List.iter (fun u -> st.loads.(u) <- st.loads.(u) + 1) c.Reasonable.cand_path)
+  in
+  let allocation = List.map (fun c -> c.Reasonable.cand_request) selected in
+  { allocation; iterations = List.length allocation }

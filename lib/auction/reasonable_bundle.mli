@@ -6,7 +6,9 @@
     residual multiplicities, one minimising a reasonable priority of
     (bundle, current loads), until nothing fits. Theorem 4.5 shows no
     member of this family beats [4/3]; the [EXP-FIG4-LB] experiment
-    runs this simulator on {!Lower_bound.make}. *)
+    runs this simulator on {!Lower_bound.make}. The loop is
+    {!Ufp_core.Reasonable.minimize} over fixed bundles: a bid's one
+    candidate is its bundle, while it fits. *)
 
 type state = {
   auction : Auction.t;

@@ -82,16 +82,57 @@ let random_tie ~seed =
     | [] -> invalid_arg "Reasonable.tie_break: no candidates"
     | _ -> Rng.pick rng (Array.of_list cands)
 
-type result = { solution : Solution.t; iterations : int; saturated : bool }
+type result = { solution : Solution.t; iterations : int }
 
-(* Requests with identical (src, dst, demand, value) are interchangeable:
-   group them and evaluate one representative per group. *)
-module Group_key = struct
-  type t = int * int * float * float
-end
+let minimize ~n_requests ~group ~candidates ~priority ~tie_break ~select =
+  (* Pending request indices per group, each kept sorted increasing:
+     interchangeable requests are evaluated through one representative,
+     the lowest pending index. *)
+  let groups = Hashtbl.create 16 in
+  for i = n_requests - 1 downto 0 do
+    let key = group i in
+    match Hashtbl.find_opt groups key with
+    | Some l -> l := i :: !l
+    | None -> Hashtbl.add groups key (ref [ i ])
+  done;
+  (* One iteration: the candidates within tie_rel of the least
+     priority. The fold loses their order, so they are sorted by
+     (request, candidate), the record's field order. *)
+  let select_one () =
+    let best = ref infinity and scored = ref [] in
+    Hashtbl.iter
+      (fun _ pending ->
+        match !pending with
+        | [] -> ()
+        | rep :: _ ->
+          Seq.iter
+            (fun c ->
+              let p = priority rep c in
+              if p < !best then best := p;
+              scored := (p, { cand_request = rep; cand_path = c }) :: !scored)
+            (candidates rep))
+      groups;
+    match !scored with
+    | [] -> None
+    | scored ->
+      let cutoff = !best +. (Float_tol.tie_rel *. Float.max 1.0 (Float.abs !best)) in
+      let tied = List.filter_map (fun (p, c) -> if p <= cutoff then Some c else None) scored in
+      Some (tie_break (List.sort compare tied))
+  in
+  let rec loop acc =
+    match select_one () with
+    | None -> List.rev acc
+    | Some cand ->
+      select cand;
+      let pending = Hashtbl.find groups (group cand.cand_request) in
+      pending := List.filter (fun i -> i <> cand.cand_request) !pending;
+      loop (cand :: acc)
+  in
+  loop []
 
 let run ?(max_paths = 20000) ~priority ~tie_break inst =
   let g = Instance.graph inst in
+  let req = Instance.request inst in
   let st = { graph = g; flow = Array.make (Graph.n_edges g) 0.0 } in
   (* Cache simple-path sets per endpoint pair. *)
   let path_cache : (int * int, int list array) Hashtbl.t = Hashtbl.create 16 in
@@ -108,92 +149,25 @@ let run ?(max_paths = 20000) ~priority ~tie_break inst =
       Hashtbl.add path_cache (src, dst) ps;
       ps
   in
-  (* Pending request indices per group, each kept sorted increasing. *)
-  let groups : (Group_key.t, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let n_req = Instance.n_requests inst in
-  for i = n_req - 1 downto 0 do
-    let r = Instance.request inst i in
-    let key =
-      (r.Request.src, r.Request.dst, r.Request.demand, r.Request.value)
-    in
-    match Hashtbl.find_opt groups key with
-    | Some l -> l := i :: !l
-    | None -> Hashtbl.add groups key (ref [ i ])
-  done;
-  let tie_rel = Float_tol.tie_rel in
   let feasible d path =
     List.for_all
       (fun e -> st.flow.(e) +. d <= Graph.capacity g e +. Float_tol.capacity_slack)
       path
   in
-  (* One iteration: gather the minimum-priority feasible candidates. *)
-  let select () =
-    let best_priority = ref infinity in
-    let raw = ref [] in
-    Hashtbl.iter
-      (fun (src, dst, d, _v) pending ->
-        match !pending with
-        | [] -> ()
-        | rep :: _ ->
-          let r = Instance.request inst rep in
-          ignore (src, dst);
-          Array.iter
-            (fun path ->
-              if feasible d path then begin
-                let p = priority st r path in
-                if p < !best_priority then best_priority := p;
-                raw := (p, rep, path) :: !raw
-              end)
-            (paths_for src dst))
-      groups;
-    if !raw = [] then None
-    else begin
-      let cutoff =
-        !best_priority +. (tie_rel *. Float.max 1.0 (Float.abs !best_priority))
-      in
-      let tied =
-        List.filter_map
-          (fun (p, rep, path) ->
-            if p <= cutoff then Some { cand_request = rep; cand_path = path }
-            else None)
-          !raw
-      in
-      (* Deterministic order: request index, then path enumeration order
-         is lost by the fold above, so sort by (request, path). *)
-      let tied =
-        List.sort
-          (fun a b ->
-            match compare a.cand_request b.cand_request with
-            | 0 -> compare a.cand_path b.cand_path
-            | c -> c)
-          tied
-      in
-      Some (tie_break st tied)
-    end
+  let selected =
+    minimize ~n_requests:(Instance.n_requests inst)
+      ~group:(fun i ->
+        let r = req i in
+        (r.Request.src, r.Request.dst, r.Request.demand, r.Request.value))
+      ~candidates:(fun i ->
+        let r = req i in
+        Seq.filter (feasible r.Request.demand)
+          (Array.to_seq (paths_for r.Request.src r.Request.dst)))
+      ~priority:(fun i path -> priority st (req i) path)
+      ~tie_break:(tie_break st)
+      ~select:(fun c ->
+        let d = (req c.cand_request).Request.demand in
+        List.iter (fun e -> st.flow.(e) <- st.flow.(e) +. d) c.cand_path)
   in
-  let solution = ref [] in
-  let iterations = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match select () with
-    | None -> continue := false
-    | Some cand ->
-      incr iterations;
-      let r = Instance.request inst cand.cand_request in
-      List.iter
-        (fun e -> st.flow.(e) <- st.flow.(e) +. r.Request.demand)
-        cand.cand_path;
-      solution :=
-        { Solution.request = cand.cand_request; path = cand.cand_path }
-        :: !solution;
-      let key =
-        (r.Request.src, r.Request.dst, r.Request.demand, r.Request.value)
-      in
-      let pending = Hashtbl.find groups key in
-      pending := List.filter (fun i -> i <> cand.cand_request) !pending
-  done;
-  {
-    solution = List.rev !solution;
-    iterations = !iterations;
-    saturated = true;
-  }
+  let route c = { Solution.request = c.cand_request; path = c.cand_path } in
+  { solution = List.map route selected; iterations = List.length selected }

@@ -12,7 +12,9 @@
     (cached per endpoint pair), so it is exact but intended for the
     structured lower-bound instances and other small graphs — not for
     large random workloads, where {!Bounded_ufp} is the production
-    implementation of the [h]-minimizing member of the family.
+    implementation of the [h]-minimizing member of the family. Its
+    loop, {!minimize}, also runs the bundle minimizer of Definition 4.4
+    ({!Ufp_auction.Reasonable_bundle}).
 
     Tie-breaking among equal-priority candidates is a first-class
     parameter: the paper's lower-bound proofs fix an adversarial rule
@@ -49,7 +51,7 @@ val hops : priority
 
 type candidate = {
   cand_request : int;  (** request index (group representative) *)
-  cand_path : int list;
+  cand_path : int list;  (** edge ids ({!minimize}: any [int list]) *)
 }
 
 type tie_break = state -> candidate list -> candidate
@@ -76,17 +78,31 @@ val random_tie : seed:int -> tie_break
 (** Uniformly random choice among the tied candidates (deterministic
     given the seed). *)
 
-type result = {
-  solution : Ufp_instance.Solution.t;
-  iterations : int;
-  saturated : bool;  (** [true] when the loop stopped because no pending request had a feasible path *)
-}
+type result = { solution : Ufp_instance.Solution.t; iterations : int }
+
+val minimize :
+  n_requests:int ->
+  group:(int -> 'k) ->
+  candidates:(int -> int list Seq.t) ->
+  priority:(int -> int list -> float) ->
+  tie_break:(candidate list -> candidate) ->
+  select:(candidate -> unit) ->
+  candidate list
+(** The minimizer loop over the caller's candidates, returning the
+    selections in order. Requests with equal [group] keys are
+    interchangeable: each iteration scores, by [priority], the
+    [candidates] (those that fit now) of each group's lowest pending
+    request, hands the ties within [Float_tol.tie_rel] of the least
+    priority, sorted by (request, candidate), to [tie_break], calls
+    [select] on its choice and retires that request; it stops when no
+    pending request has a candidate. *)
 
 val run :
   ?max_paths:int -> priority:priority -> tie_break:tie_break ->
   Ufp_instance.Instance.t -> result
-(** Run the iterative path minimizer to saturation. [max_paths]
-    (default [20000]) bounds the per-endpoint-pair simple-path
-    enumeration; raises [Invalid_argument] when exceeded. Requests
+(** {!minimize} over each request's capacity-feasible simple paths,
+    to saturation. [max_paths] (default [20000]) bounds the
+    per-endpoint-pair simple-path enumeration; raises
+    [Invalid_argument] when exceeded. Requests
     sharing (src, dst, demand, value) are grouped, so the per-iteration
     cost scales with distinct request types, not request count. *)

@@ -37,9 +37,9 @@ let ratio_cell num den =
   if den <= 0.0 then "-" else Printf.sprintf "%.4f" (num /. den)
 
 let time_it f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let v = f () in
-  (v, Unix.gettimeofday () -. t0)
+  (v, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9)
 
 let counters_during f =
   let before = Ufp_obs.Metrics.snapshot () in

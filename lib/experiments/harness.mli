@@ -35,7 +35,8 @@ val ratio_cell : float -> float -> string
     when the denominator is nonpositive. *)
 
 val time_it : (unit -> 'a) -> 'a * float
-(** Result and elapsed wall-clock seconds. *)
+(** Result and elapsed wall-clock seconds, read from the monotonic
+    clock (immune to system clock steps). *)
 
 val counters_during : (unit -> 'a) -> 'a * (string * int) list
 (** Result plus the {!Ufp_obs.Metrics} counter deltas the call

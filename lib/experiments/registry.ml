@@ -90,7 +90,7 @@ let all =
       paper_artifact = "infrastructure";
       description =
         "observability cost: Bounded-UFP wall time with the Ufp_obs tracer \
-         off vs recording, on the EXP-PERF grid workload";
+         off, recording and profiling, on the EXP-PERF grid workload";
       run = Exp_obs_overhead.run;
     };
     {

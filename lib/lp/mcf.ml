@@ -16,6 +16,11 @@ type result = {
   iterations : int;
 }
 
+type oracle = {
+  best_column : unit -> (float * int * int list) option;
+  after_update : int list -> unit;
+}
+
 (* Accumulated raw flow, keyed by (request, path).  The key is
    float-free, and both operations are structural: the table must
    iterate identically across runs for the solver's flow output to be
@@ -31,12 +36,10 @@ end
 
 module Flow_table = Hashtbl.Make (Key)
 
-let solve ?(eps = 0.1) inst =
-  if not (eps > 0.0 && eps < 1.0) then invalid_arg "Mcf.solve: eps must be in (0,1)";
-  let g = Instance.graph inst in
-  let m = Graph.n_edges g in
-  let n_req = Instance.n_requests inst in
-  let requests = Instance.requests inst in
+let garg_konemann ~eps ~capacities:caps ~demands ~values columns =
+  if not (eps > 0.0 && eps < 1.0) then
+    invalid_arg "Mcf.garg_konemann: eps must be in (0,1)";
+  let m = Array.length caps and n_req = Array.length demands in
   let n_rows = m + n_req in
   if m = 0 || n_req = 0 then
     { feasible_value = 0.0; upper_bound = 0.0; flow = []; iterations = 0 }
@@ -44,69 +47,18 @@ let solve ?(eps = 0.1) inst =
     let delta =
       (1.0 +. eps) /. (((1.0 +. eps) *. float_of_int n_rows) ** (1.0 /. eps))
     in
-    (* Row duals: y.(e) for edges, zr.(r) for the per-request rows. *)
-    let caps = Graph.capacities g in
-    let y = Array.copy caps in
-    for e = 0 to m - 1 do
-      y.(e) <- delta /. caps.(e)
-    done;
-    let zr = Array.make n_req delta in
+    (* Row duals: y.(e) for the capacity rows, z.(i) for the
+       per-request rows. *)
+    let y = Array.map (fun c -> delta /. c) caps in
+    let z = Array.make n_req delta in
     let dual_total () =
       let d1 = ref 0.0 in
       for e = 0 to m - 1 do
         d1 := !d1 +. (caps.(e) *. y.(e))
       done;
-      !d1 +. Array.fold_left ( +. ) 0.0 zr
+      !d1 +. Array.fold_left ( +. ) 0.0 z
     in
-    (* Requests grouped by source so each iteration runs one Dijkstra
-       per distinct source. *)
-    let by_source = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (r : Request.t) ->
-        let cur =
-          Option.value ~default:[] (Hashtbl.find_opt by_source r.Request.src)
-        in
-        Hashtbl.replace by_source r.Request.src ((i, r) :: cur))
-      requests;
-    let weight e = y.(e) in
-    (* One reusable Dijkstra workspace plus one weight snapshot for the
-       whole solve: the duals are fixed during a best-column search, so
-       every distinct source prices against the same vector over the
-       CSR, and a dual update inflates only the routed path's
-       edges, so patching those keeps the snapshot equal to a fresh
-       build. *)
-    let snapshot = Ufp_graph.Weight_snapshot.build g ~weight in
-    let ws = Dijkstra.create_workspace g in
-    let dist = Array.make (Graph.n_vertices g) infinity in
-    let parent_edge = Array.make (Graph.n_vertices g) (-1) in
-    (* Best (request, path) column: minimises
-       (zr_r + d_r * dist) / v_r. *)
-    let best_column () =
-      let best = ref None in
-      Hashtbl.iter
-        (fun src group ->
-          Dijkstra.shortest_tree_snapshot_into ws g ~snapshot ~src ~dist
-            ~parent_edge;
-          let tree = { Dijkstra.dist; parent_edge } in
-          let consider (i, (r : Request.t)) =
-            let dist = tree.Dijkstra.dist.(r.Request.dst) in
-            if dist < infinity then begin
-              let len = zr.(i) +. (r.Request.demand *. dist) in
-              let ratio = len /. r.Request.value in
-              match !best with
-              | Some (best_ratio, _, _) when best_ratio <= ratio -> ()
-              | _ ->
-                let path =
-                  Option.get
-                    (Dijkstra.path_of_tree g tree ~src ~dst:r.Request.dst)
-                in
-                best := Some (ratio, i, path)
-            end
-          in
-          List.iter consider group)
-        by_source;
-      !best
-    in
+    let oracle = columns ~y ~z in
     let raw = Flow_table.create 64 in
     let add_raw i path f =
       let key = (i, path) in
@@ -118,7 +70,7 @@ let solve ?(eps = 0.1) inst =
     let iterations = ref 0 in
     let continue = ref true in
     while !continue do
-      match best_column () with
+      match oracle.best_column () with
       | None -> continue := false
       | Some (alpha, i, path) ->
         let d = dual_total () in
@@ -126,23 +78,22 @@ let solve ?(eps = 0.1) inst =
         if d >= 1.0 then continue := false
         else begin
           incr iterations;
-          let r = requests.(i) in
-          let dr = r.Request.demand in
+          let dr = demands.(i) in
           (* Bottleneck amount in x units: the request row caps at 1,
-             edge row e caps at c_e / d_r. *)
+             capacity row e caps at c_e / d_r. *)
           let f =
             List.fold_left
               (fun acc e -> Float.min acc (caps.(e) /. dr))
               1.0 path
           in
           add_raw i path f;
-          raw_value := !raw_value +. (f *. r.Request.value);
+          raw_value := !raw_value +. (f *. values.(i));
           List.iter
             (fun e ->
               y.(e) <- y.(e) *. (1.0 +. (eps *. f *. dr /. caps.(e))))
             path;
-          Ufp_graph.Weight_snapshot.patch snapshot ~weight path;
-          zr.(i) <- zr.(i) *. (1.0 +. (eps *. f))
+          z.(i) <- z.(i) *. (1.0 +. (eps *. f));
+          oracle.after_update path
         end
     done;
     (* Scale the accumulated flow down to feasibility: every row's raw
@@ -169,6 +120,67 @@ let solve ?(eps = 0.1) inst =
           feasible_value upper_bound);
     { feasible_value; upper_bound; flow; iterations = !iterations }
   end
+
+let solve ?(eps = 0.1) inst =
+  if not (eps > 0.0 && eps < 1.0) then invalid_arg "Mcf.solve: eps must be in (0,1)";
+  let g = Instance.graph inst in
+  let requests = Instance.requests inst in
+  (* Requests grouped by source so each iteration runs one Dijkstra
+     per distinct source. *)
+  let by_source = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (r : Request.t) ->
+      let cur =
+        Option.value ~default:[] (Hashtbl.find_opt by_source r.Request.src)
+      in
+      Hashtbl.replace by_source r.Request.src ((i, r) :: cur))
+    requests;
+  let columns ~y ~z =
+    let weight e = y.(e) in
+    (* One reusable Dijkstra workspace plus one weight snapshot for the
+       whole solve: the duals are fixed during a best-column search, so
+       every distinct source prices against the same vector over the
+       CSR, and a dual update inflates only the routed path's
+       edges, so patching those keeps the snapshot equal to a fresh
+       build. *)
+    let snapshot = Ufp_graph.Weight_snapshot.build g ~weight in
+    let ws = Dijkstra.create_workspace g in
+    let dist = Array.make (Graph.n_vertices g) infinity in
+    let parent_edge = Array.make (Graph.n_vertices g) (-1) in
+    (* Best (request, path) column: minimises
+       (z_r + d_r * dist) / v_r; the first minimum found wins. *)
+    let best_column () =
+      let best = ref None in
+      Hashtbl.iter
+        (fun src group ->
+          Dijkstra.shortest_tree_snapshot_into ws g ~snapshot ~src ~dist
+            ~parent_edge;
+          let tree = { Dijkstra.dist; parent_edge } in
+          let consider (i, (r : Request.t)) =
+            let dist = tree.Dijkstra.dist.(r.Request.dst) in
+            if dist < infinity then begin
+              let len = z.(i) +. (r.Request.demand *. dist) in
+              let ratio = len /. r.Request.value in
+              match !best with
+              | Some (best_ratio, _, _) when best_ratio <= ratio -> ()
+              | _ ->
+                let path =
+                  Option.get
+                    (Dijkstra.path_of_tree g tree ~src ~dst:r.Request.dst)
+                in
+                best := Some (ratio, i, path)
+            end
+          in
+          List.iter consider group)
+        by_source;
+      !best
+    in
+    { best_column; after_update = Ufp_graph.Weight_snapshot.patch snapshot ~weight }
+  in
+  garg_konemann ~eps ~capacities:(Graph.capacities g)
+    ~demands:(Array.map (fun (r : Request.t) -> r.Request.demand) requests)
+    ~values:(Array.map (fun (r : Request.t) -> r.Request.value) requests)
+    columns
 
 let fractional_opt_interval ?eps inst =
   let r = solve ?eps inst in

@@ -9,20 +9,27 @@ type ufp_violation = {
   improved_type : float * float;
 }
 
-let winning_agents won =
-  let acc = ref [] in
-  Array.iteri (fun i w -> if w then acc := i :: !acc) won;
-  Array.of_list (List.rev !acc)
+(* The sampling loop of both checkers: up to [trials] times, pick a
+   random winner of [won] and ask [violation rng agent] whether one
+   sampled improvement of its type makes it lose; the first such
+   violation, if any. *)
+let first_violation ~trials ~seed won violation =
+  let rng = Rng.create seed in
+  let winners =
+    Array.of_list (List.filter (Array.get won) (List.init (Array.length won) Fun.id))
+  in
+  let rec go k =
+    if k >= trials || Array.length winners = 0 then None
+    else
+      match violation rng (Rng.pick rng winners) with
+      | None -> go (k + 1)
+      | found -> found
+  in
+  go 0
 
 let check_ufp ?(trials = 100) ~seed algo inst =
-  let rng = Rng.create seed in
-  let won = Ufp_mechanism.winners algo inst in
-  let winners = winning_agents won in
-  if Array.length winners = 0 then None
-  else begin
-    let violation = ref None in
-    let trial () =
-      let agent = Rng.pick rng winners in
+  first_violation ~trials ~seed (Ufp_mechanism.winners algo inst)
+    (fun rng agent ->
       let r = Instance.request inst agent in
       let d' = r.Request.demand *. Rng.float_in rng 0.5 1.0 in
       let v' = r.Request.value *. Rng.float_in rng 1.0 2.0 in
@@ -30,22 +37,14 @@ let check_ufp ?(trials = 100) ~seed algo inst =
         Instance.with_request inst agent
           (Request.with_type r ~demand:d' ~value:v')
       in
-      if not (Ufp_mechanism.winners algo improved).(agent) then
-        violation :=
-          Some
-            {
-              agent;
-              original_type = (r.Request.demand, r.Request.value);
-              improved_type = (d', v');
-            }
-    in
-    let k = ref 0 in
-    while !violation = None && !k < trials do
-      incr k;
-      trial ()
-    done;
-    !violation
-  end
+      if (Ufp_mechanism.winners algo improved).(agent) then None
+      else
+        Some
+          {
+            agent;
+            original_type = (r.Request.demand, r.Request.value);
+            improved_type = (d', v');
+          })
 
 type muca_violation = {
   bid : int;
@@ -60,14 +59,8 @@ let shrink_bundle rng bundle =
   if kept = [] then [ List.hd bundle ] else kept
 
 let check_muca ?(trials = 100) ?(shrink_bundles = true) ~seed algo auction =
-  let rng = Rng.create seed in
-  let won = Muca_mechanism.winners algo auction in
-  let winners = winning_agents won in
-  if Array.length winners = 0 then None
-  else begin
-    let violation = ref None in
-    let trial () =
-      let bid_idx = Rng.pick rng winners in
+  first_violation ~trials ~seed (Muca_mechanism.winners algo auction)
+    (fun rng bid_idx ->
       let b = Auction.bid auction bid_idx in
       let v' = b.Auction.value *. Rng.float_in rng 1.0 2.0 in
       let shrink = shrink_bundles && Rng.bool rng in
@@ -78,20 +71,12 @@ let check_muca ?(trials = 100) ?(shrink_bundles = true) ~seed algo auction =
         Auction.with_bid auction bid_idx
           (Auction.make_bid ~bundle:bundle' ~value:v')
       in
-      if not (Muca_mechanism.winners algo improved).(bid_idx) then
-        violation :=
-          Some
-            {
-              bid = bid_idx;
-              original_value = b.Auction.value;
-              improved_value = v';
-              shrunk_bundle = shrink;
-            }
-    in
-    let k = ref 0 in
-    while !violation = None && !k < trials do
-      incr k;
-      trial ()
-    done;
-    !violation
-  end
+      if (Muca_mechanism.winners algo improved).(bid_idx) then None
+      else
+        Some
+          {
+            bid = bid_idx;
+            original_value = b.Auction.value;
+            improved_value = v';
+            shrunk_bundle = shrink;
+          })

@@ -109,12 +109,14 @@ let instant ?(args = []) name =
 
    A reading of the calling domain's clocks: nanoseconds since [base_ns]
    (so the float stays an exact integer) and, under ~gc:true, its GC
-   word counters. [Gc.quick_stat]'s minor_words only advances at minor
-   collections; [Gc.minor_words ()] reads the calling domain's live
+   word counters. [Gc.minor_words ()] reads the calling domain's live
    allocation pointer, so span deltas see allocations that never
-   triggered a collection. promoted/major have no such cheap exact
-   reader — collection-boundary granularity is the honest precision
-   there. *)
+   triggered a collection. [Gc.counters ()] reads the same domain's
+   promoted and major words, the latter including direct major-heap
+   allocations as they happen. Both are per domain and cost tens of
+   nanoseconds; [Gc.quick_stat ()] would sum every domain's counters,
+   billing a span for other domains' allocations, at about a
+   microsecond a call. *)
 type reading = { ns : float; minor : float; promoted : float; major : float }
 
 let base_ns = now_ns ()
@@ -123,13 +125,8 @@ let read ts =
   let ns = Int64.to_float (Int64.sub ts base_ns) in
   if not !sample_gc then { ns; minor = 0.0; promoted = 0.0; major = 0.0 }
   else
-    let q = Gc.quick_stat () in
-    {
-      ns;
-      minor = Gc.minor_words ();
-      promoted = q.Gc.promoted_words;
-      major = q.Gc.major_words;
-    }
+    let _, promoted, major = Gc.counters () in
+    { ns; minor = Gc.minor_words (); promoted; major }
 
 (* Written out field by field, with no closure or polymorphic call, so
    the floats stay unboxed: a span's end allocates only records. *)

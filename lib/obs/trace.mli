@@ -58,9 +58,10 @@ val start : ?capacity:int -> ?gc:bool -> unit -> unit
     the profile's totals. [capacity] is the maximum retained event
     count (default 65536; oldest events are overwritten beyond that).
     When [gc] is true (default false) every span's begin and end also
-    read the domain's GC word counters, feeding the profiler's
-    allocation attribution — several times the cost of an unsampled
-    span, so it is opt-in via [--profile]. *)
+    read the calling domain's GC word counters ([Gc.minor_words],
+    [Gc.counters]: tens of nanoseconds, and never another domain's
+    words), feeding the profiler's allocation attribution; it is
+    opt-in via [--profile]. *)
 
 val stop : unit -> unit
 (** Return to the no-op sink. The recorded buffer is kept until the

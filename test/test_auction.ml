@@ -1,5 +1,6 @@
-(* Tests for Ufp_auction: auction, bounded_muca (against its
-   hand-written loop), lower_bound, reasonable_bundle, baselines, lp. *)
+(* Tests for Ufp_auction: auction, bounded_muca, lp and
+   reasonable_bundle (each also against its hand-written loop),
+   lower_bound, baselines. *)
 
 module Auction = Ufp_auction.Auction
 module Bounded_muca = Ufp_auction.Bounded_muca
@@ -345,6 +346,213 @@ let qcheck_muca_matches_oracle =
       && o.Muca_oracle.iterations = r.Bounded_muca.iterations
       && same_bits o.Muca_oracle.certified_upper_bound
            r.Bounded_muca.certified_upper_bound)
+
+(* --- Lp and Reasonable_bundle against their hand-written loops --- *)
+
+(* The auction LP's Garg–Könemann loop written out by hand, sharing
+   nothing with Ufp_lp.Mcf: each iteration scans the bids for the least
+   (z_i + sum_u y_u) / v_i, ties to the lowest index. *)
+module Lp_oracle = struct
+  type result = {
+    feasible_value : float;
+    upper_bound : float;
+    fractions : float array;
+    iterations : int;
+  }
+
+  let solve ?(eps = 0.1) auction =
+    if not (eps > 0.0 && eps < 1.0) then invalid_arg "Lp.solve: eps must be in (0,1)";
+    let m = Auction.n_items auction in
+    let n = Auction.n_bids auction in
+    if m = 0 || n = 0 then
+      { feasible_value = 0.0; upper_bound = 0.0; fractions = Array.make n 0.0; iterations = 0 }
+    else begin
+      let n_rows = m + n in
+      let delta =
+        (1.0 +. eps) /. (((1.0 +. eps) *. float_of_int n_rows) ** (1.0 /. eps))
+      in
+      let cap u = float_of_int (Auction.multiplicity auction u) in
+      let y = Array.init m (fun u -> delta /. cap u) in
+      let z = Array.make n delta in
+      let dual_total () =
+        let acc = ref 0.0 in
+        for u = 0 to m - 1 do
+          acc := !acc +. (cap u *. y.(u))
+        done;
+        !acc +. Array.fold_left ( +. ) 0.0 z
+      in
+      let price i =
+        let bid = Auction.bid auction i in
+        (z.(i) +. List.fold_left (fun acc u -> acc +. y.(u)) 0.0 bid.Auction.bundle)
+        /. bid.Auction.value
+      in
+      let raw = Array.make n 0.0 in
+      let raw_value = ref 0.0 in
+      let upper = ref infinity in
+      let iterations = ref 0 in
+      let continue = ref true in
+      while !continue do
+        (* Best column: the bid with the cheapest normalised price. *)
+        let best = ref 0 and best_price = ref (price 0) in
+        for i = 1 to n - 1 do
+          let p = price i in
+          if p < !best_price then begin
+            best := i;
+            best_price := p
+          end
+        done;
+        let d = dual_total () in
+        upper := Float.min !upper (d /. !best_price);
+        if d >= 1.0 then continue := false
+        else begin
+          incr iterations;
+          let i = !best in
+          let bid = Auction.bid auction i in
+          (* Bottleneck in x units: the bid row caps at 1 and every item
+             row at c_u >= 1, so the step is always 1. *)
+          raw.(i) <- raw.(i) +. 1.0;
+          raw_value := !raw_value +. bid.Auction.value;
+          List.iter (fun u -> y.(u) <- y.(u) *. (1.0 +. (eps /. cap u))) bid.Auction.bundle;
+          z.(i) <- z.(i) *. (1.0 +. eps)
+        end
+      done;
+      let scale = log ((1.0 +. eps) /. delta) /. log (1.0 +. eps) in
+      {
+        feasible_value = !raw_value /. scale;
+        upper_bound = (if !upper = infinity then 0.0 else !upper);
+        fractions = Array.map (fun x -> x /. scale) raw;
+        iterations = !iterations;
+      }
+    end
+end
+
+(* The bundle minimizer written out by hand, sharing nothing with
+   Ufp_core.Reasonable: identical bids grouped, every fitting group
+   representative scored, the ties within tie_rel of the least
+   priority sorted by bid index. *)
+module Bundle_oracle = struct
+  type result = { allocation : Auction.Allocation.t; iterations : int }
+
+  let run ~priority ~tie_break auction =
+    let st =
+      { Reasonable_bundle.auction; loads = Array.make (Auction.n_items auction) 0 }
+    in
+    (* Group identical bids; pending lists kept increasing. *)
+    let groups : (int list * float, int list ref) Hashtbl.t = Hashtbl.create 16 in
+    for i = Auction.n_bids auction - 1 downto 0 do
+      let b = Auction.bid auction i in
+      let key = (b.Auction.bundle, b.Auction.value) in
+      match Hashtbl.find_opt groups key with
+      | Some l -> l := i :: !l
+      | None -> Hashtbl.add groups key (ref [ i ])
+    done;
+    let fits (bid : Auction.bid) =
+      List.for_all
+        (fun u -> st.Reasonable_bundle.loads.(u) + 1 <= Auction.multiplicity auction u)
+        bid.Auction.bundle
+    in
+    let tie_rel = Float_tol.tie_rel in
+    let allocation = ref [] in
+    let iterations = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let best_priority = ref infinity in
+      let raw = ref [] in
+      Hashtbl.iter
+        (fun _key pending ->
+          match !pending with
+          | [] -> ()
+          | rep :: _ ->
+            let bid = Auction.bid auction rep in
+            if fits bid then begin
+              let p = priority st bid in
+              if p < !best_priority then best_priority := p;
+              raw := (p, rep) :: !raw
+            end)
+        groups;
+      if !raw = [] then continue := false
+      else begin
+        let cutoff =
+          !best_priority +. (tie_rel *. Float.max 1.0 (Float.abs !best_priority))
+        in
+        let tied =
+          List.filter_map (fun (p, i) -> if p <= cutoff then Some i else None) !raw
+          |> List.sort compare
+        in
+        let chosen = tie_break st tied in
+        incr iterations;
+        let bid = Auction.bid auction chosen in
+        List.iter
+          (fun u -> st.Reasonable_bundle.loads.(u) <- st.Reasonable_bundle.loads.(u) + 1)
+          bid.Auction.bundle;
+        allocation := chosen :: !allocation;
+        let key = (bid.Auction.bundle, bid.Auction.value) in
+        let pending = Hashtbl.find groups key in
+        pending := List.filter (fun i -> i <> chosen) !pending
+      end
+    done;
+    { allocation = List.rev !allocation; iterations = !iterations }
+end
+
+(* Auctions for the LP law: law_auction's, at multiplicities of at
+   most 2 ln m / 0.81 and Figure 4 partitions with p <= 5 and B <= 8.
+   The loop routes on the order of OPT_LP ln(n_rows) / eps^2 unit
+   columns, so law_auction's larger auctions cost seconds at
+   eps = 0.1. *)
+let lp_auction ((kind, seed, draw) as shape) =
+  if kind < 3 then law_auction shape 0.9
+  else
+    (Lower_bound.make ~p:(3 + (2 * (seed mod 2))) ~b:(2 + (2 * (draw mod 4))) ())
+      .Lower_bound.auction
+
+(* The LP law: Lp.solve (Mcf.garg_konemann over fixed bundles) makes
+   the hand-written loop's result bit for bit — feasible value, upper
+   bound, every fraction and the iteration count — at several eps. *)
+let qcheck_lp_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"auction LP matches its hand-written loop bit for bit"
+    QCheck.(
+      pair
+        (triple (int_range 0 3) (int_range 0 1000) (int_range 0 10_000))
+        (oneofl ~print:string_of_float [ 0.1; 0.25; 0.5; 0.9 ]))
+    (fun (shape, eps) ->
+      let a = lp_auction shape in
+      let o = Lp_oracle.solve ~eps a and r = Lp.solve ~eps a in
+      same_bits o.Lp_oracle.feasible_value r.Lp.feasible_value
+      && same_bits o.Lp_oracle.upper_bound r.Lp.upper_bound
+      && Array.for_all2 same_bits o.Lp_oracle.fractions r.Lp.fractions
+      && o.Lp_oracle.iterations = r.Lp.iterations)
+
+(* The bundle-minimizer law: Reasonable_bundle.run (Reasonable.minimize
+   over fixed bundles) selects the hand-written loop's bids in the
+   hand-written loop's order, for every shipped priority and
+   tie-break, the seeded random one included (each run gets a fresh
+   generator from the same seed). *)
+let qcheck_bundle_minimizer_matches_oracle =
+  QCheck.Test.make ~count:400
+    ~name:"bundle minimizer matches its hand-written loop"
+    QCheck.(
+      triple
+        (triple (int_range 0 3) (int_range 0 1000) (int_range 0 10_000))
+        (int_range 0 2) (int_range 0 2))
+    (fun (shape, prio, tie) ->
+      let a = law_auction shape 0.5 in
+      let priority () =
+        match prio with
+        | 0 -> Reasonable_bundle.h_muca ~eps:0.3
+        | 1 -> Reasonable_bundle.bundle_size
+        | _ -> Reasonable_bundle.max_load
+      in
+      let tie_break () =
+        match tie with
+        | 0 -> Reasonable_bundle.first_bid
+        | 1 -> Reasonable_bundle.random_bid ~seed:7
+        | _ -> Reasonable_bundle.random_bid ~seed:(Auction.n_bids a)
+      in
+      let o = Bundle_oracle.run ~priority:(priority ()) ~tie_break:(tie_break ()) a in
+      let r = Reasonable_bundle.run ~priority:(priority ()) ~tie_break:(tie_break ()) a in
+      o.Bundle_oracle.allocation = r.Reasonable_bundle.allocation
+      && o.Bundle_oracle.iterations = r.Reasonable_bundle.iterations)
 
 (* A Bounded_muca run is an engine run: it counts under pd.* (one run,
    its iterations, one dual update per item of each winning bundle)
@@ -724,6 +932,7 @@ let () =
           Alcotest.test_case "priorities" `Quick test_reasonable_bundle_priorities;
           Alcotest.test_case "saturates" `Quick test_reasonable_bundle_saturates;
           Alcotest.test_case "random tie" `Quick test_reasonable_bundle_random_tie;
+          QCheck_alcotest.to_alcotest qcheck_bundle_minimizer_matches_oracle;
         ] );
       ( "baselines",
         [
@@ -737,6 +946,7 @@ let () =
         [
           Alcotest.test_case "sandwich" `Quick test_muca_lp_sandwich;
           Alcotest.test_case "empty" `Quick test_muca_lp_empty;
+          QCheck_alcotest.to_alcotest qcheck_lp_matches_oracle;
         ] );
       ( "differential",
         [

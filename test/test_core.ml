@@ -1,5 +1,5 @@
-(* Tests for Ufp_core: bounded_ufp, bounded_ufp_repeat, reasonable,
-   baselines. *)
+(* Tests for Ufp_core: bounded_ufp, bounded_ufp_repeat, reasonable
+   (also against its hand-written loop), baselines. *)
 
 module Graph = Ufp_graph.Graph
 module Gen = Ufp_graph.Generators
@@ -370,8 +370,7 @@ let test_reasonable_saturates () =
       inst
   in
   Alcotest.(check int) "exactly capacity many" 2
-    (List.length res.Reasonable.solution);
-  Alcotest.(check bool) "saturated" true res.Reasonable.saturated
+    (List.length res.Reasonable.solution)
 
 let test_reasonable_random_tie_deterministic () =
   let inst = grid_instance ~rows:3 ~cols:3 ~capacity:3.0 ~count:8 47 in
@@ -383,6 +382,173 @@ let test_reasonable_random_tie_deterministic () =
   Alcotest.(check (list int)) "same result"
     (Solution.selected (run ()).Reasonable.solution)
     (Solution.selected (run ()).Reasonable.solution)
+
+(* --- Reasonable against its hand-written loop --- *)
+
+(* The path minimizer written out by hand, sharing nothing with
+   Reasonable.minimize: requests grouped by (src, dst, demand, value),
+   every feasible path of every group representative scored, the ties
+   within tie_rel of the least priority sorted by (request, path). *)
+module Reasonable_oracle = struct
+  let run ?(max_paths = 20000) ~priority ~tie_break inst =
+    let g = Instance.graph inst in
+    let st = { Reasonable.graph = g; flow = Array.make (Graph.n_edges g) 0.0 } in
+    (* Cache simple-path sets per endpoint pair. *)
+    let path_cache : (int * int, int list array) Hashtbl.t = Hashtbl.create 16 in
+    let paths_for src dst =
+      match Hashtbl.find_opt path_cache (src, dst) with
+      | Some ps -> ps
+      | None ->
+        let ps =
+          Ufp_graph.Enumerate.simple_paths ~max_paths:(max_paths + 1) g ~src ~dst
+        in
+        if List.length ps > max_paths then
+          invalid_arg "Reasonable.run: simple-path budget exceeded";
+        let ps = Array.of_list ps in
+        Hashtbl.add path_cache (src, dst) ps;
+        ps
+    in
+    (* Pending request indices per group, each kept sorted increasing. *)
+    let groups : (int * int * float * float, int list ref) Hashtbl.t =
+      Hashtbl.create 16
+    in
+    let n_req = Instance.n_requests inst in
+    for i = n_req - 1 downto 0 do
+      let r = Instance.request inst i in
+      let key =
+        (r.Request.src, r.Request.dst, r.Request.demand, r.Request.value)
+      in
+      match Hashtbl.find_opt groups key with
+      | Some l -> l := i :: !l
+      | None -> Hashtbl.add groups key (ref [ i ])
+    done;
+    let tie_rel = Float_tol.tie_rel in
+    let feasible d path =
+      List.for_all
+        (fun e ->
+          st.Reasonable.flow.(e) +. d <= Graph.capacity g e +. Float_tol.capacity_slack)
+        path
+    in
+    (* One iteration: gather the minimum-priority feasible candidates. *)
+    let select () =
+      let best_priority = ref infinity in
+      let raw = ref [] in
+      Hashtbl.iter
+        (fun (src, dst, d, _v) pending ->
+          match !pending with
+          | [] -> ()
+          | rep :: _ ->
+            let r = Instance.request inst rep in
+            Array.iter
+              (fun path ->
+                if feasible d path then begin
+                  let p = priority st r path in
+                  if p < !best_priority then best_priority := p;
+                  raw := (p, rep, path) :: !raw
+                end)
+              (paths_for src dst))
+        groups;
+      if !raw = [] then None
+      else begin
+        let cutoff =
+          !best_priority +. (tie_rel *. Float.max 1.0 (Float.abs !best_priority))
+        in
+        let tied =
+          List.filter_map
+            (fun (p, rep, path) ->
+              if p <= cutoff then
+                Some { Reasonable.cand_request = rep; cand_path = path }
+              else None)
+            !raw
+        in
+        (* Deterministic order: request index, then path enumeration order
+           is lost by the fold above, so sort by (request, path). *)
+        let tied =
+          List.sort
+            (fun a b ->
+              match compare a.Reasonable.cand_request b.Reasonable.cand_request with
+              | 0 -> compare a.Reasonable.cand_path b.Reasonable.cand_path
+              | c -> c)
+            tied
+        in
+        Some (tie_break st tied)
+      end
+    in
+    let solution = ref [] in
+    let iterations = ref 0 in
+    let continue = ref true in
+    while !continue do
+      match select () with
+      | None -> continue := false
+      | Some cand ->
+        incr iterations;
+        let r = Instance.request inst cand.Reasonable.cand_request in
+        List.iter
+          (fun e -> st.Reasonable.flow.(e) <- st.Reasonable.flow.(e) +. r.Request.demand)
+          cand.Reasonable.cand_path;
+        solution :=
+          { Solution.request = cand.Reasonable.cand_request; path = cand.Reasonable.cand_path }
+          :: !solution;
+        let key =
+          (r.Request.src, r.Request.dst, r.Request.demand, r.Request.value)
+        in
+        let pending = Hashtbl.find groups key in
+        pending := List.filter (fun i -> i <> cand.Reasonable.cand_request) !pending
+    done;
+    (List.rev !solution, !iterations)
+end
+
+(* Instances for the minimizer law: random requests on 3x3 and 3x4
+   grids at capacities 1 to 4, where capacity binds and paths tie; the
+   Figure 2 staircase; and the Figure 3 gadget, all of whose
+   requests tie at zero flow. *)
+let minimizer_instance (kind, seed, size) =
+  let b = 1 + (size mod 4) in
+  match kind with
+  | 0 ->
+    grid_instance ~rows:3 ~cols:(3 + (seed mod 2)) ~capacity:(float_of_int b)
+      ~count:(4 + (size mod 11)) seed
+  | 1 ->
+    let sc = Gen.staircase ~levels:(2 + (seed mod 6)) ~capacity:(float_of_int b) in
+    Instance.create sc.Gen.graph (Workloads.staircase_requests sc ~per_source:b)
+  | _ ->
+    Instance.create (Gen.gadget7 ~capacity:(float_of_int b))
+      (Workloads.gadget7_requests ~per_pair:b)
+
+(* The path-minimizer law: Reasonable.run (Reasonable.minimize over
+   capacity-feasible simple paths) routes the hand-written loop's
+   (request, path) selections in the hand-written loop's order, for
+   every shipped priority and tie-break, the seeded random one
+   included (each run gets a fresh generator from the same seed). *)
+let qcheck_minimizer_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"path minimizer matches its hand-written loop"
+    QCheck.(
+      triple
+        (triple (int_range 0 2) (int_range 0 1000) (int_range 0 1000))
+        (int_range 0 3) (int_range 0 3))
+    (fun ((_, _, size) as shape, prio, tie) ->
+      let inst = minimizer_instance shape in
+      let b = float_of_int (1 + (size mod 4)) in
+      let priority =
+        match prio with
+        | 0 -> Reasonable.h ~eps:0.3 ~b
+        | 1 -> Reasonable.h1 ~eps:0.3 ~b
+        | 2 -> Reasonable.h2
+        | _ -> Reasonable.hops
+      in
+      let tie_break () =
+        match tie with
+        | 0 -> Reasonable.first_candidate
+        | 1 -> Reasonable.prefer_hub Gen.Gadget7.v7
+        | 2 -> Reasonable.prefer_max_second_vertex
+        | _ -> Reasonable.random_tie ~seed:size
+      in
+      let solution, iterations =
+        Reasonable_oracle.run ~priority ~tie_break:(tie_break ()) inst
+      in
+      let r = Reasonable.run ~priority ~tie_break:(tie_break ()) inst in
+      solution = r.Reasonable.solution && iterations = r.Reasonable.iterations)
 
 (* --- Baselines --- *)
 
@@ -1372,6 +1538,7 @@ let () =
           Alcotest.test_case "saturates" `Quick test_reasonable_saturates;
           Alcotest.test_case "random tie deterministic" `Quick
             test_reasonable_random_tie_deterministic;
+          QCheck_alcotest.to_alcotest qcheck_minimizer_matches_oracle;
         ] );
       ( "baselines",
         [

@@ -272,6 +272,29 @@ let test_profile_outlives_the_ring () =
     (outer.Profile.p_minor_w < inner.Profile.p_minor_w /. 10.0);
   Alcotest.(check bool) "the ring still drops" true (dropped > 0)
 
+(* A span's GC words are its own domain's: a span that waits for
+   another domain to allocate a million-float array (8 MB, straight to
+   the major heap) is billed none of those words. A process-wide
+   reader would bill the span the whole array. *)
+let test_profile_gc_per_domain () =
+  let words = 1_000_000 in
+  Trace.start ~gc:true ();
+  Trace.with_span "prof.waits" (fun () ->
+      Domain.join
+        ((Domain.spawn [@lint.allow "R6" "the test needs a domain that \
+           allocates outside any span; a pool task would run inside the \
+           waiting span on this domain"])
+           (fun () -> ignore (Sys.opaque_identity (Array.make words 0.0)))));
+  Trace.stop ();
+  let p = Profile.of_trace () in
+  Trace.clear ();
+  let ph = List.find (fun ph -> ph.Profile.p_name = "prof.waits") p.Profile.phases in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words billed, not the other domain's %d"
+       ph.Profile.p_major_w words)
+    true
+    (ph.Profile.p_major_w < float_of_int words /. 100.0)
+
 (* --- domain safety (the Ufp_par contract) --- *)
 
 module Pool = Ufp_par.Pool
@@ -633,6 +656,8 @@ let () =
             test_profile_without_gc;
           Alcotest.test_case "every span counted past the ring" `Quick
             test_profile_outlives_the_ring;
+          Alcotest.test_case "gc words are the span's own domain's" `Quick
+            test_profile_gc_per_domain;
         ] );
       ( "domain-safety",
         [
