@@ -48,9 +48,6 @@ bench-csv:
 
 # Perf artifacts, all self-describing rows for ufp-bench-diff (row
 # catalogue in EXPERIMENTS.md):
-#   BENCH_PR6.json — end-to-end RMAT solve, seq vs 2-domain pool (no
-#                    TEPS trials; BENCH_PR10.json and perfbench's
-#                    dijkstra.mteps time that kernel)
 #   BENCH_PR8.json — telemetry hot-path micros, the CSR Dijkstra pair
 #                    and two CI-sized end-to-end anchors
 #   BENCH_PR9.json — per-index claims vs fixed-chunk modelled makespan
@@ -62,7 +59,6 @@ bench-csv:
 #                    iterations, payment probes) of a hub RMAT solve
 #                    and hinted grid payments
 bench-json:
-	dune exec bench/main.exe -- --json-pr6 BENCH_PR6.json
 	dune exec bench/main.exe -- --json-pr8 BENCH_PR8.json
 	dune exec bench/main.exe -- --json-pr9 BENCH_PR9.json
 	dune exec bench/main.exe -- --json-pr10 BENCH_PR10.json
@@ -106,7 +102,6 @@ examples:
 	dune exec examples/isp_routing.exe
 	dune exec examples/spectrum_auction.exe
 	dune exec examples/truthfulness_demo.exe
-	dune exec examples/online_admission.exe
 	dune exec examples/abilene_pipeline.exe
 
 doc:

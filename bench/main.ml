@@ -11,10 +11,11 @@
      dune exec bench/main.exe -- --csv DIR    # also save tables as CSV
      dune exec bench/main.exe -- --markdown F # also save a markdown report
      dune exec bench/main.exe -- --json-pr8 F # run one BENCH_*.json suite
-                                              # (pr6, pr8, pr9, pr10 or pr19; see
+                                              # (pr8, pr9, pr10 or pr19; see
                                               # [suites]) and write its rows
-                                              # to F; pr6 and pr10 honour
-                                              # --quick *)
+                                              # to F; pr10 honours --quick
+
+   Any other argument is a usage error (exit 2). *)
 
 module Registry = Ufp_experiments.Registry
 module Harness = Ufp_experiments.Harness
@@ -250,7 +251,7 @@ let run_micro () =
    with no schema knowledge, so a suite keeps its row ids from run to
    run; EXPERIMENTS.md has the row catalogue. *)
 
-type better = Lower | Higher | Info
+type better = Lower | Higher
 
 type row = { id : string; unit : string; better : better; value : float }
 
@@ -297,11 +298,7 @@ let provenance_json () =
     (Domain.recommended_domain_count ())
 
 let write_rows ~schema path rows =
-  let better_name = function
-    | Lower -> "lower"
-    | Higher -> "higher"
-    | Info -> "info"
-  in
+  let better_name = function Lower -> "lower" | Higher -> "higher" in
   with_out path (fun oc ->
       Printf.fprintf oc "{\n  \"schema\": %S,\n  \"provenance\": %s,\n"
         schema (provenance_json ());
@@ -315,60 +312,6 @@ let write_rows ~schema path rows =
             (if i = List.length rows - 1 then "" else ","))
         rows;
       output_string oc "  ]\n}\n")
-
-(* pr6 (BENCH_PR6.json): an end-to-end Bounded-UFP solve over an RMAT
-   instance with hub-laid requests, sequential vs a 2-domain pool.
-   The suite fails instead of writing rows if the two traces differ.
-   [--quick] drops to a CI-sized scale.  Row ids keep the
-   [rmat_solve{...}.field] names the committed artifact carries. *)
-let pr6 ~quick =
-  print_string "### BENCH-JSON-PR6: RMAT Bounded-UFP solve, seq vs pool\n";
-  let eps = 0.3 in
-  let configs = if quick then [ (10, 8, 100) ] else [ (12, 8, 200) ] in
-  List.concat_map
-    (fun (scale, edge_factor, count) ->
-      let rng = Rng.create 7 in
-      let m = edge_factor * (1 lsl scale) in
-      let capacity = Harness.capacity_for ~m ~eps in
-      let g =
-        Gen.rmat rng ~scale ~edge_factor ~capacity_lo:capacity
-          ~capacity_hi:(capacity *. 1.5) ()
-      in
-      let inst = Instance.create g (Workloads.hub_requests rng g ~count ()) in
-      let seq, seq_s =
-        Harness.time_it (fun () -> Bounded_ufp.run ~eps ~pool:`Seq inst)
-      in
-      let pool = Ufp_par.Pool.create ~domains:2 () in
-      let par, pool_s =
-        Fun.protect
-          ~finally:(fun () -> Ufp_par.Pool.shutdown pool)
-          (fun () ->
-            Harness.time_it (fun () ->
-                Bounded_ufp.run ~eps ~pool:(`Pool pool) inst))
-      in
-      let equal = seq.Bounded_ufp.trace = par.Bounded_ufp.trace in
-      let accepted = List.length seq.Bounded_ufp.solution in
-      Printf.printf
-        "  scale %2d ef %2d %d req: seq %.3fs pool2 %.3fs accepted %d equal \
-         %b\n\
-         %!"
-        scale edge_factor count seq_s pool_s accepted equal;
-      if not equal then
-        failwith "BENCH-JSON-PR6: seq and pool traces differ on RMAT solve";
-      let id field =
-        Printf.sprintf "rmat_solve{scale=%d,edge_factor=%d,requests=%d}.%s"
-          scale edge_factor count field
-      in
-      [
-        row Info (id "vertices") "" (float_of_int (Graph.n_vertices g));
-        row Info (id "edges") "" (float_of_int (Graph.n_edges g));
-        row Info (id "accepted") "" (float_of_int accepted);
-        row Lower (id "seq_s") "s" seq_s;
-        row Lower (id "pool2_s") "s" pool_s;
-        row Higher (id "speedup") "x"
-          (seq_s /. Float.max pool_s Float_tol.div_guard);
-      ])
-    configs
 
 (* pr8 (BENCH_PR8.json): the telemetry hot-path micros (the
    sharded-counter claim itself), the CSR Dijkstra pair whose inner
@@ -688,7 +631,6 @@ let pr19 ~quick:_ =
    file declares (EXPERIMENTS.md documents each version). *)
 let suites =
   [
-    ("pr6", "ufp-bench-pr6/2", pr6);
     ("pr8", "ufp-bench-pr8/1", pr8);
     ("pr9", "ufp-bench-pr9/1", pr9);
     ("pr10", "ufp-bench-pr10/1", pr10);
@@ -698,28 +640,48 @@ let suites =
 (* --- driver --- *)
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let micro = not (List.mem "--no-micro" args) in
-  let flag_value name =
-    let rec find = function
-      | key :: value :: _ when key = name -> Some value
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+  let quick = ref false in
+  let micro = ref true in
+  let list = ref false in
+  let only = ref None in
+  let csv_dir = ref None in
+  let markdown_path = ref None in
+  let json = ref None in
+  let rec parse = function
+    | [] -> ()
+    | "--quick" :: rest -> quick := true; parse rest
+    | "--no-micro" :: rest -> micro := false; parse rest
+    | "--list" :: rest -> list := true; parse rest
+    | "--only" :: id :: rest -> only := Some id; parse rest
+    | "--csv" :: dir :: rest -> csv_dir := Some dir; parse rest
+    | "--markdown" :: path :: rest -> markdown_path := Some path; parse rest
+    | arg :: rest -> (
+      match
+        (List.find_opt (fun (name, _, _) -> arg = "--json-" ^ name) suites, rest)
+      with
+      | Some suite, path :: rest ->
+        json := Some (suite, path);
+        parse rest
+      | _ ->
+        Printf.eprintf
+          "%s: unknown argument, or one missing its value: %s\n\
+           usage: %s [--quick] [--no-micro] [--list] [--only ID] [--csv DIR] \
+           [--markdown FILE] [--json-SUITE FILE]\n\
+           SUITE is one of: %s\n"
+          Sys.argv.(0) arg Sys.argv.(0)
+          (String.concat ", " (List.map (fun (name, _, _) -> name) suites));
+        exit 2)
   in
-  let only = flag_value "--only" in
-  let csv_dir = flag_value "--csv" in
-  let markdown_path = flag_value "--markdown" in
-  List.iter
-    (fun (name, schema, run) ->
-      match flag_value ("--json-" ^ name) with
-      | Some path ->
-        write_rows ~schema path (run ~quick);
-        exit 0
-      | None -> ())
-    suites;
+  parse (List.tl (Array.to_list Sys.argv));
+  let quick = !quick in
+  let only = !only in
+  let csv_dir = !csv_dir in
+  let markdown_path = !markdown_path in
+  (match !json with
+  | Some ((_, schema, run), path) ->
+    write_rows ~schema path (run ~quick);
+    exit 0
+  | None -> ());
   let markdown_buf = Buffer.create 4096 in
   (* Run each experiment once; print and optionally persist as CSV. *)
   let emit (entry : Registry.entry) =
@@ -764,7 +726,7 @@ let () =
               output_string oc (Ufp_prelude.Table.to_csv table)))
         tables
   in
-  if List.mem "--list" args then begin
+  if !list then begin
     List.iter
       (fun (e : Registry.entry) ->
         Printf.printf "%-18s %-28s %s\n" e.Registry.id e.Registry.paper_artifact
@@ -786,7 +748,7 @@ let () =
        One experiment per paper artifact; see DESIGN.md section 4 and \
        EXPERIMENTS.md.\n";
     List.iter emit Registry.all;
-    if micro then run_micro ());
+    if !micro then run_micro ());
   (match markdown_path with
   | Some path ->
     with_out path (fun oc ->

@@ -28,7 +28,7 @@
    A second mode renders the whole committed trajectory instead of
    gating one step of it:
 
-     bench-diff --trajectory OUT.md BENCH_PR5.json BENCH_PR6.json ...
+     bench-diff --trajectory OUT.md BENCH_PR8.json BENCH_PR9.json ...
 
    joins every row id across all the given artifacts (columns ordered
    by the number in the file name, so PR10 sorts after PR9) into one

@@ -39,6 +39,27 @@ let load_instance path =
     Printf.eprintf "error: cannot load %s: %s\n" path msg;
     exit 1
 
+(* The library raises Invalid_argument on a size or an instance it
+   cannot take (a grid with no rows, an RMAT scale past 30, a min
+   capacity below 1, a negative UFP_JOBS). [refused f] reports that
+   message as one error line and exits 1, as for an unreadable file. *)
+let refused f =
+  try f ()
+  with Invalid_argument msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1
+
+(* [within base ~ok ~what] parses as [base] does, and rejects a value
+   outside [ok] as a usage error (exit 124) saying it must be [what]. *)
+let within base ~ok ~what =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
 (* --- observability (--metrics / --trace / --profile) --- *)
 
 let metrics_arg =
@@ -139,6 +160,7 @@ let with_observability ~metrics ~metrics_out ~trace ~profile f =
 let generate topology seed rows cols capacity requests levels b scale
     edge_factor out =
   let inst =
+    refused @@ fun () ->
     match topology with
     | "grid" ->
       let g = Gen.grid ~rows ~cols ~capacity in
@@ -247,14 +269,17 @@ let pool_description jobs =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Pool.jobs_from_env ())
+    & opt
+        (within int ~ok:(fun j -> j >= 0) ~what:"a count >= 0")
+        (refused (fun () -> Pool.jobs_from_env ()))
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Fan the parallel regions — the selector's cold-fill trees \
-           (its first selection) under $(b,solve), per-winner \
-           critical-value bisections under $(b,payments) — out over \
-           $(docv) domains (the Ufp_par pool); later selector rebuilds \
-           stay sequential. $(b,1) (the default) stays sequential; \
+           (its first selection) under $(b,solve), one counterfactual \
+           per winner (and under $(b,--audit) one payment certificate \
+           per winner) under $(b,payments) — out over $(docv) domains \
+           (the Ufp_par pool); later selector rebuilds stay \
+           sequential. $(b,1) (the default) stays sequential; \
            $(b,0) means the runtime's recommended domain count. Results \
            are bitwise identical at any job count, and $(b,solve) does \
            the same work (every selector and Dijkstra counter but \
@@ -301,6 +326,7 @@ let solve path algo_name eps seed jobs verbose audit out metrics
   let algo = pick_algo algo_name eps seed pool in
   let (sol, bounded_run), elapsed =
     try
+      refused @@ fun () ->
       with_observability ~metrics ~metrics_out ~trace ~profile (fun () ->
           Ufp_experiments.Harness.time_it (fun () -> algo inst))
     with Exact.Too_large msg ->
@@ -361,7 +387,10 @@ let algo_arg =
          ~doc:"Allocation algorithm.")
 
 let eps_arg =
-  Arg.(value & opt float 0.3 & info [ "eps"; "e" ] ~doc:"Accuracy parameter.")
+  Arg.(
+    value
+    & opt (within float ~ok:(fun e -> e > 0.0 && e <= 1.0) ~what:"in (0, 1]") 0.3
+    & info [ "eps"; "e" ] ~doc:"Accuracy parameter, in (0, 1].")
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the allocation paths.")
@@ -429,7 +458,7 @@ let payments path eps jobs audit metrics metrics_out trace profile =
            is the winner set, and its trace is where each winner's
            counterfactual resumes. Each counterfactual's exact critical
            value is that winner's payment. *)
-        let run = Bounded_ufp.run ~eps inst in
+        let run = refused (fun () -> Bounded_ufp.run ~eps inst) in
         let won = Array.make (Instance.n_requests inst) false in
         List.iter
           (fun a -> won.(a.Solution.request) <- true)
@@ -498,9 +527,15 @@ let lp path eps =
   Printf.printf "  oracle iterations   : %d\n" r.Mcf.iterations;
   0
 
+let lp_eps_arg =
+  Arg.(
+    value
+    & opt (within float ~ok:(fun e -> e > 0.0 && e < 1.0) ~what:"in (0, 1)") 0.3
+    & info [ "eps"; "e" ] ~doc:"Accuracy parameter, in (0, 1).")
+
 let lp_cmd =
   let doc = "certified fractional LP bounds (Garg-Konemann)" in
-  Cmd.v (Cmd.info "lp" ~doc) Term.(const lp $ file_arg $ eps_arg)
+  Cmd.v (Cmd.info "lp" ~doc) Term.(const lp $ file_arg $ lp_eps_arg)
 
 (* --- verify-solution --- *)
 
@@ -542,7 +577,7 @@ let export_dot path algo_name eps seed out =
     match algo_name with
     | None -> Ufp_instance.Dot.instance inst
     | Some name ->
-      let sol, _ = pick_algo name eps seed `Seq inst in
+      let sol, _ = refused (fun () -> pick_algo name eps seed `Seq inst) in
       Ufp_instance.Dot.solution inst sol
   in
   (match out with

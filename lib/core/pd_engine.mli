@@ -160,7 +160,7 @@ val counterfactual :
     engine tests emptiness before the budget) and [w] is routable, [w]
     would be selected at any positive value, and the result is [0.].
     Outputs carry float rounding of a few ulps, hence the two-probe
-    certificate of {!Ufp_mech.Single_param.critical_value}.
+    certificate of {!Ufp_mech.Single_param.certify}.
 
     Requires a [Budget] stop without repetitions ({!algorithm_1}, with
     or without residual filtering); raises [Invalid_argument]

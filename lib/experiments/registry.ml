@@ -113,13 +113,6 @@ let all =
       run = Exp_muca_cmp.run;
     };
     {
-      id = "EXP-ONLINE";
-      paper_artifact = "extension (refs [4, 5])";
-      description =
-        "online exponential-cost admission: the price of arrival order";
-      run = Exp_online.run;
-    };
-    {
       id = "EXP-ABLATION";
       paper_artifact = "DESIGN.md section 5";
       description = "update rule, stopping budget, and reasonable-family ablations";

@@ -5,11 +5,13 @@
     create locks (lint rule R6 keeps all other concurrency out); see
     docs/PARALLELISM.md for the design and the determinism argument.
 
-    The pool is built for the repo's three kinds of parallel work, each
-    a flat list of {e independent, pure} and coarse tasks: one
-    critical-value bisection per agent, one VCG counterfactual solve
-    per winner, and one Dijkstra tree per source in the selector's cold
-    fill. Each task is heavy enough — milliseconds to seconds — that
+    The pool is built for the repo's parallel work, each job a flat
+    list of {e independent, pure} and coarse tasks: one counterfactual
+    critical value per winner ([ufp payments]), one two-probe payment
+    certificate per winner ([ufp payments --audit]), one critical-value
+    bisection per agent (unhinted payments), one VCG counterfactual
+    solve per winner, and one Dijkstra tree per source in the
+    selector's cold fill. Each task is heavy enough — milliseconds to seconds — that
     scheduling overhead is irrelevant, and tasks are {e uneven} (a hub
     winner's counterfactual dwarfs a leaf winner's). Workers are raw
     [Domain.spawn]ed threads that sleep on a condition variable between

@@ -618,90 +618,6 @@ let test_randomized_rounding_deterministic () =
   Alcotest.(check (list int)) "same seed same result" (Solution.selected a)
     (Solution.selected b)
 
-(* --- Online --- *)
-
-module Online = Ufp_core.Online
-
-let test_online_feasible () =
-  for seed = 1 to 6 do
-    let inst = grid_instance ~capacity:10.0 ~count:60 seed in
-    let run = Online.route ~eps:0.3 inst in
-    Alcotest.(check bool)
-      (Printf.sprintf "feasible seed %d" seed)
-      true
-      (Solution.is_feasible inst run.Online.solution);
-    Alcotest.(check int) "one log entry per request"
-      (Instance.n_requests inst)
-      (List.length run.Online.log)
-  done
-
-let test_online_log_consistent () =
-  let inst = grid_instance ~capacity:12.0 ~count:40 3 in
-  let run = Online.route ~eps:0.3 inst in
-  let accepted = Solution.selected run.Online.solution in
-  List.iter
-    (fun (e : Online.event) ->
-      if e.Online.accepted then begin
-        Alcotest.(check bool) "accepted implies cost <= 1" true (e.Online.cost <= 1.0);
-        Alcotest.(check bool) "accepted in solution" true
-          (List.mem e.Online.request accepted)
-      end
-      else
-        Alcotest.(check bool) "rejected implies cost > 1 or unreachable" true
-          (e.Online.cost > 1.0 || e.Online.cost = infinity))
-    run.Online.log
-
-let test_online_order_matters_but_feasible () =
-  let inst = grid_instance ~capacity:10.0 ~count:50 5 in
-  let n = Instance.n_requests inst in
-  let forward = Online.solve ~eps:0.3 inst in
-  let backward =
-    Online.solve ~eps:0.3 ~order:(Array.init n (fun i -> n - 1 - i)) inst
-  in
-  Alcotest.(check bool) "both feasible" true
-    (Solution.is_feasible inst forward && Solution.is_feasible inst backward)
-
-let test_online_order_validation () =
-  let inst = grid_instance ~capacity:10.0 ~count:5 7 in
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument "Online.route: order must be a permutation") (fun () ->
-      ignore (Online.route ~order:[| 0; 1 |] inst));
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Online.route: order must be a permutation") (fun () ->
-      ignore (Online.route ~order:[| 0; 0; 1; 2; 3 |] inst))
-
-let test_online_below_offline_total () =
-  let inst = grid_instance ~capacity:12.0 ~count:80 9 in
-  let online = Solution.value inst (Online.solve ~eps:0.3 inst) in
-  Alcotest.(check bool) "bounded by total value" true
-    (online <= Instance.total_value inst +. Float_tol.check_eps)
-
-let test_online_monotone_for_fixed_order () =
-  (* A winner that improves its type keeps winning under the same
-     arrival order — online truthfulness. *)
-  let inst = grid_instance ~capacity:12.0 ~count:30 11 in
-  let run = Online.route ~eps:0.3 inst in
-  match Solution.selected run.Online.solution with
-  | [] -> Alcotest.fail "expected at least one accepted request"
-  | w :: _ ->
-    let r = Instance.request inst w in
-    let improved =
-      Instance.with_request inst w
-        (Request.with_type r ~demand:(r.Request.demand /. 2.0)
-           ~value:(r.Request.value *. 2.0))
-    in
-    Alcotest.(check bool) "still accepted" true
-      (List.mem w (Solution.selected (Online.solve ~eps:0.3 improved)))
-
-let test_online_rejects_worthless () =
-  (* A request whose value is far below its path cost is rejected. *)
-  let g = line_graph [| 4.0 |] in
-  let inst =
-    Instance.create g [| Request.make ~src:0 ~dst:1 ~demand:1.0 ~value:0.01 |]
-  in
-  Alcotest.(check (list int)) "rejected" []
-    (Solution.selected (Online.solve ~eps:0.5 inst))
-
 (* --- Pd_engine: differential testing against a literal transcription --- *)
 
 module Pd_engine = Ufp_core.Pd_engine
@@ -1430,26 +1346,6 @@ let test_rounding_success_probability_bounds () =
 
 (* --- QCheck --- *)
 
-let qcheck_online_prefix_property =
-  QCheck.Test.make ~name:"online decisions ignore future arrivals" ~count:30
-    QCheck.small_int (fun seed ->
-      (* Run online on R, then on R extended with extra requests; the
-         decisions on the common prefix must be identical — the
-         defining property of an online algorithm. *)
-      let inst = grid_instance ~rows:3 ~cols:3 ~capacity:12.0 ~count:10 (seed + 3) in
-      let g = Instance.graph inst in
-      let rng = Rng.create (seed + 900) in
-      let extra = Workloads.random_requests rng g ~count:5 () in
-      let extended =
-        Instance.create g (Array.append (Instance.requests inst) extra)
-      in
-      let log_prefix inst' =
-        (Online.route ~eps:0.3 inst').Online.log
-        |> List.filteri (fun k _ -> k < 10)
-        |> List.map (fun (e : Online.event) -> (e.Online.request, e.Online.accepted))
-      in
-      log_prefix inst = log_prefix extended)
-
 let qcheck_bufp_feasible =
   QCheck.Test.make ~name:"Bounded-UFP output is always feasible" ~count:30
     QCheck.small_int (fun seed ->
@@ -1552,19 +1448,6 @@ let () =
           Alcotest.test_case "rounding deterministic" `Quick
             test_randomized_rounding_deterministic;
         ] );
-      ( "online",
-        [
-          Alcotest.test_case "feasible" `Quick test_online_feasible;
-          Alcotest.test_case "log consistent" `Quick test_online_log_consistent;
-          Alcotest.test_case "order independence of feasibility" `Quick
-            test_online_order_matters_but_feasible;
-          Alcotest.test_case "order validation" `Quick test_online_order_validation;
-          Alcotest.test_case "below offline total" `Quick
-            test_online_below_offline_total;
-          Alcotest.test_case "monotone per order" `Quick
-            test_online_monotone_for_fixed_order;
-          Alcotest.test_case "rejects worthless" `Quick test_online_rejects_worthless;
-        ] );
       ( "pd-engine",
         [
           Alcotest.test_case "reproduces Bounded-UFP" `Quick
@@ -1625,6 +1508,5 @@ let () =
             qcheck_bufp_within_certified;
             qcheck_repeat_feasible;
             qcheck_monotone_improvement;
-            qcheck_online_prefix_property;
           ] );
     ]

@@ -13,7 +13,6 @@ module Solution = Ufp_instance.Solution
 module Workloads = Ufp_instance.Workloads
 module Bounded_ufp = Ufp_core.Bounded_ufp
 module Baselines = Ufp_core.Baselines
-module Online = Ufp_core.Online
 module Exact = Ufp_lp.Exact
 module Path_lp = Ufp_lp.Path_lp
 module Mcf = Ufp_lp.Mcf
@@ -180,22 +179,7 @@ let qcheck_normalize_idempotent =
       && Float.abs (Instance.total_value n1 -. Instance.total_value inst) < Float_tol.check_eps
       && Float.abs (Instance.bound n1 -. Instance.bound inst) < Float_tol.check_eps)
 
-(* --- Law 7: the online rule never admits a losing-at-arrival request
-   that the offline budgeted rule would certify as over-budget from the
-   start — concretely, online value is always <= sum of values (sanity)
-   and every accepted cost is <= 1 (the acceptance invariant). *)
-let qcheck_online_acceptance_invariant =
-  QCheck.Test.make ~name:"online acceptance invariant: cost <= 1, feasible"
-    ~count:25 QCheck.small_int (fun seed ->
-      let inst = grid_instance ~capacity:12.0 ~count:20 (seed + 3) in
-      let run = Online.route ~eps:0.3 inst in
-      Solution.is_feasible inst run.Online.solution
-      && List.for_all
-           (fun (e : Online.event) ->
-             (not e.Online.accepted) || e.Online.cost <= 1.0)
-           run.Online.log)
-
-(* --- Law 8: exact solvers agree across representations.
+(* --- Law 7: exact solvers agree across representations.
 
    A UFP instance where every request's path set is a single edge is
    isomorphic to a multi-unit auction; the two exact solvers must
@@ -232,7 +216,7 @@ let qcheck_exact_solvers_agree =
       Float.abs (Exact.opt_value inst -. Muca_baselines.opt_value auction)
       < Float_tol.check_eps)
 
-(* --- Law 9: Solution serialisation round trip composes with
+(* --- Law 8: Solution serialisation round trip composes with
    feasibility. *)
 let qcheck_solution_io_preserves_feasibility =
   QCheck.Test.make ~name:"solution io round trip preserves feasibility"
@@ -248,7 +232,7 @@ let qcheck_solution_io_preserves_feasibility =
         sol = sol'
         && Solution.is_feasible inst sol' = Solution.is_feasible inst sol)
 
-(* --- Law 10: certified bounds are antitone in information.
+(* --- Law 9: certified bounds are antitone in information.
 
    The GK interval at a finer eps is contained in (or equal to) a
    coarser one up to solver slack — concretely the finer upper bound
@@ -273,7 +257,6 @@ let () =
             qcheck_muca_irrelevant_alternative;
             qcheck_ufp_irrelevant_alternative;
             qcheck_normalize_idempotent;
-            qcheck_online_acceptance_invariant;
             qcheck_exact_solvers_agree;
             qcheck_solution_io_preserves_feasibility;
             qcheck_gk_upper_bound_improves;
